@@ -37,6 +37,10 @@ class DomainFailure(Exception):
     """Raised for well-formed queries with a negative or impossible answer."""
 
 
+class UsageError(Exception):
+    """Raised for malformed settings outside the argument list (exit 2)."""
+
+
 def _load_graph(path: str) -> PdagGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
@@ -160,7 +164,11 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
             raise DomainFailure(f"no adjustment set exists{zero}")
         print(_format_set(g, result))
         return 0
-    cap = int(os.environ.get(UNIVERSE_CAP_ENV, "20"))
+    raw_cap = os.environ.get(UNIVERSE_CAP_ENV, "20")
+    try:
+        cap = int(raw_cap)
+    except ValueError:
+        raise UsageError(f"{UNIVERSE_CAP_ENV} must be an integer, got {raw_cap!r}") from None
     for z in list_adjustment_sets(
         g, xs, ys, minimal_only=args.minimal, universe_cap=cap
     ):
@@ -293,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainFailure as exc:
         print(f"error: {exc}")
         return 1
-    except GraphParseError as exc:
+    except (GraphParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import OrientationConflictError, _close, _Work
+from .meek import OrientationConflictError, _bits, _close, _Work
 from .pdag_core import PdagGraph, has_directed_cycle
 
 DEFAULT_DAG_LIMIT = 100_000
@@ -67,29 +67,23 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     """
     if has_directed_cycle(g):
         return None
-    remaining = set(g.nodes)
-    und = {n: set(g.siblings(n)) for n in g.nodes}
-    ch = {n: set(g.children(n)) for n in g.nodes}
-    pa = {n: set(g.parents(n)) for n in g.nodes}
+    work = _Work(g)
+    und, ch, names = work.und, work.ch, g.nodes
+    adjacent = [work.adjacent(u) for u in range(len(names))]
+    remaining = (1 << len(names)) - 1
     oriented: list[tuple[str, str]] = []
 
-    def adjacent_in(x: str) -> set[str]:
-        return (und[x] | ch[x] | pa[x]) & remaining
-
     while remaining:
-        sink = None
-        for x in g.nodes:
-            if x not in remaining or ch[x] & remaining:
+        for x in _bits(remaining):
+            if ch[x] & remaining:
                 continue
-            adj = adjacent_in(x)
-            if all(adj - {u} <= adjacent_in(u) for u in und[x] & remaining):
-                sink = x
+            near = adjacent[x] & remaining
+            if all(not near & ~(1 << u | adjacent[u]) for u in _bits(und[x] & remaining)):
                 break
-        if sink is None:
+        else:
             return None
-        for u in und[sink] & remaining:
-            oriented.append((u, sink))
-        remaining.discard(sink)
+        oriented.extend((names[u], names[x]) for u in _bits(und[x] & remaining))
+        remaining ^= 1 << x
 
     return PdagGraph(g.nodes, directed=list(g.directed_edges()) + oriented)
 
@@ -115,14 +109,16 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     found: list[PdagGraph] = []
     truncated = False
 
-    def first_undirected(work: _Work) -> Optional[tuple[str, str]]:
-        best = None
-        for u in work.nodes:
-            for v in work.und[u]:
-                key = (u, v) if u <= v else (v, u)
-                if best is None or key < best:
-                    best = key
-        return best
+    by_name = sorted(range(len(g.nodes)), key=g.nodes.__getitem__)
+
+    def first_undirected(work: _Work) -> Optional[tuple[int, int]]:
+        """First undirected edge in canonical (name-sorted) pair order."""
+        for pos, u in enumerate(by_name):
+            if work.und[u]:
+                for v in by_name[pos + 1 :]:
+                    if work.und[u] >> v & 1:
+                        return u, v
+        return None
 
     def recurse(work: _Work) -> bool:
         """Returns False when the limit cut enumeration short."""

@@ -3,7 +3,11 @@
 Instead of listing every DAG in the class, each subset of a node's
 undirected neighbours is promoted to required parents (with the rest
 required as children); a subset is kept exactly when that local
-knowledge merges consistently into the graph.  Effects are one linear
+knowledge merges consistently into the graph.  The graph is validated
+once; subsets that are not cliques are skipped without a merge (two
+non-adjacent parents would form an unshielded collider the class
+lacks), and every other combination is merged on a copy of one bitset
+work state, reading the parents off its masks.  Effects are one linear
 regression per surviving parent set, or path tracing through a fitted
 extension DAG for joint interventions.
 """
@@ -12,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .extension import consistent_extension
-from .meek import BackgroundKnowledge, construct_max_pdag
+from .meek import _bits, _merge_one, _require_maximal, _Work
 from .pdag_core import PdagGraph
 
 DEDUP_TOLERANCE = 1e-8
@@ -87,27 +92,52 @@ class EffectMultiset:
         return len(self.unique_values(tolerance))
 
 
-def _sibling_pools(g: PdagGraph, xs: Sequence[str]) -> list[list[str]]:
-    pools = []
-    for i, x in enumerate(xs):
-        earlier = set(xs[:i])
-        pools.append(sorted(g.siblings(x) - earlier, key=g.node_index))
-    return pools
+def _accepted_combinations(
+    g: PdagGraph, xs: tuple[str, ...]
+) -> Iterator[tuple[PossibleParents, _Work]]:
+    """Each accepted combination in counter order, with its merged state.
 
+    Every intervention node gets a binary counter over its canonically
+    ordered siblings (later nodes excluding earlier intervention
+    nodes); the combination's requirements (picked siblings into the
+    node, the rest out of it) are merged into a copy of one base state.
+    Picks that are not cliques of ``g`` are skipped unmerged: two
+    non-adjacent parents would form an unshielded collider that no DAG
+    of the class has, so that merge always fails.
+    """
+    if len(set(xs)) != len(xs):
+        raise ValueError("intervention nodes must be distinct")
+    g.check_nodes(xs)
+    _require_maximal(g)
+    base = _Work(g)
+    names = g.nodes
+    targets = [base.index[x] for x in xs]
 
-def _local_background(
-    xs: Sequence[str],
-    pools: list[list[str]],
-    chosen: Sequence[frozenset[str]],
-) -> BackgroundKnowledge:
-    reqs: list[tuple[str, str]] = []
-    for x, pool, picked in zip(xs, pools, chosen):
-        for a in pool:
-            if a in picked:
-                reqs.append((a, x))
-            else:
-                reqs.append((x, a))
-    return BackgroundKnowledge(reqs)
+    options = []  # per node: (chosen siblings, requirements), counter order
+    for i, x in enumerate(targets):
+        earlier = sum(1 << t for t in targets[:i])
+        pool = list(_bits(base.und[x] & ~earlier))
+        # Extending every clique found so far by the next sibling, and
+        # appending, lists the cliques in counter order.
+        cliques = [0]
+        for v in pool:
+            near = base.adjacent(v)
+            cliques += [m | 1 << v for m in cliques if not m & ~near]
+        options.append(
+            [
+                (
+                    frozenset(names[v] for v in _bits(m)),
+                    [(v, x) if m >> v & 1 else (x, v) for v in pool],
+                )
+                for m in cliques
+            ]
+        )
+
+    for combo in product(*options):
+        work = base.copy()
+        if all(_merge_one(work, a, b) is None for _, reqs in combo for a, b in reqs):
+            parents = tuple(frozenset(names[v] for v in _bits(work.pa[x])) for x in targets)
+            yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), work
 
 
 def possible_parent_sets(g: PdagGraph, xs: Sequence[str]) -> ParentSetFamily:
@@ -117,35 +147,12 @@ def possible_parent_sets(g: PdagGraph, xs: Sequence[str]) -> ParentSetFamily:
     intervention node over its canonically ordered siblings, later nodes
     excluding earlier intervention nodes), the corresponding required
     orientations are merged into ``g``; accepted combinations record the
-    parent sets read from the merged graph.
+    parent sets read from the merged graph.  Raises ValueError when
+    ``g`` is not an acyclic, rule-closed graph.
     """
     xs = tuple(xs)
-    if len(set(xs)) != len(xs):
-        raise ValueError("intervention nodes must be distinct")
-    g.check_nodes(xs)
-    pools = _sibling_pools(g, xs)
-
-    entries: list[PossibleParents] = []
-    counters = [range(1 << len(pool)) for pool in pools]
-
-    def combos(i: int, acc: list[frozenset[str]]) -> None:
-        if i == len(pools):
-            chosen = tuple(acc)
-            bg = _local_background(xs, pools, chosen)
-            outcome = construct_max_pdag(g, bg)
-            if outcome.ok:
-                parents = tuple(frozenset(outcome.graph.parents(x)) for x in xs)
-                entries.append(PossibleParents(parents, chosen))
-            return
-        pool = pools[i]
-        for code in counters[i]:
-            picked = frozenset(pool[j] for j in range(len(pool)) if code >> j & 1)
-            acc.append(picked)
-            combos(i + 1, acc)
-            acc.pop()
-
-    combos(0, [])
-    return ParentSetFamily(xs, tuple(entries))
+    entries = tuple(entry for entry, _ in _accepted_combinations(g, xs))
+    return ParentSetFamily(xs, entries)
 
 
 def _columns_index(
@@ -256,15 +263,13 @@ def joint_ida_effects(
     col = _columns_index(g, data, columns)
     if data.shape[0] <= len(g.nodes):
         raise ValueError("need more samples than variables")
-    family = possible_parent_sets(g, xs)
-    pools = _sibling_pools(g, xs)
+    accepted = list(_accepted_combinations(g, xs))
+    family = ParentSetFamily(xs, tuple(entry for entry, _ in accepted))
     idx = {name: i for i, name in enumerate(g.nodes)}
 
     values = []
-    for entry in family:
-        outcome = construct_max_pdag(g, _local_background(xs, pools, entry.chosen_siblings))
-        assert outcome.ok, "accepted combination must merge consistently"
-        dag = consistent_extension(outcome.graph)
+    for _, merged in accepted:
+        dag = consistent_extension(merged.freeze())
         assert dag is not None, "merged graph of an accepted combination extends"
         B = _fit_coefficient_matrix(dag, data, col)
         if np.isnan(B).any():

@@ -6,13 +6,19 @@ orientations are merged one at a time: each requirement either matches
 the current graph (undirected or already oriented) and is followed by
 re-closure, or the whole merge fails and the input is reported back
 untouched together with the first violating requirement.
+
+Closure runs on :class:`_Work`, per-node sibling, parent and child
+bitmasks over node indices, where each rule premise is a few mask
+operations.  Public entry points check maximality once per graph
+object: closure and merge outputs are marked maximal when built, and a
+passing check on any other input is memoised on the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .pdag_core import (
     GraphParseError,
@@ -96,147 +102,159 @@ class ValidationReport:
     extendable: bool
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 class _Work:
-    """Mutable adjacency-set view of a graph used during closure."""
+    """Mutable closure state: per-node sibling, parent and child bitmasks
+    over the graph's node indices (bit ``i`` stands for ``nodes[i]``)."""
 
     __slots__ = ("nodes", "index", "und", "pa", "ch")
 
     def __init__(self, g: PdagGraph):
         self.nodes = g.nodes
-        self.index = {n: i for i, n in enumerate(g.nodes)}
-        self.und = {n: set(g.siblings(n)) for n in g.nodes}
-        self.pa = {n: set(g.parents(n)) for n in g.nodes}
-        self.ch = {n: set(g.children(n)) for n in g.nodes}
+        self.index = index = {n: i for i, n in enumerate(g.nodes)}
+        self.und = [sum(1 << index[s] for s in g.siblings(n)) for n in g.nodes]
+        self.pa = [sum(1 << index[s] for s in g.parents(n)) for n in g.nodes]
+        self.ch = [sum(1 << index[s] for s in g.children(n)) for n in g.nodes]
 
-    def adjacent(self, u: str, v: str) -> bool:
-        return v in self.und[u] or v in self.pa[u] or v in self.ch[u]
+    def adjacent(self, u: int) -> int:
+        return self.und[u] | self.pa[u] | self.ch[u]
 
     def copy(self) -> "_Work":
         dup = object.__new__(_Work)
         dup.nodes = self.nodes
         dup.index = self.index
-        dup.und = {n: set(s) for n, s in self.und.items()}
-        dup.pa = {n: set(s) for n, s in self.pa.items()}
-        dup.ch = {n: set(s) for n, s in self.ch.items()}
+        dup.und = self.und[:]
+        dup.pa = self.pa[:]
+        dup.ch = self.ch[:]
         return dup
 
-    def sorted(self, names: Iterable[str]) -> list[str]:
-        return sorted(names, key=self.index.__getitem__)
-
-    def reaches(self, src: str, dst: str) -> bool:
-        """Directed reachability src -> ... -> dst."""
-        if src == dst:
-            return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for w in self.ch[u]:
-                if w == dst:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    def reaches(self, src: int, dst: int) -> bool:
+        """Directed reachability src -> ... -> dst over at least one edge."""
+        ch = self.ch
+        target = 1 << dst
+        seen = frontier = ch[src]
+        while frontier:
+            if seen & target:
+                return True
+            grown = 0
+            for u in _bits(frontier):
+                grown |= ch[u]
+            frontier = grown & ~seen
+            seen |= frontier
         return False
 
-    def orient(self, u: str, v: str) -> bool:
-        """Turn u - v into u -> v; False when already so oriented."""
-        if v in self.ch[u]:
-            return False
-        if v not in self.und[u]:
+    def orient(self, u: int, v: int) -> None:
+        """Turn u - v into u -> v."""
+        names = self.nodes
+        if not self.und[u] >> v & 1:
             raise OrientationConflictError(
-                f"cannot orient {u} -> {v}: edge is not undirected"
+                f"cannot orient {names[u]} -> {names[v]}: edge is not undirected"
             )
         if self.reaches(v, u):
             raise OrientationConflictError(
-                f"orienting {u} -> {v} would create a directed cycle"
+                f"orienting {names[u]} -> {names[v]} would create a directed cycle"
             )
-        self.und[u].discard(v)
-        self.und[v].discard(u)
-        self.ch[u].add(v)
-        self.pa[v].add(u)
-        return True
+        self.und[u] ^= 1 << v
+        self.und[v] ^= 1 << u
+        self.ch[u] |= 1 << v
+        self.pa[v] |= 1 << u
 
     def freeze(self) -> PdagGraph:
-        directed = [(u, v) for u in self.nodes for v in self.sorted(self.ch[u])]
+        names = self.nodes
+        directed = [(names[u], names[v]) for u, m in enumerate(self.ch) for v in _bits(m)]
         undirected = [
-            (u, v) for u in self.nodes for v in self.sorted(self.und[u]) if self.index[u] < self.index[v]
+            (names[u], names[v]) for u, m in enumerate(self.und) for v in _bits(m) if u < v
         ]
-        return PdagGraph(self.nodes, directed=directed, undirected=undirected)
+        return PdagGraph(names, directed=directed, undirected=undirected)
 
 
-def _rule_targets(work: _Work, a: str, b: str) -> list[tuple[str, str]]:
-    """Orientations implied by rules whose pattern uses the directed edge a -> b.
+def _first_target(work: _Work, a: int, b: int) -> Optional[tuple[int, int]]:
+    """First orientation implied by a rule whose pattern uses the directed
+    edge a -> b, or None.
 
-    Every rule premise contains at least one directed edge, so scanning
-    each directed edge as it appears visits every applicable pattern.
+    Rules are tried in the order R1, R2 (a -> b first, then second edge
+    of the chain), R3, R4 (a -> b as upper, then lower edge), each with
+    the lowest node index first.  Every rule premise contains at least
+    one directed edge, so scanning each directed edge as it appears
+    visits every applicable pattern.
     """
-    out: list[tuple[str, str]] = []
     und, pa, ch = work.und, work.pa, work.ch
+    # Nodes other than a that are not adjacent to a.
+    apart_a = ~(und[a] | pa[a] | ch[a] | 1 << a)
 
     # R1: a -> b, b - c, a and c non-adjacent  =>  b -> c.
-    for c in work.sorted(und[b]):
-        if c != a and not work.adjacent(a, c):
-            out.append((b, c))
-
+    hits = und[b] & apart_a
+    if hits:
+        return b, _low(hits)
     # R2 with a -> b as the first edge of the chain: a -> b -> c, a - c  =>  a -> c.
-    for c in work.sorted(ch[b]):
-        if c in und[a]:
-            out.append((a, c))
+    hits = ch[b] & und[a]
+    if hits:
+        return a, _low(hits)
     # R2 with a -> b as the second edge: x -> a -> b, x - b  =>  x -> b.
-    for x in work.sorted(pa[a]):
-        if b in und[x]:
-            out.append((x, b))
+    hits = pa[a] & und[b]
+    if hits:
+        return _low(hits), b
 
+    common = und[a] & und[b]
+    if not common:
+        return None
     # R3: i - b, i - a, i - w, a -> b, w -> b, a and w non-adjacent  =>  i -> b.
-    for i in work.sorted(und[b] & und[a]):
-        for w in work.sorted(pa[b] & und[i]):
-            if w != a and not work.adjacent(a, w):
-                out.append((i, b))
-                break
-
+    others = pa[b] & apart_a
+    if others:
+        for i in _bits(common):
+            if und[i] & others:
+                return i, b
     # R4, a -> b matching the upper edge j -> l of the pattern
     # (i - j, i - l, i - k, j -> l, l -> k, j and k non-adjacent => i -> k).
-    for i in work.sorted(und[a] & und[b]):
-        for k in work.sorted(ch[b] & und[i]):
-            if k != a and not work.adjacent(a, k):
-                out.append((i, k))
+    others = ch[b] & apart_a
+    if others:
+        for i in _bits(common):
+            hits = und[i] & others
+            if hits:
+                return i, _low(hits)
     # R4, a -> b matching the lower edge l -> k of the pattern.
-    for i in work.sorted(und[a] & und[b]):
-        for j in work.sorted(pa[a] & und[i]):
-            if j != b and not work.adjacent(j, b):
-                out.append((i, b))
-                break
+    others = pa[a] & ~(und[b] | pa[b] | ch[b] | 1 << b)
+    if others:
+        for i in _bits(common):
+            if und[i] & others:
+                return i, b
+    return None
 
-    return out
 
-
-def _close(work: _Work, seed: Iterable[tuple[str, str]]) -> None:
+def _close(work: _Work, seed: Iterable[tuple[int, int]]) -> None:
     """Apply rules until fixpoint, starting from the given directed edges.
 
-    Targets are recomputed after every orientation so each firing is
-    checked against the current state, never a stale premise.
+    The first target is recomputed after every orientation so each
+    firing is checked against the current state, never a stale premise.
     """
     queue = deque(seed)
     while queue:
         a, b = queue.popleft()
         while True:
-            targets = _rule_targets(work, a, b)
-            if not targets:
+            target = _first_target(work, a, b)
+            if target is None:
                 break
-            u, v = targets[0]
-            work.orient(u, v)
-            queue.append((u, v))
+            work.orient(*target)
+            queue.append(target)
 
 
-def _first_open_rule(work: _Work) -> Optional[tuple[str, str]]:
-    """First orientation any rule would perform, or None when closed."""
-    for u in work.nodes:
-        for v in work.sorted(work.ch[u]):
-            targets = _rule_targets(work, u, v)
-            if targets:
-                return targets[0]
-    return None
+def _maximal_graph(work: _Work) -> PdagGraph:
+    """Freeze a closed, acyclic work state and record that it is maximal."""
+    out = work.freeze()
+    out._maximal = True
+    return out
 
 
 def close_orientations(g: PdagGraph) -> PdagGraph:
@@ -250,20 +268,55 @@ def close_orientations(g: PdagGraph) -> PdagGraph:
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
     work = _Work(g)
-    _close(work, g.directed_edges())
-    return work.freeze()
+    index = work.index
+    _close(work, [(index[t], index[h]) for t, h in g.directed_edges()])
+    return _maximal_graph(work)
 
 
 def is_closed(g: PdagGraph) -> bool:
     """True iff no orientation rule applies to ``g``."""
-    return _first_open_rule(_Work(g)) is None
+    if g._maximal:
+        return True
+    work = _Work(g)
+    return not any(
+        _first_target(work, u, v) for u, children in enumerate(work.ch) for v in _bits(children)
+    )
 
 
 def _require_maximal(g: PdagGraph) -> None:
+    """Raise ValueError unless ``g`` is acyclic and closed.
+
+    A passing verdict is memoised on the graph, so each graph object is
+    checked at most once however many merges it goes through.
+    """
+    if g._maximal:
+        return
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
     if not is_closed(g):
         raise ValueError("input graph is not closed under the orientation rules")
+    g._maximal = True
+
+
+def _merge_one(work: _Work, x: int, y: int) -> Optional[str]:
+    """Merge the required orientation x -> y into ``work`` and re-close.
+
+    Returns None on success, otherwise why the requirement fails; after
+    a failure ``work`` is left part-way and must be discarded.
+    """
+    if work.ch[x] >> y & 1:
+        return None
+    names = work.nodes
+    if work.und[x] >> y & 1:
+        try:
+            work.orient(x, y)
+            _close(work, [(x, y)])
+        except OrientationConflictError:
+            return f"{names[x]} -> {names[y]} creates a directed cycle"
+        return None
+    if work.ch[y] >> x & 1:
+        return f"{names[x]} -> {names[y]} conflicts with {names[y]} -> {names[x]}"
+    return f"no edge between {names[x]} and {names[y]}"
 
 
 def construct_max_pdag(
@@ -276,33 +329,22 @@ def construct_max_pdag(
     after each new orientation the rules are re-closed.  Any other edge
     state, or a re-closure that would create a directed cycle, makes the
     whole merge fail: the outcome then carries that requirement and the
-    untouched input graph.
+    untouched input graph.  Raises ValueError when ``g`` is not an
+    acyclic, rule-closed graph.
     """
     if not isinstance(r, BackgroundKnowledge):
         r = BackgroundKnowledge(r)
     _require_maximal(g)
     work = _Work(g)
+    index = work.index
     for x, y in r:
-        if x not in work.index or y not in work.index:
-            missing = x if x not in work.index else y
+        if x not in index or y not in index:
+            missing = x if x not in index else y
             return OrientationOutcome(g, (x, y), f"unknown node {missing}")
-        if y in work.ch[x]:
-            continue
-        if y in work.und[x]:
-            try:
-                work.orient(x, y)
-                _close(work, [(x, y)])
-            except OrientationConflictError:
-                return OrientationOutcome(
-                    g, (x, y), f"{x} -> {y} creates a directed cycle"
-                )
-            continue
-        if x in work.ch[y]:
-            reason = f"{x} -> {y} conflicts with {y} -> {x}"
-        else:
-            reason = f"no edge between {x} and {y}"
-        return OrientationOutcome(g, (x, y), reason)
-    return OrientationOutcome(work.freeze())
+        reason = _merge_one(work, index[x], index[y])
+        if reason is not None:
+            return OrientationOutcome(g, (x, y), reason)
+    return OrientationOutcome(_maximal_graph(work))
 
 
 def cpdag_of(d: PdagGraph) -> PdagGraph:

@@ -4,7 +4,11 @@ A :class:`PdagGraph` stores an ordered node set and, for every unordered
 node pair, one of three edge states: undirected, directed one way, or
 directed the other way (absent pairs are simply not stored).  The same
 value type is used for DAGs, CPDAGs and maximal PDAGs; graphs are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads.  The
+one exception is a private memo: once :mod:`mpdagkit.meek` has found a
+graph acyclic and closed under the orientation rules it records that on
+the graph, a one-way False to True write, so a race between threads can
+only repeat the check, never skip it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class PdagGraph:
     rejected, so the representation cannot express multigraphs.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_pa", "_ch", "_sib", "_hash")
+    __slots__ = ("_nodes", "_index", "_edges", "_pa", "_ch", "_sib", "_hash", "_maximal")
 
     def __init__(
         self,
@@ -110,6 +114,7 @@ class PdagGraph:
         self._ch = {n: frozenset(s) for n, s in ch.items()}
         self._sib = {n: frozenset(s) for n, s in sib.items()}
         self._hash = hash((nodes, tuple(sorted(edges.items()))))
+        self._maximal = False  # set by meek once the graph is known maximal
 
     # -- basic views ---------------------------------------------------
 

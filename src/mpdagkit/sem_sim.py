@@ -103,7 +103,11 @@ def random_dag(p: int, en: float, rng: np.random.Generator) -> SemModel:
 
 
 def sample_data(m: SemModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` rows; columns follow the model's node order."""
+    """Draw ``n`` rows; columns follow the model's node order.
+
+    Parent contributions are summed in node order, so the result
+    depends only on the model, ``n`` and the generator state.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     idx = {name: i for i, name in enumerate(m.dag.nodes)}
@@ -111,7 +115,7 @@ def sample_data(m: SemModel, n: int, rng: np.random.Generator) -> np.ndarray:
     for v in m.topological_order():
         noise = rng.standard_normal(n) * m.noise_scales[v]
         total = noise
-        for parent in m.dag.parents(v):
+        for parent in sorted(m.dag.parents(v), key=idx.__getitem__):
             total = total + m.coefficients[(parent, v)] * data[:, idx[parent]]
         data[:, idx[v]] = total
     return data

@@ -1,13 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's production code paths: the
-restart-scan closure re-derives the orientation rules from scratch, and
+restart-scan closure re-derives the orientation rules from scratch, the
+parent-set oracle runs one full public merge per sibling subset, and
 the DAG-level adjustment oracle evaluates the criterion by brute-force
 path enumeration.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
+from mpdagkit.ida import PossibleParents
+from mpdagkit.meek import construct_max_pdag
 from mpdagkit.pdag_core import PdagGraph
 
 
@@ -114,6 +117,37 @@ def scan_construct(g: PdagGraph, requirements, rule_order=("R1", "R2", "R3", "R4
 
 def all_rule_orders():
     return list(permutations(("R1", "R2", "R3", "R4")))
+
+
+# -- parent-set oracle ----------------------------------------------------
+
+
+def global_merge_parent_sets(g: PdagGraph, xs) -> list:
+    """Reference parent-set family: every combination of sibling subsets
+    (a binary counter per intervention node over its siblings in node
+    order, later nodes excluding earlier intervention nodes) is merged
+    into ``g`` with ``construct_max_pdag``; accepted ones are kept in
+    counter order."""
+    xs = tuple(xs)
+    pools = [
+        sorted(g.siblings(x) - set(xs[:i]), key=g.node_index) for i, x in enumerate(xs)
+    ]
+    entries = []
+    for codes in product(*(range(1 << len(pool)) for pool in pools)):
+        chosen = tuple(
+            frozenset(a for j, a in enumerate(pool) if code >> j & 1)
+            for pool, code in zip(pools, codes)
+        )
+        reqs = [
+            (a, x) if a in picked else (x, a)
+            for x, pool, picked in zip(xs, pools, chosen)
+            for a in pool
+        ]
+        outcome = construct_max_pdag(g, reqs)
+        if outcome.ok:
+            parents = tuple(frozenset(outcome.graph.parents(x)) for x in xs)
+            entries.append(PossibleParents(parents, chosen))
+    return entries
 
 
 # -- DAG-level adjustment oracle -----------------------------------------

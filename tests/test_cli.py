@@ -177,6 +177,21 @@ class TestAdjust:
         assert result.returncode == 1
         assert "cap of 0" in result.stdout
 
+    def test_non_integer_universe_cap_is_usage_error(self, graphs):
+        result = run_cli(
+            "adjust",
+            graphs["fig3_g1"],
+            "--x",
+            "X",
+            "--y",
+            "Y",
+            "--list",
+            env={"MPDAGKIT_UNIVERSE_CAP": "abc"},
+        )
+        assert result.returncode == 2
+        assert "MPDAGKIT_UNIVERSE_CAP" in result.stderr
+        assert result.stdout == ""
+
 
 class TestErrors:
     def test_usage_error(self):

@@ -11,10 +11,11 @@ from mpdagkit.ida import (
     possible_parent_sets,
 )
 from mpdagkit.meek import construct_max_pdag, cpdag_of
-from mpdagkit.pdag_core import parse_graph
+from mpdagkit.pdag_core import PdagGraph, parse_graph
 from mpdagkit.sem_sim import SemModel, random_dag, sample_data, true_total_effect
 
 from conftest import random_mpdag
+from helpers import global_merge_parent_sets
 
 
 def regression_se(data, col_x, col_y, col_extra):
@@ -112,6 +113,57 @@ class TestPossibleParentSets:
     def test_rejects_non_maximal_input(self):
         with pytest.raises(ValueError, match="not closed"):
             possible_parent_sets(parse_graph("A -> B\nB -- C"), ["C"])
+
+
+def complete_graph(n):
+    names = [f"V{i}" for i in range(1, n + 1)]
+    return PdagGraph(
+        names, undirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    )
+
+
+class TestParentSetOracle:
+    """Production parent sets against one global merge per sibling subset."""
+
+    @staticmethod
+    def assert_matches(g, xs):
+        family = possible_parent_sets(g, xs)
+        assert list(family) == global_merge_parent_sets(g, xs)
+        return len(family)
+
+    def test_random_mpdags(self):
+        rng = np.random.default_rng(67)
+        compared = 0
+        for _ in range(300):
+            g, _ = random_mpdag(rng, 10)
+            nodes = list(g.nodes)
+            for k in (1, 2):
+                xs = [str(x) for x in rng.choice(nodes, size=k, replace=False)]
+                self.assert_matches(g, xs)
+                compared += 1
+        assert compared == 600
+
+    def test_complete_graphs(self):
+        for n in range(3, 8):
+            g = complete_graph(n)
+            # every sibling subset of a node in K_n is a possible parent set
+            assert self.assert_matches(g, ["V1"]) == 2 ** (n - 1)
+            self.assert_matches(g, [g.nodes[-1], g.nodes[0]])
+
+    def test_star_and_paired_hub(self):
+        leaves = [f"L{i}" for i in range(1, 11)]
+        star = PdagGraph(["H"] + leaves, undirected=[("H", v) for v in leaves])
+        pairs = list(zip(leaves[::2], leaves[1::2]))
+        hub = PdagGraph(
+            ["H"] + leaves, undirected=[("H", v) for v in leaves] + pairs
+        )
+        # non-adjacent leaves never share the centre as a common child
+        assert self.assert_matches(star, ["H"]) == 11
+        assert self.assert_matches(hub, ["H"]) == 16
+        for g in (star, hub):
+            self.assert_matches(g, ["L1"])
+            self.assert_matches(g, ["H", "L2"])
+            self.assert_matches(g, ["L3", "H"])
 
 
 class TestIdaEffects:

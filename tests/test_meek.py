@@ -148,13 +148,15 @@ class TestConstructMaxPdag:
 
     def test_requires_closed_input(self):
         open_graph = parse_graph("A -> B\nB -- C")
-        with pytest.raises(ValueError, match="not closed"):
-            construct_max_pdag(open_graph, [("B", "C")])
+        for _ in range(2):  # a failed check is not memoised
+            with pytest.raises(ValueError, match="not closed"):
+                construct_max_pdag(open_graph, [("B", "C")])
 
     def test_requires_acyclic_input(self):
         g = PdagGraph("ABC", directed=[("A", "B"), ("B", "C"), ("C", "A")])
-        with pytest.raises(ValueError, match="directed cycle"):
-            construct_max_pdag(g, [])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="directed cycle"):
+                construct_max_pdag(g, [])
 
     def test_unknown_node_fails(self, fig1_cpdag):
         outcome = construct_max_pdag(fig1_cpdag, [("Z", "B")])
@@ -203,6 +205,47 @@ class TestConstructMaxPdag:
             else:
                 assert mine.ok
                 assert mine.graph == reference
+
+    def test_random_directions_match_restart_scan_construct(self):
+        # directions drawn independently of any DAG, so many merges fail
+        rng = np.random.default_rng(29)
+        failures = 0
+        for _ in range(200):
+            g, _ = random_mpdag(rng, 9)
+            reqs = [
+                (a, b) if rng.random() < 0.5 else (b, a)
+                for a, b in g.undirected_edges()
+                if rng.random() < 0.6
+            ]
+            if rng.random() < 0.3:
+                reqs += [(b, a) for a, b in g.directed_edges()[:1]]
+            rng.shuffle(reqs)
+            mine = construct_max_pdag(g, reqs)
+            reference = scan_construct(g, reqs)
+            if reference is None:
+                failures += 1
+                assert not mine.ok
+                assert mine.graph is g
+            else:
+                assert mine.ok
+                assert mine.graph == reference
+        assert failures > 20
+
+    def test_merge_outputs_are_maximal(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            g, dag = random_mpdag(rng, 8)
+            reqs = [
+                (a, b) if dag.is_directed(a, b) else (b, a)
+                for a, b in g.undirected_edges()
+                if rng.random() < 0.5
+            ]
+            merged = construct_max_pdag(g, reqs).graph
+            # a fresh copy carries no memo, so the rules are really checked
+            copy = PdagGraph(
+                merged.nodes, merged.directed_edges(), merged.undirected_edges()
+            )
+            assert is_closed(copy)
 
 
 class TestConfluence:

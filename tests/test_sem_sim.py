@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -269,3 +273,32 @@ class TestSimulation:
         assert first[1] == "5"
         assert first[4] in ("true", "false")
         assert text == rows_to_csv(rows)
+
+
+SAMPLE_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from mpdagkit.sem_sim import random_dag, sample_data
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for _ in range(20):
+    model = random_dag(9, 4.0, rng)
+    digest.update(sample_data(model, 50, rng).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestSampleDataDeterminism:
+    def test_independent_of_hash_seed(self):
+        digests = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", SAMPLE_DIGEST_SCRIPT],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
