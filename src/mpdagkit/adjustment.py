@@ -4,21 +4,23 @@ The criterion has three conditions, evaluated in order: every proper
 possibly-causal path out of the treatment set must start with a directed
 edge (amenability), the candidate set must avoid the forbidden nodes,
 and every proper non-causal definite-status path must be blocked.  The
-first two are decided from path enumeration with pruning; blocking
-delegates to a single DAG extension, where removing the first edge of
-every proper causal path and testing d-separation is sound and
-complete.  An enumeration-based reference for blocking is kept for
-cross-checks on small graphs.
+first two come from one enumeration of the proper possibly-causal
+paths per (graph, X, Y) query; blocking delegates to a single DAG
+extension, where removing the first edge of every proper causal path
+and testing d-separation is sound and complete.  Only public entry
+points validate inputs; the private helpers they share trust them.  An
+enumeration-based reference for blocking is kept for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .causal_paths import (
     DEFAULT_ENUMERATION_GUARD,
+    _guard,
     b_possible_ancestors,
     b_possible_descendants,
     classify_path,
@@ -85,6 +87,11 @@ def _disjoint(name_a: str, a: frozenset, name_b: str, b: frozenset) -> None:
         raise ValueError(f"{name_a} and {name_b} overlap: {sorted(overlap)}")
 
 
+def _nonempty(xs: frozenset, ys: frozenset) -> None:
+    if not xs or not ys:
+        raise ValueError("treatment and outcome sets must be non-empty")
+
+
 def _proper_possibly_causal_paths(
     g: PdagGraph,
     xs: frozenset[str],
@@ -97,11 +104,7 @@ def _proper_possibly_causal_paths(
     backward pair are pruned, as are nodes from which ``ys`` is no longer
     reachable along forward or undirected edges avoiding ``xs``.
     """
-    if len(g) > max_nodes:
-        raise ValueError(
-            f"graph has {len(g)} nodes, above the path-enumeration guard of "
-            f"{max_nodes}; raise max_nodes to override"
-        )
+    _guard(g, max_nodes)
     order = g.node_index
 
     # Static viability prune: reverse reachability to ys over usable edges.
@@ -136,6 +139,34 @@ def _proper_possibly_causal_paths(
     return paths
 
 
+def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
+    ranked = sorted(paths, key=lambda p: (len(p), p))
+    return ranked[0] if ranked else None
+
+
+def _conditions(
+    g: PdagGraph,
+    xs: frozenset[str],
+    ys: frozenset[str],
+    max_nodes: int,
+) -> tuple[ConditionCheck, frozenset[str]]:
+    """Amenability of one query and the non-treatment nodes on its proper
+    possibly-causal paths, from a single enumeration of those paths.
+    ``xs`` and ``ys`` must already be valid node sets of ``g``."""
+    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
+    undirected_start = [p for p in paths if g.is_undirected(p[0], p[1])]
+    amenable = ConditionCheck(not undirected_start, _first_witness(undirected_start))
+    return amenable, frozenset(node for path in paths for node in path) - xs
+
+
+def _forbidden(g: PdagGraph, on_path: frozenset[str]) -> ForbiddenSet:
+    """The forbidden set: ``on_path`` closed under b-possible descent.  Kept
+    out of :func:`_conditions`, as only ``forbidden_set`` needs the closure
+    when amenability fails and ``is_amenable`` never does."""
+    closed = b_possible_descendants(g, on_path).nodes if on_path else on_path
+    return ForbiddenSet(closed, on_path)
+
+
 def forbidden_set(
     g: PdagGraph,
     xs: "str | Iterable[str]",
@@ -150,21 +181,9 @@ def forbidden_set(
     """
     xs = node_set(g, xs)
     ys = node_set(g, ys)
-    if not xs or not ys:
-        raise ValueError("treatment and outcome sets must be non-empty")
+    _nonempty(xs, ys)
     _disjoint("xs", xs, "ys", ys)
-    on_path = {
-        node for path in _proper_possibly_causal_paths(g, xs, ys, max_nodes) for node in path
-    } - xs
-    if not on_path:
-        return ForbiddenSet(frozenset(), frozenset())
-    closed = b_possible_descendants(g, frozenset(on_path)).nodes
-    return ForbiddenSet(closed, frozenset(on_path))
-
-
-def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
-    ranked = sorted(paths, key=lambda p: (len(p), p))
-    return ranked[0] if ranked else None
+    return _forbidden(g, _conditions(g, xs, ys, max_nodes)[1])
 
 
 def is_amenable(
@@ -178,37 +197,22 @@ def is_amenable(
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     _disjoint("xs", xs, "ys", ys)
-    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
-    undirected_start = [p for p in paths if g.is_undirected(p[0], p[1])]
-    if undirected_start:
-        return ConditionCheck(False, _first_witness(undirected_start))
-    return ConditionCheck(True)
+    return _conditions(g, xs, ys, max_nodes)[0]
 
 
 # -- d-separation in DAGs ----------------------------------------------
 
 
-def _ancestors(d: PdagGraph, seeds: frozenset[str]) -> set[str]:
-    out = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for p in d.parents(v):
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
-
-
-def _descendants(d: PdagGraph, seeds: Iterable[str]) -> set[str]:
+def _closure(seeds: Iterable[str], step: Callable[[str], frozenset[str]]) -> set[str]:
+    """``seeds`` plus every node reached from them by repeating ``step``
+    (``d.parents`` for ancestors, ``d.children`` for descendants)."""
     out = set(seeds)
     stack = list(out)
     while stack:
-        v = stack.pop()
-        for c in d.children(v):
-            if c not in out:
-                out.add(c)
-                stack.append(c)
+        for w in step(stack.pop()):
+            if w not in out:
+                out.add(w)
+                stack.append(w)
     return out
 
 
@@ -233,8 +237,15 @@ def d_separated(
     _disjoint("xs", xs, "ys", ys)
     _disjoint("xs", xs, "zs", zs)
     _disjoint("ys", ys, "zs", zs)
+    return _d_separated(d, xs, ys, zs)
 
-    anz = _ancestors(d, zs)  # nodes with a descendant in zs, plus zs
+
+def _d_separated(
+    d: PdagGraph, xs: frozenset[str], ys: frozenset[str], zs: frozenset[str]
+) -> bool:
+    """The search behind :func:`d_separated`, for a DAG and pairwise
+    disjoint node sets the caller has already checked."""
+    anz = _closure(zs, d.parents)  # nodes with a descendant in zs, plus zs
     # States: (node, True) = arrived along an edge into the node,
     #         (node, False) = arrived against an edge out of the node.
     seen: set[tuple[str, bool]] = set()
@@ -280,7 +291,7 @@ def _connecting_path(
     the blocking conditions; deterministic via node-index order.
     """
     order = d.node_index
-    anz = _ancestors(d, zs)
+    anz = _closure(zs, d.parents)
 
     def extend(path: list[str], on_path: set[str], depth: int) -> Optional[tuple[str, ...]]:
         cur = path[-1]
@@ -321,7 +332,7 @@ def proper_backdoor_graph(
 ) -> PdagGraph:
     """Copy of DAG ``d`` without the first edge of any proper causal path
     from ``xs`` to ``ys``."""
-    onward = _ancestors(d.induced(set(d.nodes) - set(xs)), frozenset(ys))
+    onward = _closure(ys, d.induced(set(d.nodes) - set(xs)).parents)
     directed = [
         (t, h) for t, h in d.directed_edges() if not (t in xs and h in onward)
     ]
@@ -346,21 +357,29 @@ def check_b_blocking(
     zs = node_set(g, zs)
     _disjoint("zs", zs, "xs", xs)
     _disjoint("zs", zs, "ys", ys)
-    if not is_amenable(g, xs, ys, max_nodes).ok:
+    _disjoint("xs", xs, "ys", ys)
+    amenable, on_path = _conditions(g, xs, ys, max_nodes)
+    if not amenable.ok:
         raise ValueError("blocking check requires amenability to hold")
-    if zs & forbidden_set(g, xs, ys, max_nodes).nodes:
+    _nonempty(xs, ys)
+    if zs & _forbidden(g, on_path).nodes:
         raise ValueError("blocking check requires zs to avoid the forbidden set")
     return _blocking_fast(g, xs, ys, zs)
+
+
+def _backdoor_dag(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> PdagGraph:
+    """The proper back-door graph of one DAG extension of ``g``."""
+    dag = consistent_extension(g)
+    if dag is None:
+        raise ValueError("graph has no consistent DAG extension")
+    return proper_backdoor_graph(dag, xs, ys)
 
 
 def _blocking_fast(
     g: PdagGraph, xs: frozenset[str], ys: frozenset[str], zs: frozenset[str]
 ) -> ConditionCheck:
-    dag = consistent_extension(g)
-    if dag is None:
-        raise ValueError("graph has no consistent DAG extension")
-    pruned = proper_backdoor_graph(dag, xs, ys)
-    if d_separated(pruned, xs, ys, zs):
+    pruned = _backdoor_dag(g, xs, ys)
+    if _d_separated(pruned, xs, ys, zs):
         return ConditionCheck(True)
     return ConditionCheck(False, _connecting_path(pruned, xs, ys, zs))
 
@@ -381,11 +400,7 @@ def b_blocking_by_enumeration(
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     zs = node_set(g, zs)
-    if len(g) > max_nodes:
-        raise ValueError(
-            f"graph has {len(g)} nodes, above the path-enumeration guard of "
-            f"{max_nodes}; raise max_nodes to override"
-        )
+    _guard(g, max_nodes)
     order = g.node_index
     violations: list[tuple[str, ...]] = []
 
@@ -396,7 +411,7 @@ def b_blocking_by_enumeration(
         for node, label in zip(path, labels):
             if label == DEFINITE_NON_COLLIDER and node in zs:
                 return False
-            if label == COLLIDER and not (_descendants(g, (node,)) & zs):
+            if label == COLLIDER and not (_closure((node,), g.children) & zs):
                 return False
         return True
 
@@ -441,28 +456,21 @@ def satisfies_b_adjustment(
     _disjoint("xs", xs, "ys", ys)
     _disjoint("zs", zs, "xs", xs)
     _disjoint("zs", zs, "ys", ys)
-    if not xs or not ys:
-        raise ValueError("treatment and outcome sets must be non-empty")
+    _nonempty(xs, ys)
 
     zero_effect = not (ys & b_possible_descendants(g, xs).nodes)
-    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
-
-    undirected_start = [p for p in paths if g.is_undirected(p[0], p[1])]
-    if undirected_start:
+    amenable, on_path = _conditions(g, xs, ys, max_nodes)
+    if not amenable.ok:
         return AdjustmentVerdict(
             amenable=False,
             forbidden_ok=None,
             blocking_ok=None,
             overall=False,
             zero_effect=zero_effect,
-            witness=_first_witness(undirected_start),
+            witness=amenable.witness,
         )
 
-    on_path = {node for path in paths for node in path} - xs
-    forb = (
-        b_possible_descendants(g, frozenset(on_path)).nodes if on_path else frozenset()
-    )
-    blocked_nodes = zs & forb
+    blocked_nodes = zs & _forbidden(g, on_path).nodes
     if blocked_nodes:
         return AdjustmentVerdict(
             amenable=True,
@@ -498,14 +506,14 @@ def adjust_set(
     """
     xs = node_set(g, xs)
     ys = node_set(g, ys)
-    candidate = (
-        b_possible_ancestors(g, xs | ys).nodes
-        - xs
-        - ys
-        - forbidden_set(g, xs, ys, max_nodes).nodes
-    )
-    verdict = satisfies_b_adjustment(g, xs, ys, candidate, max_nodes)
-    return frozenset(candidate) if verdict.overall else None
+    _nonempty(xs, ys)
+    _disjoint("xs", xs, "ys", ys)
+    amenable, on_path = _conditions(g, xs, ys, max_nodes)
+    if not amenable.ok:
+        return None
+    forbidden = _forbidden(g, on_path).nodes
+    candidate = b_possible_ancestors(g, xs | ys).nodes - xs - ys - forbidden
+    return candidate if _d_separated(_backdoor_dag(g, xs, ys), xs, ys, candidate) else None
 
 
 def list_adjustment_sets(
@@ -526,26 +534,26 @@ def list_adjustment_sets(
     """
     xs = node_set(g, xs)
     ys = node_set(g, ys)
-    if not is_amenable(g, xs, ys, max_nodes).ok:
+    _disjoint("xs", xs, "ys", ys)
+    amenable, on_path = _conditions(g, xs, ys, max_nodes)
+    if not amenable.ok:
         return []
-    forb = forbidden_set(g, xs, ys, max_nodes).nodes
-    universe = sorted(set(g.nodes) - xs - ys - forb, key=g.node_index)
+    _nonempty(xs, ys)
+    forbidden = _forbidden(g, on_path).nodes
+    universe = sorted(set(g.nodes) - xs - ys - forbidden, key=g.node_index)
     if len(universe) > universe_cap:
         raise ValueError(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
-    dag = consistent_extension(g)
-    if dag is None:
-        raise ValueError("graph has no consistent DAG extension")
-    pruned = proper_backdoor_graph(dag, xs, ys)
+    pruned = _backdoor_dag(g, xs, ys)
 
     top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
     for size in range(top + 1):
         for combo in combinations(universe, size):
             z = frozenset(combo)
-            if d_separated(pruned, xs, ys, z):
+            if _d_separated(pruned, xs, ys, z):
                 valid.append(z)
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]

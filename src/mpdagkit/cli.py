@@ -3,8 +3,10 @@
 Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
 adjustment set with --find, guard or cap exceeded), 2 usage or parse
-errors.  All output is deterministic for fixed arguments and seeds, and
-graph output re-parses through the graph reader.
+errors, including node lists that name unknown nodes, overlap (--x with
+--y or --z) or are empty where a node is required.  All output is
+deterministic for fixed arguments and seeds, and graph output re-parses
+through the graph reader.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +23,6 @@ import numpy as np
 from .adjustment import (
     AdjustmentVerdict,
     adjust_set,
-    forbidden_set,
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
@@ -64,6 +66,21 @@ def _split_nodes(arg: str) -> list[str]:
 def _format_set(g: PdagGraph, names) -> str:
     ordered = sorted(names, key=g.node_index)
     return "{" + ", ".join(ordered) + "}"
+
+
+def _check_node_lists(g: PdagGraph, lists: dict, may_be_empty: str = "") -> None:
+    """Reject malformed node lists before any query runs: an unknown name
+    (KeyError), two lists sharing a node, or an empty list other than
+    the one named ``may_be_empty``."""
+    for names in lists.values():
+        g.check_nodes(names)
+    for (flag_a, a), (flag_b, b) in combinations(lists.items(), 2):
+        shared = set(a) & set(b)
+        if shared:
+            raise UsageError(f"{flag_a} and {flag_b} overlap: {_format_set(g, shared)}")
+    for flag, names in lists.items():
+        if not names and flag != may_be_empty:
+            raise UsageError(f"{flag} must name at least one node")
 
 
 def _verdict_json(g: PdagGraph, verdict: AdjustmentVerdict) -> str:
@@ -144,23 +161,17 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     modes = sum(1 for flag in (args.z is not None, args.find, args.list) if flag)
     if modes != 1:
         raise GraphParseError("choose exactly one of --z, --find or --list")
+    zs = _split_nodes(args.z or "")
+    _check_node_lists(g, {"--x": xs, "--y": ys, "--z": zs}, may_be_empty="--z")
     if args.z is not None:
-        verdict = satisfies_b_adjustment(g, xs, ys, _split_nodes(args.z))
+        verdict = satisfies_b_adjustment(g, xs, ys, zs)
         print(_verdict_json(g, verdict))
         return 0
     if args.find:
         result = adjust_set(g, xs, ys)
         if result is None:
-            verdict = satisfies_b_adjustment(
-                g,
-                xs,
-                ys,
-                b_possible_ancestors(g, set(xs) | set(ys)).nodes
-                - set(xs)
-                - set(ys)
-                - forbidden_set(g, xs, ys).nodes,
-            )
-            zero = " (total effect is zero)" if verdict.zero_effect else ""
+            zero_effect = not set(ys) & b_possible_descendants(g, xs).nodes
+            zero = " (total effect is zero)" if zero_effect else ""
             raise DomainFailure(f"no adjustment set exists{zero}")
         print(_format_set(g, result))
         return 0
@@ -179,6 +190,9 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 def _cmd_ida(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     xs = _split_nodes(args.x)
+    _check_node_lists(g, {"--x": xs, "--y": [args.y]})
+    if len(set(xs)) != len(xs):
+        raise UsageError("--x names a node more than once")
     data, columns = _read_csv_matrix(args.data)
     if len(xs) == 1:
         effects = ida_effects(g, xs[0], args.y, data, columns)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .meek import OrientationConflictError, _bits, _close, _Work
-from .pdag_core import PdagGraph, has_directed_cycle
+from .pdag_core import PdagGraph, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
 
@@ -30,18 +30,6 @@ class DagList:
 
     def __iter__(self) -> Iterator[PdagGraph]:
         return iter(self.dags)
-
-
-def unshielded_collider_triples(g: PdagGraph) -> frozenset[tuple[str, str, str]]:
-    """Triples (x, z, y), x < y, with x -> z <- y and x, y non-adjacent."""
-    triples = set()
-    for z in g.nodes:
-        parents = sorted(g.parents(z))
-        for i, x in enumerate(parents):
-            for y in parents[i + 1 :]:
-                if not g.has_edge(x, y):
-                    triples.add((x, z, y))
-    return frozenset(triples)
 
 
 def represents(g: PdagGraph, h: PdagGraph) -> bool:

@@ -25,6 +25,7 @@ from .pdag_core import (
     PdagGraph,
     has_directed_cycle,
     parse_statements,
+    unshielded_collider_triples,
 )
 
 
@@ -352,14 +353,7 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
     whole Markov equivalence class (unshielded colliders, then closure)."""
     if not d.is_dag():
         raise ValueError("input is not a fully directed acyclic graph")
-    forced: set[tuple[str, str]] = set()
-    for z in d.nodes:
-        parents = sorted(d.parents(z))
-        for i, x in enumerate(parents):
-            for y in parents[i + 1 :]:
-                if not d.has_edge(x, y):
-                    forced.add((x, z))
-                    forced.add((y, z))
+    forced = {(p, z) for x, z, y in unshielded_collider_triples(d) for p in (x, y)}
     undirected = []
     for a, b in sorted(d.skeleton()):
         tail, head = (a, b) if d.is_directed(a, b) else (b, a)

@@ -369,6 +369,18 @@ def has_directed_cycle(g: PdagGraph) -> bool:
     return False
 
 
+def unshielded_collider_triples(g: PdagGraph) -> frozenset[tuple[str, str, str]]:
+    """Triples (x, z, y), x < y, with x -> z <- y and x, y non-adjacent."""
+    triples = set()
+    for z in g.nodes:
+        parents = sorted(g.parents(z))
+        for i, x in enumerate(parents):
+            for y in parents[i + 1 :]:
+                if not g.has_edge(x, y):
+                    triples.add((x, z, y))
+    return frozenset(triples)
+
+
 # -- text format -------------------------------------------------------
 
 _EDGE_TOKEN = {"--": UNDIRECTED, "->": "dir"}
@@ -428,30 +440,16 @@ def parse_statements(
     return statements
 
 
-def parse_graph(text: str) -> PdagGraph:
-    """Parse the edge-list graph format into a :class:`PdagGraph`.
-
-    One statement per line: ``node NAME``, ``A -- B`` or ``A -> B`` (an
-    optional trailing weight on directed edges is accepted and ignored
-    here).  ``#`` starts a comment; blank lines are skipped.  Nodes are
-    recorded in order of first mention; a pair may be declared once.
-    """
-    nodes: list[str] = []
-    seen: set[str] = set()
+def _edge_statements(text: str, nodes: dict[str, None]) -> Iterator[tuple]:
+    """Yield each edge statement of ``text`` as (u, v, op, weight, line),
+    recording node names in ``nodes`` in order of first mention; a
+    self-loop or a second edge on one pair is a GraphParseError."""
     pairs: set[tuple[str, str]] = set()
-    directed: list[tuple[str, str]] = []
-    undirected: list[tuple[str, str]] = []
-
-    def ensure(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            nodes.append(name)
-
     for st in parse_statements(text):
         if st[0] == "node":
-            ensure(st[1])
+            nodes.setdefault(st[1])
             continue
-        _, u, v, op, _weight, lineno = st
+        _, u, v, _op, _weight, lineno = st
         if u == v:
             raise GraphParseError(f"self-loop on {u!r}", lineno)
         key = _pair(u, v)
@@ -460,12 +458,24 @@ def parse_graph(text: str) -> PdagGraph:
                 f"duplicate edge between {key[0]!r} and {key[1]!r}", lineno
             )
         pairs.add(key)
-        ensure(u)
-        ensure(v)
-        if op == "--":
-            undirected.append((u, v))
-        else:
-            directed.append((u, v))
+        nodes.setdefault(u)
+        nodes.setdefault(v)
+        yield st[1:]
+
+
+def parse_graph(text: str) -> PdagGraph:
+    """Parse the edge-list graph format into a :class:`PdagGraph`.
+
+    One statement per line: ``node NAME``, ``A -- B`` or ``A -> B`` (an
+    optional trailing weight on directed edges is accepted and ignored
+    here).  ``#`` starts a comment; blank lines are skipped.  Nodes are
+    recorded in order of first mention; a pair may be declared once.
+    """
+    nodes: dict[str, None] = {}
+    directed: list[tuple[str, str]] = []
+    undirected: list[tuple[str, str]] = []
+    for u, v, op, _weight, _lineno in _edge_statements(text, nodes):
+        (undirected if op == "--" else directed).append((u, v))
     return PdagGraph(nodes, directed=directed, undirected=undirected)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .adjustment import adjust_set, is_amenable
 from .ida import ida_effects
 from .meek import construct_max_pdag, cpdag_of
-from .pdag_core import GraphParseError, PdagGraph, parse_statements
+from .pdag_core import GraphParseError, PdagGraph, _edge_statements
 
 CSV_HEADER = "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_unique,ms"
 
@@ -339,32 +339,15 @@ def load_sem_model(text: str) -> SemModel:
     Every edge must be directed and carry a weight; noise scales default
     to 1.  Isolated nodes may be declared with ``node`` directives.
     """
-    nodes: list[str] = []
-    seen: set[str] = set()
-    directed: list[tuple[str, str]] = []
+    nodes: dict[str, None] = {}
     coefficients: dict[tuple[str, str], float] = {}
-
-    def ensure(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            nodes.append(name)
-
-    for st in parse_statements(text):
-        if st[0] == "node":
-            ensure(st[1])
-            continue
-        _, u, v, op, weight, lineno = st
+    for u, v, op, weight, lineno in _edge_statements(text, nodes):
         if op != "->":
             raise GraphParseError("SEM models allow only directed edges", lineno)
         if weight is None:
             raise GraphParseError(f"edge {u} -> {v} needs a weight", lineno)
-        ensure(u)
-        ensure(v)
-        if (u, v) in coefficients:
-            raise GraphParseError(f"duplicate edge between {u!r} and {v!r}", lineno)
-        directed.append((u, v))
         coefficients[(u, v)] = weight
-    dag = PdagGraph(nodes, directed=directed)
+    dag = PdagGraph(nodes, directed=list(coefficients))
     return SemModel(dag, coefficients, {n: 1.0 for n in nodes})
 
 

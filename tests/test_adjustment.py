@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mpdagkit import adjustment
 from mpdagkit.adjustment import (
     adjust_set,
     b_blocking_by_enumeration,
@@ -269,6 +270,50 @@ class TestListing:
                     if satisfies_b_adjustment(g, x, y, zs).overall:
                         checked.add(frozenset(zs))
             assert listed == checked
+
+
+class TestOnePassPerQuery:
+    @pytest.fixture()
+    def enumerations(self, monkeypatch):
+        calls = []
+        real = adjustment._proper_possibly_causal_paths
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(adjustment, "_proper_possibly_causal_paths", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g: adjust_set(g, "X", "Y"),
+            lambda g: satisfies_b_adjustment(g, "X", "Y", "V1"),
+            lambda g: list_adjustment_sets(g, "X", "Y"),
+            lambda g: check_b_blocking(g, "X", "Y", "V1"),
+        ],
+        ids=["adjust_set", "satisfies_b_adjustment", "list_adjustment_sets", "check_b_blocking"],
+    )
+    def test_one_path_enumeration(self, fig3_g1, enumerations, query):
+        query(fig3_g1)
+        assert len(enumerations) == 1
+
+    def test_listing_checks_acyclicity_once_not_per_subset(self, monkeypatch):
+        g = parse_graph("A1 -> X\nA2 -> X\nA3 -> X\nA4 -> X\nX -> Y")
+        calls = []
+        real = PdagGraph.is_dag
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(PdagGraph, "is_dag", counting)
+        assert list_adjustment_sets(g, "X", "Y", max_size=0) == [frozenset()]
+        one_candidate = len(calls)
+        calls.clear()
+        assert len(list_adjustment_sets(g, "X", "Y")) == 16
+        assert len(calls) == one_candidate
 
 
 class TestTheoremLevelAgreement:

@@ -130,8 +130,28 @@ class TestAdjust:
     def test_find_failure_reports_zero_effect(self, graphs):
         result = run_cli("adjust", graphs["fig3_g2"], "--x", "X", "--y", "Y", "--find")
         assert result.returncode == 1
-        assert "no adjustment set" in result.stdout
-        assert "zero" in result.stdout
+        assert result.stdout == "error: no adjustment set exists (total effect is zero)\n"
+
+    def test_find_failure_without_zero_effect(self, graphs):
+        result = run_cli("adjust", graphs["fig3_cpdag"], "--x", "X", "--y", "Y", "--find")
+        assert result.returncode == 1
+        assert result.stdout == "error: no adjustment set exists\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--x", "X", "--y", "X", "--find"), "--x and --y overlap: {X}"),
+            (("--x", "X", "--y", "Y", "--z", "X"), "--x and --z overlap: {X}"),
+            (("--x", "X", "--y", "Y", "--z", "V1,Y"), "--y and --z overlap: {Y}"),
+            (("--x", "", "--y", "Y", "--find"), "--x must name at least one node"),
+            (("--x", "X", "--y", ",", "--list"), "--y must name at least one node"),
+        ],
+    )
+    def test_malformed_node_lists_are_usage_errors(self, graphs, args, message):
+        result = run_cli("adjust", graphs["fig3_g1"], *args)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
 
     def test_verdict_json(self, graphs):
         result = run_cli(
@@ -263,6 +283,27 @@ class TestIdaCli:
         values = [float(v) for v in lines[0].split("effects=(")[1][:-1].split(", ")]
         assert abs(values[0] - 0.5 * -0.8) < 0.15
         assert abs(values[1] - -0.8) < 0.15
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("X", "X", "--x and --y overlap: {X}"),
+            ("X,Y", "Y", "--x and --y overlap: {Y}"),
+            ("", "Y", "--x must name at least one node"),
+            ("X,X", "Y", "--x names a node more than once"),
+        ],
+    )
+    def test_malformed_node_lists_are_usage_errors(self, tmp_path, x, y, message):
+        graph_path = tmp_path / "edge.g"
+        graph_path.write_text("X -> Y\n")
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("X,Y\n" + "".join(f"{i},{2 * i}\n" for i in range(5)))
+        result = run_cli(
+            "ida", str(graph_path), "--x", x, "--y", y, "--data", str(csv_path)
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
 
 
 class TestSimulateCli:

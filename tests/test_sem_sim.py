@@ -7,7 +7,7 @@ import pytest
 
 from mpdagkit.extension import represents
 from mpdagkit.meek import cpdag_of
-from mpdagkit.pdag_core import parse_graph
+from mpdagkit.pdag_core import GraphParseError, parse_graph
 from mpdagkit.sem_sim import (
     SemModel,
     SimConfig,
@@ -78,6 +78,14 @@ class TestSemModel:
     def test_load_requires_weights(self):
         with pytest.raises(Exception, match="weight"):
             load_sem_model("A -> B")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("A -> B 0.5\nB -> A 0.3", "line 2: duplicate edge"), ("A -> A 0.5", "line 1: self-loop")],
+    )
+    def test_load_reports_bad_pairs_with_line(self, text, message):
+        with pytest.raises(GraphParseError, match=message):
+            load_sem_model(text)
 
 
 class TestSampling:
