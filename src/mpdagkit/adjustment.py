@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .causal_paths import (
     DEFAULT_ENUMERATION_GUARD,
@@ -32,6 +32,8 @@ from .pdag_core import (
     DEFINITE_NON_COLLIDER,
     NOT_DEFINITE,
     PdagGraph,
+    _bits,
+    _closure,
     classify_definite_status,
 )
 
@@ -97,45 +99,36 @@ def _proper_possibly_causal_paths(
     xs: frozenset[str],
     ys: frozenset[str],
     max_nodes: int,
-) -> list[tuple[str, ...]]:
-    """All proper b-possibly-causal simple paths from ``xs`` to ``ys``.
+) -> list[tuple[int, ...]]:
+    """All proper b-possibly-causal simple paths from ``xs`` to ``ys``, as
+    node-index tuples.
 
     Properness means only the first node lies in ``xs``.  Prefixes with a
     backward pair are pruned, as are nodes from which ``ys`` is no longer
     reachable along forward or undirected edges avoiding ``xs``.
     """
     _guard(g, max_nodes)
-    order = g.node_index
+    ch, und = g._ch, g._und
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
 
     # Static viability prune: reverse reachability to ys over usable edges.
-    viable = set(ys)
-    frontier = list(ys)
-    while frontier:
-        w = frontier.pop()
-        for u in g.parents(w) | g.siblings(w):
-            if u not in viable and u not in xs:
-                viable.add(u)
-                frontier.append(u)
+    viable = _closure([(p | u) & ~x_mask for p, u in zip(g._pa, und)], y_mask)
 
-    paths: list[tuple[str, ...]] = []
+    paths: list[tuple[int, ...]] = []
 
-    def extend(path: list[str], on_path: set[str]) -> None:
+    def extend(path: list[int], on_path: int) -> None:
         cur = path[-1]
-        for w in sorted(g.children(cur) | g.siblings(cur), key=order):
-            if w in on_path or w in xs or w not in viable:
-                continue
-            if g.children(w) & on_path:
+        for w in _bits((ch[cur] | und[cur]) & viable & ~on_path & ~x_mask):
+            if ch[w] & on_path:
                 continue  # backward pair against an earlier path node
             path.append(w)
-            on_path.add(w)
-            if w in ys:
+            if y_mask >> w & 1:
                 paths.append(tuple(path))
-            extend(path, on_path)
-            on_path.discard(w)
+            extend(path, on_path | 1 << w)
             path.pop()
 
-    for x in sorted(xs, key=order):
-        extend([x], {x})
+    for x in _bits(x_mask):
+        extend([x], 1 << x)
     return paths
 
 
@@ -154,9 +147,12 @@ def _conditions(
     possibly-causal paths, from a single enumeration of those paths.
     ``xs`` and ``ys`` must already be valid node sets of ``g``."""
     paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
-    undirected_start = [p for p in paths if g.is_undirected(p[0], p[1])]
+    names, und = g.nodes, g._und
+    undirected_start = [
+        tuple(names[v] for v in p) for p in paths if und[p[0]] >> p[1] & 1
+    ]
     amenable = ConditionCheck(not undirected_start, _first_witness(undirected_start))
-    return amenable, frozenset(node for path in paths for node in path) - xs
+    return amenable, frozenset(names[v] for path in paths for v in path[1:])
 
 
 def _forbidden(g: PdagGraph, on_path: frozenset[str]) -> ForbiddenSet:
@@ -203,19 +199,6 @@ def is_amenable(
 # -- d-separation in DAGs ----------------------------------------------
 
 
-def _closure(seeds: Iterable[str], step: Callable[[str], frozenset[str]]) -> set[str]:
-    """``seeds`` plus every node reached from them by repeating ``step``
-    (``d.parents`` for ancestors, ``d.children`` for descendants)."""
-    out = set(seeds)
-    stack = list(out)
-    while stack:
-        for w in step(stack.pop()):
-            if w not in out:
-                out.add(w)
-                stack.append(w)
-    return out
-
-
 def d_separated(
     d: PdagGraph,
     xs: "str | Iterable[str]",
@@ -237,91 +220,74 @@ def d_separated(
     _disjoint("xs", xs, "ys", ys)
     _disjoint("xs", xs, "zs", zs)
     _disjoint("ys", ys, "zs", zs)
-    return _d_separated(d, xs, ys, zs)
+    return _d_separated(d, d._mask(xs), d._mask(ys), d._mask(zs))
 
 
-def _d_separated(
-    d: PdagGraph, xs: frozenset[str], ys: frozenset[str], zs: frozenset[str]
-) -> bool:
+def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
     """The search behind :func:`d_separated`, for a DAG and pairwise
-    disjoint node sets the caller has already checked."""
-    anz = _closure(zs, d.parents)  # nodes with a descendant in zs, plus zs
-    # States: (node, True) = arrived along an edge into the node,
-    #         (node, False) = arrived against an edge out of the node.
-    seen: set[tuple[str, bool]] = set()
-    stack: list[tuple[str, bool]] = []
-    for x in xs:
-        for c in d.children(x):
-            stack.append((c, True))
-        for p in d.parents(x):
-            stack.append((p, False))
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        v, arrived_in = state
-        if v in ys:
+    disjoint node masks the caller has already checked."""
+    pa, ch = d._pa, d._ch
+    anz = _closure(pa, zs)  # nodes with a descendant in zs, plus zs
+    # Two frontiers: ``down`` nodes were arrived at along an edge into
+    # them, ``up`` nodes against an edge out of them.
+    down = up = 0
+    new_down = new_up = 0
+    for x in _bits(xs):
+        new_down |= ch[x]
+        new_up |= pa[x]
+    while new_down or new_up:
+        if (new_down | new_up) & ys:
             return False
-        if arrived_in:
-            if v in anz:
-                for p in d.parents(v):
-                    stack.append((p, False))  # collider opens
-            if v not in zs:
-                for c in d.children(v):
-                    stack.append((c, True))
-        else:
-            if v not in zs:
-                for p in d.parents(v):
-                    stack.append((p, False))
-                for c in d.children(v):
-                    stack.append((c, True))
+        down |= new_down
+        up |= new_up
+        grow_down = grow_up = 0
+        for v in _bits(new_down & anz):
+            grow_up |= pa[v]  # collider opens
+        for v in _bits(new_down & ~zs):
+            grow_down |= ch[v]
+        for v in _bits(new_up & ~zs):
+            grow_up |= pa[v]
+            grow_down |= ch[v]
+        new_down = grow_down & ~down
+        new_up = grow_up & ~up
     return True
 
 
 def _connecting_path(
-    d: PdagGraph,
-    xs: frozenset[str],
-    ys: frozenset[str],
-    zs: frozenset[str],
+    d: PdagGraph, xs: int, ys: int, zs: int
 ) -> Optional[tuple[str, ...]]:
     """A shortest d-connecting simple path in ``d``, or None.
 
     Iterative deepening over simple paths whose interior nodes satisfy
     the blocking conditions; deterministic via node-index order.
     """
-    order = d.node_index
-    anz = _closure(zs, d.parents)
+    pa, ch = d._pa, d._ch
+    anz = _closure(pa, zs)
 
-    def extend(path: list[str], on_path: set[str], depth: int) -> Optional[tuple[str, ...]]:
+    def extend(path: list[int], on_path: int, depth: int) -> Optional[tuple[str, ...]]:
         cur = path[-1]
-        if cur in ys:
-            return tuple(path)
+        if ys >> cur & 1:
+            return tuple(d.nodes[v] for v in path)
         if len(path) > depth:
             return None
-        arrived_in = len(path) >= 2 and d.is_directed(path[-2], cur)
-        for w in sorted(d.adjacent(cur), key=order):
-            if w in on_path or w in xs:
-                continue
+        arrived_in = len(path) >= 2 and ch[path[-2]] >> cur & 1
+        for w in _bits((pa[cur] | ch[cur]) & ~on_path & ~xs):
             if len(path) >= 2:
-                leaving_in = d.is_directed(w, cur)
-                if arrived_in and leaving_in:
-                    if cur not in anz:
+                if arrived_in and ch[w] >> cur & 1:
+                    if not anz >> cur & 1:
                         continue
-                elif cur in zs:
+                elif zs >> cur & 1:
                     continue
             path.append(w)
-            on_path.add(w)
-            hit = extend(path, on_path, depth)
-            on_path.discard(w)
+            hit = extend(path, on_path | 1 << w, depth)
             path.pop()
             if hit is not None:
                 return hit
         return None
 
     for depth in range(1, len(d.nodes)):
-        for x in sorted(xs, key=order):
-            hit = extend([x], {x}, depth)
+        for x in _bits(xs):
+            hit = extend([x], 1 << x, depth)
             if hit is not None:
                 return hit
     return None
@@ -332,11 +298,12 @@ def proper_backdoor_graph(
 ) -> PdagGraph:
     """Copy of DAG ``d`` without the first edge of any proper causal path
     from ``xs`` to ``ys``."""
-    onward = _closure(ys, d.induced(set(d.nodes) - set(xs)).parents)
-    directed = [
-        (t, h) for t, h in d.directed_edges() if not (t in xs and h in onward)
-    ]
-    return PdagGraph(d.nodes, directed=directed)
+    x_mask = d._mask(xs)
+    # Nodes with a directed path avoiding xs into ys, plus ys.
+    onward = _closure([m & ~x_mask for m in d._pa], d._mask(ys))
+    pa = [m & ~x_mask if onward >> v & 1 else m for v, m in enumerate(d._pa)]
+    ch = [m & ~onward if x_mask >> v & 1 else m for v, m in enumerate(d._ch)]
+    return PdagGraph._from_masks(d.nodes, d._index, pa, ch, (0,) * len(d))
 
 
 def check_b_blocking(
@@ -379,9 +346,10 @@ def _blocking_fast(
     g: PdagGraph, xs: frozenset[str], ys: frozenset[str], zs: frozenset[str]
 ) -> ConditionCheck:
     pruned = _backdoor_dag(g, xs, ys)
-    if _d_separated(pruned, xs, ys, zs):
+    masks = g._mask(xs), g._mask(ys), g._mask(zs)
+    if _d_separated(pruned, *masks):
         return ConditionCheck(True)
-    return ConditionCheck(False, _connecting_path(pruned, xs, ys, zs))
+    return ConditionCheck(False, _connecting_path(pruned, *masks))
 
 
 def b_blocking_by_enumeration(
@@ -404,6 +372,13 @@ def b_blocking_by_enumeration(
     order = g.node_index
     violations: list[tuple[str, ...]] = []
 
+    def descendants(node: str) -> set[str]:
+        out: set[str] = set()
+        grown = {node}
+        while grown != out:
+            out, grown = grown, grown.union(*map(g.children, grown))
+        return out
+
     def d_connecting(path: tuple[str, ...]) -> bool:
         labels = classify_definite_status(g, path)
         if NOT_DEFINITE in labels:
@@ -411,7 +386,7 @@ def b_blocking_by_enumeration(
         for node, label in zip(path, labels):
             if label == DEFINITE_NON_COLLIDER and node in zs:
                 return False
-            if label == COLLIDER and not (_closure((node,), g.children) & zs):
+            if label == COLLIDER and not (descendants(node) & zs):
                 return False
         return True
 
@@ -513,7 +488,8 @@ def adjust_set(
         return None
     forbidden = _forbidden(g, on_path).nodes
     candidate = b_possible_ancestors(g, xs | ys).nodes - xs - ys - forbidden
-    return candidate if _d_separated(_backdoor_dag(g, xs, ys), xs, ys, candidate) else None
+    masks = g._mask(xs), g._mask(ys), g._mask(candidate)
+    return candidate if _d_separated(_backdoor_dag(g, xs, ys), *masks) else None
 
 
 def list_adjustment_sets(
@@ -547,14 +523,14 @@ def list_adjustment_sets(
             f"{universe_cap}"
         )
     pruned = _backdoor_dag(g, xs, ys)
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
 
     top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
     for size in range(top + 1):
         for combo in combinations(universe, size):
-            z = frozenset(combo)
-            if _d_separated(pruned, xs, ys, z):
-                valid.append(z)
+            if _d_separated(pruned, x_mask, y_mask, g._mask(combo)):
+                valid.append(frozenset(combo))
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
     return valid

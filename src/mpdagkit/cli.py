@@ -4,7 +4,9 @@ Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
 adjustment set with --find, guard or cap exceeded), 2 usage or parse
 errors, including node lists that name unknown nodes, overlap (--x with
---y or --z) or are empty where a node is required.  All output is
+--y or --z) or are empty where a node is required, and an ``ida`` data
+file whose header is not the graph's node set or whose rows do not
+outnumber the nodes.  All output is
 deterministic for fixed arguments and seeds, and graph output re-parses
 through the graph reader.
 """
@@ -194,6 +196,10 @@ def _cmd_ida(args: argparse.Namespace) -> int:
     if len(set(xs)) != len(xs):
         raise UsageError("--x names a node more than once")
     data, columns = _read_csv_matrix(args.data)
+    if sorted(columns) != sorted(g.nodes):
+        raise UsageError("data columns do not match the graph's nodes")
+    if len(data) <= len(g.nodes):
+        raise UsageError("need more samples than variables")
     if len(xs) == 1:
         effects = ida_effects(g, xs[0], args.y, data, columns)
         for entry, value in zip(effects.family, effects.values):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import OrientationConflictError, _bits, _close, _Work
-from .pdag_core import PdagGraph, has_directed_cycle, unshielded_collider_triples
+from .meek import OrientationConflictError, _close, _Work
+from .pdag_core import PdagGraph, _bits, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
 
@@ -56,10 +56,9 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     if has_directed_cycle(g):
         return None
     work = _Work(g)
-    und, ch, names = work.und, work.ch, g.nodes
-    adjacent = [work.adjacent(u) for u in range(len(names))]
-    remaining = (1 << len(names)) - 1
-    oriented: list[tuple[str, str]] = []
+    und, ch = work.und, work.ch
+    adjacent = [work.adjacent(u) for u in range(len(und))]
+    remaining = (1 << len(und)) - 1
 
     while remaining:
         for x in _bits(remaining):
@@ -70,10 +69,12 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
                 break
         else:
             return None
-        oriented.extend((names[u], names[x]) for u in _bits(und[x] & remaining))
+        # Never a cycle: every descendant of x has been peeled already.
+        for u in _bits(und[x] & remaining):
+            work.orient(u, x)
         remaining ^= 1 << x
 
-    return PdagGraph(g.nodes, directed=list(g.directed_edges()) + oriented)
+    return work.freeze()
 
 
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:

@@ -22,8 +22,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .extension import consistent_extension
-from .meek import _bits, _merge_one, _require_maximal, _Work
-from .pdag_core import PdagGraph
+from .meek import _merge_one, _require_maximal, _Work
+from .pdag_core import PdagGraph, _bits
 
 DEDUP_TOLERANCE = 1e-8
 
@@ -110,7 +110,6 @@ def _accepted_combinations(
     g.check_nodes(xs)
     _require_maximal(g)
     base = _Work(g)
-    names = g.nodes
     targets = [base.index[x] for x in xs]
 
     options = []  # per node: (chosen siblings, requirements), counter order
@@ -125,10 +124,7 @@ def _accepted_combinations(
             cliques += [m | 1 << v for m in cliques if not m & ~near]
         options.append(
             [
-                (
-                    frozenset(names[v] for v in _bits(m)),
-                    [(v, x) if m >> v & 1 else (x, v) for v in pool],
-                )
+                (g._names(m), [(v, x) if m >> v & 1 else (x, v) for v in pool])
                 for m in cliques
             ]
         )
@@ -136,7 +132,7 @@ def _accepted_combinations(
     for combo in product(*options):
         work = base.copy()
         if all(_merge_one(work, a, b) is None for _, reqs in combo for a, b in reqs):
-            parents = tuple(frozenset(names[v] for v in _bits(work.pa[x])) for x in targets)
+            parents = tuple(g._names(work.pa[x]) for x in targets)
             yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), work
 
 
@@ -220,24 +216,19 @@ def _fit_coefficient_matrix(
 ) -> np.ndarray:
     """Node-wise least squares on DAG parents; B[i, j] is the fitted
     direct effect of node i on node j (node order of the graph)."""
-    p = len(dag.nodes)
-    idx = {name: i for i, name in enumerate(dag.nodes)}
+    names = dag.nodes
     n = data.shape[0]
-    B = np.zeros((p, p))
-    for v in dag.nodes:
-        parents = sorted(dag.parents(v), key=idx.__getitem__)
+    B = np.zeros((len(names), len(names)))
+    for v, mask in enumerate(dag._pa):
+        parents = list(_bits(mask))
         if not parents:
             continue
         design = np.column_stack(
-            [np.ones(n)] + [data[:, col[name]] for name in parents]
+            [np.ones(n)] + [data[:, col[names[u]]] for u in parents]
         )
-        response = np.asarray(data[:, col[v]], dtype=float)
+        response = np.asarray(data[:, col[names[v]]], dtype=float)
         solution, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
-        if rank < design.shape[1]:
-            B[[idx[name] for name in parents], idx[v]] = float("nan")
-        else:
-            for k, name in enumerate(parents):
-                B[idx[name], idx[v]] = solution[k + 1]
+        B[parents, v] = float("nan") if rank < design.shape[1] else solution[1:]
     return B
 
 
@@ -265,7 +256,7 @@ def joint_ida_effects(
         raise ValueError("need more samples than variables")
     accepted = list(_accepted_combinations(g, xs))
     family = ParentSetFamily(xs, tuple(entry for entry, _ in accepted))
-    idx = {name: i for i, name in enumerate(g.nodes)}
+    idx = g._index
 
     values = []
     for _, merged in accepted:

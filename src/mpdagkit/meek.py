@@ -7,25 +7,28 @@ the current graph (undirected or already oriented) and is followed by
 re-closure, or the whole merge fails and the input is reported back
 untouched together with the first violating requirement.
 
-Closure runs on :class:`_Work`, per-node sibling, parent and child
-bitmasks over node indices, where each rule premise is a few mask
-operations.  Public entry points check maximality once per graph
-object: closure and merge outputs are marked maximal when built, and a
-passing check on any other input is memoised on the graph.
+Closure runs on :class:`_Work`, a mutable list copy of a graph's
+per-node sibling, parent and child bitmasks, where each rule premise is
+a few mask operations; it shares the graph's node tuple and index and
+freezes back into a graph through the trusted constructor, so no name
+is looked up or re-checked on the way.  Public entry points check
+maximality once per graph object: closure and merge outputs are marked
+maximal when built, and a passing check on any other input is memoised
+on the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .pdag_core import (
     GraphParseError,
     PdagGraph,
+    _bits,
     has_directed_cycle,
     parse_statements,
-    unshielded_collider_triples,
 )
 
 
@@ -103,31 +106,23 @@ class ValidationReport:
     extendable: bool
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _low(mask: int) -> int:
     """Index of the lowest set bit of a non-zero ``mask``."""
     return (mask & -mask).bit_length() - 1
 
 
 class _Work:
-    """Mutable closure state: per-node sibling, parent and child bitmasks
-    over the graph's node indices (bit ``i`` stands for ``nodes[i]``)."""
+    """Mutable copy of a graph's per-node sibling, parent and child
+    bitmasks (bit ``i`` stands for ``nodes[i]``)."""
 
     __slots__ = ("nodes", "index", "und", "pa", "ch")
 
     def __init__(self, g: PdagGraph):
-        self.nodes = g.nodes
-        self.index = index = {n: i for i, n in enumerate(g.nodes)}
-        self.und = [sum(1 << index[s] for s in g.siblings(n)) for n in g.nodes]
-        self.pa = [sum(1 << index[s] for s in g.parents(n)) for n in g.nodes]
-        self.ch = [sum(1 << index[s] for s in g.children(n)) for n in g.nodes]
+        self.nodes = g._nodes
+        self.index = g._index
+        self.und = list(g._und)
+        self.pa = list(g._pa)
+        self.ch = list(g._ch)
 
     def adjacent(self, u: int) -> int:
         return self.und[u] | self.pa[u] | self.ch[u]
@@ -173,12 +168,7 @@ class _Work:
         self.pa[v] |= 1 << u
 
     def freeze(self) -> PdagGraph:
-        names = self.nodes
-        directed = [(names[u], names[v]) for u, m in enumerate(self.ch) for v in _bits(m)]
-        undirected = [
-            (names[u], names[v]) for u, m in enumerate(self.und) for v in _bits(m) if u < v
-        ]
-        return PdagGraph(names, directed=directed, undirected=undirected)
+        return PdagGraph._from_masks(self.nodes, self.index, self.pa, self.ch, self.und)
 
 
 def _first_target(work: _Work, a: int, b: int) -> Optional[tuple[int, int]]:
@@ -269,8 +259,7 @@ def close_orientations(g: PdagGraph) -> PdagGraph:
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
     work = _Work(g)
-    index = work.index
-    _close(work, [(index[t], index[h]) for t, h in g.directed_edges()])
+    _close(work, [(u, v) for u, m in enumerate(g._ch) for v in _bits(m)])
     return _maximal_graph(work)
 
 
@@ -353,14 +342,12 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
     whole Markov equivalence class (unshielded colliders, then closure)."""
     if not d.is_dag():
         raise ValueError("input is not a fully directed acyclic graph")
-    forced = {(p, z) for x, z, y in unshielded_collider_triples(d) for p in (x, y)}
-    undirected = []
-    for a, b in sorted(d.skeleton()):
-        tail, head = (a, b) if d.is_directed(a, b) else (b, a)
-        if (tail, head) not in forced:
-            undirected.append((a, b))
-    base = PdagGraph(d.nodes, directed=sorted(forced), undirected=undirected)
-    return close_orientations(base)
+    pa, ch, nodes = d._pa, d._ch, range(len(d))
+    # An edge u -> v is kept when v has another parent not adjacent to u.
+    kept_pa = [sum(1 << u for u in _bits(m) if m & ~(pa[u] | ch[u] | 1 << u)) for m in pa]
+    kept_ch = [sum(1 << v for v in nodes if kept_pa[v] >> u & 1) for u in nodes]
+    und = [pa[v] & ~kept_pa[v] | ch[v] & ~kept_ch[v] for v in nodes]
+    return close_orientations(PdagGraph._from_masks(d.nodes, d._index, kept_pa, kept_ch, und))
 
 
 def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:

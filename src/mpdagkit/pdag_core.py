@@ -1,14 +1,17 @@
 """Graph value type for partially directed graphs, plus the text format.
 
-A :class:`PdagGraph` stores an ordered node set and, for every unordered
-node pair, one of three edge states: undirected, directed one way, or
-directed the other way (absent pairs are simply not stored).  The same
-value type is used for DAGs, CPDAGs and maximal PDAGs; graphs are
-immutable after construction and safe to share between threads.  The
-one exception is a private memo: once :mod:`mpdagkit.meek` has found a
-graph acyclic and closed under the orientation rules it records that on
-the graph, a one-way False to True write, so a race between threads can
-only repeat the check, never skip it.
+A :class:`PdagGraph` stores an ordered node tuple and, per node, bitmasks
+of its parents, children and siblings over node indices.  The same value
+type is used for DAGs, CPDAGs and maximal PDAGs.  Library code works on
+the masks; names appear only at the public methods and in
+parse/serialize.  The public constructor validates names and edges; a
+graph derived from another (closure, merge, extension, reversal) is
+built by the private ``PdagGraph._from_masks``, which shares the
+source's nodes and index and re-checks nothing.  Graphs are immutable
+and safe to share between threads, except for a private memo: once
+:mod:`mpdagkit.meek` has found a graph acyclic and closed under the
+orientation rules it records that on the graph, a one-way False to True
+write, so a race between threads can only repeat the check, never skip it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Edge states, stored against the name-sorted version of each pair.
 UNDIRECTED = "--"
-LEFT_TO_RIGHT = ">"
-RIGHT_TO_LEFT = "<"
 
 # Definite-status labels for nodes on a path.
 COLLIDER = "collider"
@@ -45,6 +45,27 @@ def _pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(step: Sequence[int], seeds: int) -> int:
+    """``seeds`` plus every node reached from them by repeating ``step``
+    (per-node masks: parents for ancestors, children for descendants)."""
+    out = frontier = seeds
+    while frontier:
+        grown = 0
+        for v in _bits(frontier):
+            grown |= step[v]
+        frontier = grown & ~out
+        out |= frontier
+    return out
+
+
 class PdagGraph:
     """Immutable partially directed graph over named nodes.
 
@@ -56,9 +77,11 @@ class PdagGraph:
 
     Each node pair may carry at most one edge and self loops are
     rejected, so the representation cannot express multigraphs.
+    Internally ``_pa[i]``, ``_ch[i]`` and ``_und[i]`` are the bitmasks
+    of the parents, children and siblings of ``nodes[i]``.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_pa", "_ch", "_sib", "_hash", "_maximal")
+    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_und", "_hash", "_maximal")
 
     def __init__(
         self,
@@ -74,47 +97,50 @@ class PdagGraph:
             if name in index:
                 raise ValueError(f"duplicate node name: {name!r}")
             index[name] = len(index)
-        edges: dict[tuple[str, str], str] = {}
+        pa = [0] * len(nodes)
+        ch = [0] * len(nodes)
+        und = [0] * len(nodes)
 
-        def add(u: str, v: str, state: str) -> None:
+        def add(u: str, v: str) -> tuple[int, int]:
             if u not in index or v not in index:
                 missing = u if u not in index else v
                 raise ValueError(f"edge endpoint not a declared node: {missing!r}")
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            key = _pair(u, v)
-            if key in edges:
-                raise ValueError(f"duplicate edge between {key[0]!r} and {key[1]!r}")
-            if state == UNDIRECTED:
-                edges[key] = UNDIRECTED
-            else:
-                edges[key] = LEFT_TO_RIGHT if (u, v) == key else RIGHT_TO_LEFT
+            i, j = index[u], index[v]
+            if (pa[i] | ch[i] | und[i]) >> j & 1:
+                a, b = _pair(u, v)
+                raise ValueError(f"duplicate edge between {a!r} and {b!r}")
+            return i, j
 
         for u, v in directed:
-            add(u, v, "dir")
+            i, j = add(u, v)
+            ch[i] |= 1 << j
+            pa[j] |= 1 << i
         for u, v in undirected:
-            add(u, v, UNDIRECTED)
+            i, j = add(u, v)
+            und[i] |= 1 << j
+            und[j] |= 1 << i
+        self._assign(nodes, index, pa, ch, und)
 
-        pa: dict[str, set[str]] = {n: set() for n in nodes}
-        ch: dict[str, set[str]] = {n: set() for n in nodes}
-        sib: dict[str, set[str]] = {n: set() for n in nodes}
-        for (a, b), state in edges.items():
-            if state == UNDIRECTED:
-                sib[a].add(b)
-                sib[b].add(a)
-            else:
-                tail, head = (a, b) if state == LEFT_TO_RIGHT else (b, a)
-                ch[tail].add(head)
-                pa[head].add(tail)
-
+    def _assign(self, nodes, index, pa, ch, und) -> None:
         self._nodes = nodes
         self._index = index
-        self._edges = edges
-        self._pa = {n: frozenset(s) for n, s in pa.items()}
-        self._ch = {n: frozenset(s) for n, s in ch.items()}
-        self._sib = {n: frozenset(s) for n, s in sib.items()}
-        self._hash = hash((nodes, tuple(sorted(edges.items()))))
+        self._pa = tuple(pa)
+        self._ch = tuple(ch)
+        self._und = tuple(und)
+        self._hash = hash((nodes, self._pa, self._und))
         self._maximal = False  # set by meek once the graph is known maximal
+
+    @classmethod
+    def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":
+        """Trusted constructor for graphs derived from an existing one:
+        ``nodes`` and ``index`` are that graph's, and the mask sequences
+        must be consistent (``pa`` the transpose of ``ch``, ``und``
+        symmetric, the three pairwise disjoint); nothing is re-checked."""
+        g = object.__new__(cls)
+        g._assign(nodes, index, pa, ch, und)
+        return g
 
     # -- basic views ---------------------------------------------------
 
@@ -139,82 +165,101 @@ class PdagGraph:
             if name not in self._index:
                 raise KeyError(f"unknown node: {name!r}")
 
+    def _mask(self, names: Iterable[str]) -> int:
+        """Bitmask of already validated node names."""
+        index = self._index
+        out = 0
+        for name in names:
+            out |= 1 << index[name]
+        return out
+
+    def _names(self, mask: int) -> frozenset[str]:
+        return frozenset(self._nodes[i] for i in _bits(mask))
+
     def edge(self, u: str, v: str) -> Optional[str]:
         """Edge state between ``u`` and ``v``, oriented relative to ``u``.
 
         Returns ``"->"`` for ``u -> v``, ``"<-"`` for ``u <- v``, ``"--"``
         for an undirected edge and ``None`` when the pair is not adjacent.
         """
-        self.check_nodes((u, v))
-        state = self._edges.get(_pair(u, v))
-        if state is None or state == UNDIRECTED:
-            return state
-        forward = (u, v) == _pair(u, v)
-        if state == LEFT_TO_RIGHT:
-            return "->" if forward else "<-"
-        return "<-" if forward else "->"
+        i, j = self.node_index(u), self.node_index(v)
+        if self._ch[i] >> j & 1:
+            return "->"
+        if self._pa[i] >> j & 1:
+            return "<-"
+        if self._und[i] >> j & 1:
+            return UNDIRECTED
+        return None
+
+    def _pair_bit(self, masks: tuple[int, ...], u: str, v: str) -> bool:
+        """Bit ``v`` of ``masks[u]``; False when either name is unknown."""
+        i = self._index.get(u)
+        j = self._index.get(v)
+        return i is not None and j is not None and bool(masks[i] >> j & 1)
 
     def has_edge(self, u: str, v: str) -> bool:
-        return _pair(u, v) in self._edges
+        i = self._index.get(u)
+        j = self._index.get(v)
+        if i is None or j is None:
+            return False
+        return bool((self._pa[i] | self._ch[i] | self._und[i]) >> j & 1)
 
     def is_directed(self, u: str, v: str) -> bool:
         """True iff the edge ``u -> v`` is present."""
-        key = _pair(u, v)
-        state = self._edges.get(key)
-        if state is None or state == UNDIRECTED:
-            return False
-        return state == (LEFT_TO_RIGHT if (u, v) == key else RIGHT_TO_LEFT)
+        return self._pair_bit(self._ch, u, v)
 
     def is_undirected(self, u: str, v: str) -> bool:
-        return self._edges.get(_pair(u, v)) == UNDIRECTED
+        return self._pair_bit(self._und, u, v)
 
     def parents(self, v: str) -> frozenset[str]:
-        self.check_nodes((v,))
-        return self._pa[v]
+        return self._names(self._pa[self.node_index(v)])
 
     def children(self, v: str) -> frozenset[str]:
-        self.check_nodes((v,))
-        return self._ch[v]
+        return self._names(self._ch[self.node_index(v)])
 
     def siblings(self, v: str) -> frozenset[str]:
-        self.check_nodes((v,))
-        return self._sib[v]
+        return self._names(self._und[self.node_index(v)])
 
     def adjacent(self, v: str) -> frozenset[str]:
-        self.check_nodes((v,))
-        return self._pa[v] | self._ch[v] | self._sib[v]
+        i = self.node_index(v)
+        return self._names(self._pa[i] | self._ch[i] | self._und[i])
 
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
         """All directed edges as (tail, head), in canonical pair order."""
-        out = []
-        for (a, b), state in sorted(self._edges.items()):
-            if state == LEFT_TO_RIGHT:
-                out.append((a, b))
-            elif state == RIGHT_TO_LEFT:
-                out.append((b, a))
-        return tuple(out)
+        names = self._nodes
+        edges = [(names[t], names[h]) for t, m in enumerate(self._ch) for h in _bits(m)]
+        return tuple(sorted(edges, key=lambda e: _pair(*e)))
 
     def undirected_edges(self) -> tuple[tuple[str, str], ...]:
+        names = self._nodes
         return tuple(
-            key for key, state in sorted(self._edges.items()) if state == UNDIRECTED
+            sorted(
+                _pair(names[a], names[b])
+                for a, m in enumerate(self._und)
+                for b in _bits(m)
+                if a < b
+            )
         )
 
     def skeleton(self) -> frozenset[tuple[str, str]]:
         """Unordered adjacent pairs, each as its name-sorted tuple."""
-        return frozenset(self._edges)
+        names = self._nodes
+        return frozenset(
+            _pair(names[a], names[b])
+            for a, m in enumerate(self._ch)
+            for b in _bits(m | self._und[a])
+        )
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._ch) + sum(
+            m.bit_count() for m in self._und
+        ) // 2
 
     # -- derived graphs ------------------------------------------------
 
     def reversed(self) -> "PdagGraph":
         """Same skeleton with every directed edge flipped."""
-        return PdagGraph(
-            self._nodes,
-            directed=[(h, t) for t, h in self.directed_edges()],
-            undirected=self.undirected_edges(),
-        )
+        return PdagGraph._from_masks(self._nodes, self._index, self._ch, self._pa, self._und)
 
     def induced(self, keep: Iterable[str]) -> "PdagGraph":
         """Induced subgraph on ``keep``, preserving node order."""
@@ -233,22 +278,24 @@ class PdagGraph:
 
     def is_dag(self) -> bool:
         """True iff every edge is directed and no directed cycle exists."""
-        if any(state == UNDIRECTED for state in self._edges.values()):
-            return False
-        return not has_directed_cycle(self)
+        return not any(self._und) and not has_directed_cycle(self)
 
     # -- value semantics -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PdagGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._edges == other._edges
+        return (
+            self._nodes == other._nodes
+            and self._pa == other._pa
+            and self._und == other._und
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PdagGraph(nodes={len(self._nodes)}, edges={len(self._edges)})"
+        return f"PdagGraph(nodes={len(self._nodes)}, edges={self.edge_count()})"
 
     def serialize(self) -> str:
         return serialize_graph(self)
@@ -344,28 +391,20 @@ def is_definite_status_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> bool
 
 
 def has_directed_cycle(g: PdagGraph) -> bool:
-    """True iff the directed sub-relation of ``g`` contains a cycle."""
-    state: dict[str, int] = {}  # 0 = on stack, 1 = done
+    """True iff the directed sub-relation of ``g`` contains a cycle.
 
-    for root in g.nodes:
-        if root in state:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(g.children(root))))]
-        state[root] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                if child not in state:
-                    state[child] = 0
-                    stack.append((child, iter(sorted(g.children(child)))))
-                    advanced = True
-                    break
-                if state[child] == 0:
-                    return True
-            if not advanced:
-                state[node] = 1
-                stack.pop()
+    Peels nodes with no parent left among the remaining ones; a round
+    that peels nothing leaves only nodes on or behind a cycle.
+    """
+    pa = g._pa
+    remaining = (1 << len(pa)) - 1
+    while remaining:
+        before = remaining
+        for v in _bits(remaining):
+            if not pa[v] & remaining:
+                remaining ^= 1 << v
+        if remaining == before:
+            return True
     return False
 
 

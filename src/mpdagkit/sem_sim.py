@@ -232,7 +232,7 @@ class SimConfig:
             raise ValueError("need at least one graph per setting")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimRow:
     seed: int
     p: int

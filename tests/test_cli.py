@@ -305,6 +305,28 @@ class TestIdaCli:
         assert result.stderr == f"error: {message}\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X,Z\n1,2\n3,4\n5,6\n", "data columns do not match the graph's nodes"),
+            ("X,X\n1,2\n3,4\n5,6\n", "data columns do not match the graph's nodes"),
+            ("X,Y\n", "need more samples than variables"),
+            ("X,Y\n1,2\n", "need more samples than variables"),
+        ],
+        ids=["other_column", "repeated_column", "header_only", "one_row"],
+    )
+    def test_malformed_data_is_usage_error(self, tmp_path, text, message):
+        graph_path = tmp_path / "edge.g"
+        graph_path.write_text("X -> Y\n")
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(text)
+        result = run_cli(
+            "ida", str(graph_path), "--x", "X", "--y", "Y", "--data", str(csv_path)
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+
 
 class TestSimulateCli:
     ARGS = (

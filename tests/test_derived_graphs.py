@@ -1,0 +1,112 @@
+"""Graphs the library derives from another graph skip validation, so
+check them against a rebuild through the public constructor, and check
+that deriving them never goes back to node names."""
+
+from itertools import combinations
+
+import numpy as np
+
+from mpdagkit import pdag_core
+from mpdagkit.adjustment import adjust_set, proper_backdoor_graph
+from mpdagkit.extension import consistent_extension, enumerate_dags
+from mpdagkit.ida import _accepted_combinations
+from mpdagkit.meek import _Work, close_orientations, construct_max_pdag
+from mpdagkit.pdag_core import PdagGraph
+
+from conftest import random_mpdag
+
+
+def corpus(count, seed):
+    """``count`` random maximal PDAGs plus K3-K7, each with a DAG it
+    represents."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_mpdag(rng, 8, p_min=2) for _ in range(count)]
+    for n in range(3, 8):
+        names = [f"K{i}" for i in range(n)]
+        pairs = list(combinations(names, 2))
+        graphs.append((PdagGraph(names, undirected=pairs), PdagGraph(names, directed=pairs)))
+    return rng, graphs
+
+
+def assert_sound(h: PdagGraph, source: PdagGraph) -> None:
+    """``h`` shares ``source``'s node index, equals and hashes like its
+    public rebuild, and its masks describe a simple graph."""
+    assert h._index is source._index
+    rebuilt = PdagGraph(h.nodes, h.directed_edges(), h.undirected_edges())
+    assert h == rebuilt
+    assert hash(h) == hash(rebuilt)
+    n = len(h)
+    for i in range(n):
+        pa, ch, und = h._pa[i], h._ch[i], h._und[i]
+        assert not (pa & ch or pa & und or ch & und)
+        assert not (pa | ch | und) >> i & 1
+        assert not (pa | ch | und) >> n
+        for j in range(n):
+            assert pa >> j & 1 == h._ch[j] >> i & 1
+            assert und >> j & 1 == h._und[j] >> i & 1
+
+
+def true_requirements(rng, g, dag):
+    """A random half of the undirected edges of ``g``, oriented as in ``dag``."""
+    return [
+        (a, b) if dag.is_directed(a, b) else (b, a)
+        for a, b in g.undirected_edges()
+        if rng.random() < 0.5
+    ]
+
+
+def test_derived_graphs_equal_their_public_rebuild():
+    rng, graphs = corpus(300, seed=2024)
+    for g, dag in graphs:
+        closed = close_orientations(g)
+        assert_sound(closed, g)
+        assert_sound(g.reversed(), g)
+        merged = construct_max_pdag(g, true_requirements(rng, g, dag))
+        assert merged.ok
+        assert_sound(merged.graph, g)
+        ext = consistent_extension(g)
+        assert_sound(ext, g)
+        for member in enumerate_dags(g):
+            assert_sound(member, g)
+        x, y = g.nodes[0], g.nodes[-1]
+        assert_sound(proper_backdoor_graph(ext, frozenset({x}), frozenset({y})), g)
+        for _, work in _accepted_combinations(g, (x,)):
+            assert_sound(work.freeze(), g)
+
+
+class CountingNames:
+    """Stands in for ``pdag_core.NAME_RE`` and counts name checks."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def match(self, name):
+        self.calls += 1
+        return self.real.match(name)
+
+
+def test_derived_graphs_check_no_names(monkeypatch):
+    rng, graphs = corpus(40, seed=7)
+    counter = CountingNames(pdag_core.NAME_RE)
+    monkeypatch.setattr(pdag_core, "NAME_RE", counter)
+    for g, dag in graphs:
+        close_orientations(g)
+        assert construct_max_pdag(g, true_requirements(rng, g, dag)).ok
+        consistent_extension(g)
+        adjust_set(g, g.nodes[0], g.nodes[-1], max_nodes=len(g))
+    assert counter.calls == 0
+
+
+def test_work_copies_masks_without_name_lookups(monkeypatch):
+    _, graphs = corpus(20, seed=5)
+
+    def by_name(self, v):
+        raise AssertionError("name lookup while copying a graph")
+
+    for method in ("parents", "children", "siblings", "adjacent", "node_index"):
+        monkeypatch.setattr(PdagGraph, method, by_name)
+    works = [(g, _Work(g)) for g, _ in graphs]
+    monkeypatch.undo()
+    for g, work in works:
+        assert work.freeze() == g

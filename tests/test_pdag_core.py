@@ -222,6 +222,28 @@ class TestCycles:
         g = PdagGraph("ABC", undirected=[("A", "B"), ("B", "C"), ("A", "C")])
         assert not has_directed_cycle(g)
 
+    def test_matches_self_reachability(self):
+        def on_cycle(g, v):
+            seen, stack = set(), list(g.children(v))
+            while stack:
+                w = stack.pop()
+                if w == v:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    stack.extend(g.children(w))
+            return False
+
+        rng = np.random.default_rng(17)
+        verdicts = set()
+        for _ in range(300):
+            g = random_graph(rng, int(rng.integers(1, 8)))
+            cyclic = any(on_cycle(g, v) for v in g.nodes)
+            assert has_directed_cycle(g) == cyclic
+            assert g.is_dag() == (not cyclic and not g.undirected_edges())
+            verdicts.add(cyclic)
+        assert verdicts == {True, False}
+
 
 class TestNodePath:
     def test_rejects_short_and_repeated(self, fig1_cpdag):
