@@ -3,25 +3,26 @@
 The criterion has three conditions, evaluated in order: every proper
 possibly-causal path out of the treatment set must start with a directed
 edge (amenability), the candidate set must avoid the forbidden nodes,
-and every proper non-causal definite-status path must be blocked.  The
-first two come from one enumeration of the proper possibly-causal
-paths per (graph, X, Y) query; blocking delegates to a single DAG
-extension, where removing the first edge of every proper causal path
-and testing d-separation is sound and complete.  Only public entry
-points validate inputs; the private helpers they share trust them.  An
-enumeration-based reference for blocking is kept for cross-checks.
+and every proper non-causal definite-status path must be blocked.  All
+three are decided by reachability: a shortest-walk search per treatment,
+two possible-descent walks, and d-separation in a single DAG extension,
+where removing the first edge of every proper causal path makes the
+test sound and complete.  Only public entry points validate inputs.
+``max_nodes`` is accepted everywhere but bounds only the simple-path
+enumerations left: :func:`forbidden_set`, whose ``on_path`` field needs
+them, and the reference :func:`b_blocking_by_enumeration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .causal_paths import (
     DEFAULT_ENUMERATION_GUARD,
+    _forward_reach,
     _guard,
-    b_possible_ancestors,
     b_possible_descendants,
     classify_path,
     node_set,
@@ -137,30 +138,96 @@ def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]
     return ranked[0] if ranked else None
 
 
-def _conditions(
-    g: PdagGraph,
-    xs: frozenset[str],
-    ys: frozenset[str],
-    max_nodes: int,
-) -> tuple[ConditionCheck, frozenset[str]]:
-    """Amenability of one query and the non-treatment nodes on its proper
-    possibly-causal paths, from a single enumeration of those paths.
-    ``xs`` and ``ys`` must already be valid node sets of ``g``."""
-    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
-    names, und = g.nodes, g._und
-    undirected_start = [
-        tuple(names[v] for v in p) for p in paths if und[p[0]] >> p[1] & 1
-    ]
-    amenable = ConditionCheck(not undirected_start, _first_witness(undirected_start))
-    return amenable, frozenset(names[v] for path in paths for v in path[1:])
+def _least_shortest_path(
+    first: Iterable[tuple[int, int]],
+    step: Callable[[int, int], int],
+    targets: int,
+    label: Callable[[int], object],
+) -> Optional[tuple[int, ...]]:
+    """The shortest walk into ``targets`` that is least by ``label``
+    sequence, or None.  Walks start as the pairs in ``first`` and grow by
+    the nodes in the mask ``step(previous, current)``.
+
+    Breadth-first over (previous, current) states.  Each layer stays in
+    label order, so the first walk to reach a state is its least one; a
+    state is entered once, as its successors do not depend on the walk.
+    """
+    layer = sorted(first, key=lambda walk: [label(v) for v in walk])
+    seen = set(layer)
+    while layer:
+        for walk in layer:
+            if targets >> walk[-1] & 1:
+                return walk
+        grown = []
+        for walk in layer:
+            prev, cur = walk[-2:]
+            for w in sorted(_bits(step(prev, cur)), key=label):
+                if (cur, w) not in seen:
+                    seen.add((cur, w))
+                    grown.append(walk + (w,))
+        layer = grown
+    return None
 
 
-def _forbidden(g: PdagGraph, on_path: frozenset[str]) -> ForbiddenSet:
-    """The forbidden set: ``on_path`` closed under b-possible descent.  Kept
-    out of :func:`_conditions`, as only ``forbidden_set`` needs the closure
-    when amenability fails and ``is_amenable`` never does."""
-    closed = b_possible_descendants(g, on_path).nodes if on_path else on_path
-    return ForbiddenSet(closed, on_path)
+def _amenability(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> ConditionCheck:
+    """Amenability, with the witness least by (length, node names).
+
+    A witness is a proper possibly-causal path ``x - s ... y`` that
+    starts with an undirected edge.  For each ``x``, walks start at its
+    siblings outside ``xs`` and follow child and undirected edges,
+    avoiding ``xs | pa(x)``.  The second step also avoids ``und(x)``;
+    every later step avoids the neighbours of the previous node.
+
+    Proof sketch.  A chord of a shortest witness cannot point backward,
+    so it would skip ahead to a shorter witness with the same first
+    edge, unless it leaves ``x``: ``x - v_j`` starts a shorter witness
+    itself, which leaves ``x -> v2`` as the only possible shield.  So
+    every shortest witness is a walk of the search.  Conversely a walk is
+    unshielded; by the fact :func:`_forward_reach` rests on (the source
+    paper's lemma that a b-possibly-causal path has a b-possibly-causal
+    unshielded subsequence) ``s`` then has a b-possibly-causal path to
+    ``ys`` avoiding ``xs | pa(x)``, and ``x - s`` before it is a witness.
+    That the least walk is the least witness is swept in the tests.
+    """
+    pa, ch, und = g._pa, g._ch, g._und
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
+    names = g.nodes
+    witnesses = []
+    for x in _bits(x_mask):
+
+        def step(prev: int, cur: int) -> int:
+            near = und[x] if prev == x else pa[prev] | ch[prev] | und[prev] | 1 << prev
+            return (ch[cur] | und[cur]) & ~(x_mask | pa[x] | near)
+
+        first = [(x, s) for s in _bits(und[x] & ~x_mask)]
+        walk = _least_shortest_path(first, step, y_mask, names.__getitem__)
+        if walk is not None:
+            witnesses.append(tuple(names[v] for v in walk))
+    witness = _first_witness(witnesses)
+    return ConditionCheck(witness is None, witness)
+
+
+def _forbidden_nodes(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> int:
+    """Mask of the forbidden nodes of an amenable query: the b-possible
+    descendants of the starts, which are the children of each ``x`` that
+    are b-possible ancestors of ``ys`` in ``g`` without ``xs | pa(x)``.
+
+    Proof sketch.  On an amenable query every proper possibly-causal path
+    is ``x -> s ... y``, so the starts are exactly the paths' second
+    nodes, and the result holds every on-path node and lies within their
+    b-possible descendants, the criterion's forbidden set.  Equality is
+    the DAG construction of van der Zander, Liskiewicz and Textor (AIJ
+    2019), the descendants of the children of X that are ancestors of Y
+    without X, read with the possible descendants of Perkovic, Textor,
+    Kalisch and Maathuis (JMLR 2018); the tests sweep it against the
+    enumeration.  On other queries it can miss forbidden nodes.
+    """
+    pa, ch = g._pa, g._ch
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
+    starts = 0
+    for x in _bits(x_mask):
+        starts |= ch[x] & _forward_reach(g, y_mask, pa, x_mask | pa[x])
+    return _forward_reach(g, starts, ch)
 
 
 def forbidden_set(
@@ -173,13 +240,16 @@ def forbidden_set(
 
     Collects every non-treatment node on a proper b-possibly-causal path
     from ``xs`` to ``ys`` and closes the collection under b-possible
-    descent.
+    descent.  The paths are enumerated, so the graph may have at most
+    ``max_nodes`` nodes.
     """
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     _nonempty(xs, ys)
     _disjoint("xs", xs, "ys", ys)
-    return _forbidden(g, _conditions(g, xs, ys, max_nodes)[1])
+    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
+    on_path = frozenset(g.nodes[v] for path in paths for v in path[1:])
+    return ForbiddenSet(b_possible_descendants(g, on_path).nodes, on_path)
 
 
 def is_amenable(
@@ -193,7 +263,7 @@ def is_amenable(
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     _disjoint("xs", xs, "ys", ys)
-    return _conditions(g, xs, ys, max_nodes)[0]
+    return _amenability(g, xs, ys)
 
 
 # -- d-separation in DAGs ----------------------------------------------
@@ -256,41 +326,26 @@ def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
 def _connecting_path(
     d: PdagGraph, xs: int, ys: int, zs: int
 ) -> Optional[tuple[str, ...]]:
-    """A shortest d-connecting simple path in ``d``, or None.
+    """A shortest d-connecting path in ``d``, least by node indices, or
+    None.
 
-    Iterative deepening over simple paths whose interior nodes satisfy
-    the blocking conditions; deterministic via node-index order.
+    Walks leave ``xs`` and never re-enter it; an interior node passes
+    the walk on as a collider only when it has a descendant in ``zs``,
+    and as a non-collider only when it is outside ``zs``.
     """
     pa, ch = d._pa, d._ch
     anz = _closure(pa, zs)
 
-    def extend(path: list[int], on_path: int, depth: int) -> Optional[tuple[str, ...]]:
-        cur = path[-1]
-        if ys >> cur & 1:
-            return tuple(d.nodes[v] for v in path)
-        if len(path) > depth:
-            return None
-        arrived_in = len(path) >= 2 and ch[path[-2]] >> cur & 1
-        for w in _bits((pa[cur] | ch[cur]) & ~on_path & ~xs):
-            if len(path) >= 2:
-                if arrived_in and ch[w] >> cur & 1:
-                    if not anz >> cur & 1:
-                        continue
-                elif zs >> cur & 1:
-                    continue
-            path.append(w)
-            hit = extend(path, on_path | 1 << w, depth)
-            path.pop()
-            if hit is not None:
-                return hit
-        return None
+    def step(prev: int, cur: int) -> int:
+        if ch[prev] >> cur & 1:  # arrived along prev -> cur
+            onward = (pa[cur] if anz >> cur & 1 else 0) | (0 if zs >> cur & 1 else ch[cur])
+        else:
+            onward = 0 if zs >> cur & 1 else pa[cur] | ch[cur]
+        return onward & ~xs & ~(1 << prev)
 
-    for depth in range(1, len(d.nodes)):
-        for x in _bits(xs):
-            hit = extend([x], 1 << x, depth)
-            if hit is not None:
-                return hit
-    return None
+    first = [(x, w) for x in _bits(xs) for w in _bits((pa[x] | ch[x]) & ~xs)]
+    walk = _least_shortest_path(first, step, ys, int)
+    return None if walk is None else tuple(d.nodes[v] for v in walk)
 
 
 def proper_backdoor_graph(
@@ -325,11 +380,10 @@ def check_b_blocking(
     _disjoint("zs", zs, "xs", xs)
     _disjoint("zs", zs, "ys", ys)
     _disjoint("xs", xs, "ys", ys)
-    amenable, on_path = _conditions(g, xs, ys, max_nodes)
-    if not amenable.ok:
+    if not _amenability(g, xs, ys).ok:
         raise ValueError("blocking check requires amenability to hold")
     _nonempty(xs, ys)
-    if zs & _forbidden(g, on_path).nodes:
+    if g._mask(zs) & _forbidden_nodes(g, xs, ys):
         raise ValueError("blocking check requires zs to avoid the forbidden set")
     return _blocking_fast(g, xs, ys, zs)
 
@@ -434,7 +488,7 @@ def satisfies_b_adjustment(
     _nonempty(xs, ys)
 
     zero_effect = not (ys & b_possible_descendants(g, xs).nodes)
-    amenable, on_path = _conditions(g, xs, ys, max_nodes)
+    amenable = _amenability(g, xs, ys)
     if not amenable.ok:
         return AdjustmentVerdict(
             amenable=False,
@@ -445,7 +499,7 @@ def satisfies_b_adjustment(
             witness=amenable.witness,
         )
 
-    blocked_nodes = zs & _forbidden(g, on_path).nodes
+    blocked_nodes = g._mask(zs) & _forbidden_nodes(g, xs, ys)
     if blocked_nodes:
         return AdjustmentVerdict(
             amenable=True,
@@ -453,7 +507,7 @@ def satisfies_b_adjustment(
             blocking_ok=None,
             overall=False,
             zero_effect=zero_effect,
-            witness=min(blocked_nodes, key=g.node_index),
+            witness=g.nodes[next(_bits(blocked_nodes))],
         )
 
     blocking = _blocking_fast(g, xs, ys, zs)
@@ -483,13 +537,14 @@ def adjust_set(
     ys = node_set(g, ys)
     _nonempty(xs, ys)
     _disjoint("xs", xs, "ys", ys)
-    amenable, on_path = _conditions(g, xs, ys, max_nodes)
-    if not amenable.ok:
+    if not _amenability(g, xs, ys).ok:
         return None
-    forbidden = _forbidden(g, on_path).nodes
-    candidate = b_possible_ancestors(g, xs | ys).nodes - xs - ys - forbidden
-    masks = g._mask(xs), g._mask(ys), g._mask(candidate)
-    return candidate if _d_separated(_backdoor_dag(g, xs, ys), *masks) else None
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
+    taken = x_mask | y_mask | _forbidden_nodes(g, xs, ys)
+    candidate = _forward_reach(g, x_mask | y_mask, g._pa) & ~taken
+    if _d_separated(_backdoor_dag(g, xs, ys), x_mask, y_mask, candidate):
+        return g._names(candidate)
+    return None
 
 
 def list_adjustment_sets(
@@ -511,20 +566,18 @@ def list_adjustment_sets(
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     _disjoint("xs", xs, "ys", ys)
-    amenable, on_path = _conditions(g, xs, ys, max_nodes)
-    if not amenable.ok:
+    if not _amenability(g, xs, ys).ok:
         return []
     _nonempty(xs, ys)
-    forbidden = _forbidden(g, on_path).nodes
-    universe = sorted(set(g.nodes) - xs - ys - forbidden, key=g.node_index)
+    x_mask, y_mask = g._mask(xs), g._mask(ys)
+    taken = x_mask | y_mask | _forbidden_nodes(g, xs, ys)
+    universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     if len(universe) > universe_cap:
         raise ValueError(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
     pruned = _backdoor_dag(g, xs, ys)
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
-
     top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
     for size in range(top + 1):

@@ -85,8 +85,9 @@ def classify_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> PathClassifica
     return PathClassification(path, B_POSSIBLY_CAUSAL)
 
 
-def _forward_reach(g: PdagGraph, roots: frozenset[str], out: tuple) -> frozenset[str]:
-    """Nodes reachable from ``roots`` along possibly-causal unshielded walks.
+def _forward_reach(g: PdagGraph, roots: int, out: tuple, removed: int = 0) -> int:
+    """Mask of the nodes reachable from ``roots`` along possibly-causal
+    unshielded walks in ``g`` with the ``removed`` nodes deleted.
 
     Walks follow undirected edges and the directed ones in ``out``
     (``g._ch`` for descendants, ``g._pa`` for ancestors).  States are
@@ -98,8 +99,8 @@ def _forward_reach(g: PdagGraph, roots: frozenset[str], out: tuple) -> frozenset
     against.
     """
     pa, ch, und = g._pa, g._ch, g._und
-    step = [o | u for o, u in zip(out, und)]
-    reached = g._mask(roots)
+    step = [(o | u) & ~removed for o, u in zip(out, und)]
+    reached = roots & ~removed
     seen: set[tuple[int, int]] = set()
     # Each entry is a node and the steps still allowed from it.
     stack = [(r, step[r]) for r in _bits(reached)]
@@ -110,20 +111,20 @@ def _forward_reach(g: PdagGraph, roots: frozenset[str], out: tuple) -> frozenset
             if (cur, w) not in seen:
                 seen.add((cur, w))
                 stack.append((w, step[w] & ~(pa[cur] | ch[cur] | und[cur] | 1 << cur)))
-    return g._names(reached)
+    return reached
 
 
 def b_possible_descendants(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """All nodes with a b-possibly-causal path from some node of ``xs``
     (plus ``xs`` itself)."""
     roots = node_set(g, xs)
-    return ReachSet(_forward_reach(g, roots, g._ch), roots, DESCENDANTS)
+    return ReachSet(g._names(_forward_reach(g, g._mask(roots), g._ch)), roots, DESCENDANTS)
 
 
 def b_possible_ancestors(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """Mirror image of :func:`b_possible_descendants` on the edge-reversed graph."""
     roots = node_set(g, xs)
-    return ReachSet(_forward_reach(g, roots, g._pa), roots, ANCESTORS)
+    return ReachSet(g._names(_forward_reach(g, g._mask(roots), g._pa)), roots, ANCESTORS)
 
 
 def _guard(g: PdagGraph, max_nodes: int) -> None:

@@ -2,7 +2,7 @@
 
 Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
-adjustment set with --find, guard or cap exceeded), 2 usage or parse
+adjustment set with --find, candidate cap exceeded), 2 usage or parse
 errors, including node lists that name unknown nodes, overlap (--x with
 --y or --z) or are empty where a node is required, and an ``ida`` data
 file whose header is not the graph's node set or whose rows do not

@@ -80,10 +80,12 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     """All DAGs represented by ``g``, each exactly once.
 
-    Backtracks over the first undirected edge in canonical pair order,
-    orienting it both ways and re-closing the rules before recursing;
-    branches whose closure would create a cycle are dead.  Fully
-    oriented leaves are kept only when they pass :func:`represents`.
+    Backtracks depth-first over the first undirected edge in canonical
+    pair order, orienting it both ways and re-closing the rules before
+    going deeper; branches whose closure would create a cycle are dead.
+    Fully oriented leaves are kept only when they pass
+    :func:`represents`.  The backtracking keeps an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
 
     Args:
         g: graph with an acyclic directed part.
@@ -109,29 +111,25 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
                         return u, v
         return None
 
-    def recurse(work: _Work) -> bool:
-        """Returns False when the limit cut enumeration short."""
-        nonlocal truncated
+    stack = [_Work(g)]
+    while stack:
+        work = stack.pop()
         edge = first_undirected(work)
         if edge is None:
             candidate = work.freeze()
             if represents(g, candidate):
                 if len(found) >= limit:
                     truncated = True
-                    return False
+                    break
                 found.append(candidate)
-            return True
+            continue
         a, b = edge
-        for tail, head in ((a, b), (b, a)):
+        for tail, head in ((b, a), (a, b)):  # (a, b) is popped, so explored, first
             branch = work.copy()
             try:
                 branch.orient(tail, head)
                 _close(branch, [(tail, head)])
             except OrientationConflictError:
                 continue
-            if not recurse(branch):
-                return False
-        return True
-
-    recurse(_Work(g))
+            stack.append(branch)
     return DagList(tuple(found), truncated)

@@ -261,21 +261,6 @@ class PdagGraph:
         """Same skeleton with every directed edge flipped."""
         return PdagGraph._from_masks(self._nodes, self._index, self._ch, self._pa, self._und)
 
-    def induced(self, keep: Iterable[str]) -> "PdagGraph":
-        """Induced subgraph on ``keep``, preserving node order."""
-        keep_set = set(keep)
-        self.check_nodes(keep_set)
-        nodes = [n for n in self._nodes if n in keep_set]
-        directed = [
-            (t, h) for t, h in self.directed_edges() if t in keep_set and h in keep_set
-        ]
-        undirected = [
-            (a, b)
-            for a, b in self.undirected_edges()
-            if a in keep_set and b in keep_set
-        ]
-        return PdagGraph(nodes, directed=directed, undirected=undirected)
-
     def is_dag(self) -> bool:
         """True iff every edge is directed and no directed cycle exists."""
         return not any(self._und) and not has_directed_cycle(self)

@@ -135,6 +135,10 @@ def true_total_effect(m: SemModel, xs: "str | Sequence[str]", y: str) -> np.ndar
     return np.array([totals[idx[x], idx[y]] for x in xs])
 
 
+def _adjacency(g: PdagGraph) -> list[int]:
+    return [p | c | u for p, c, u in zip(g._pa, g._ch, g._und)]
+
+
 def add_background_fraction(
     cpdag: PdagGraph,
     true_dag: PdagGraph,
@@ -151,7 +155,11 @@ def add_background_fraction(
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must lie in [0, 1]")
-    if cpdag.skeleton() != true_dag.skeleton():
+    if cpdag.nodes == true_dag.nodes:  # always so for graphs from cpdag_of
+        same = _adjacency(cpdag) == _adjacency(true_dag)
+    else:
+        same = cpdag.skeleton() == true_dag.skeleton()
+    if not same:
         raise ValueError("graph and true DAG must share a skeleton")
     undirected = cpdag.undirected_edges()
     count = int(round(fraction * len(undirected)))
@@ -267,8 +275,8 @@ def _replicate_rows(
         start = time.perf_counter()
         rng_bg = np.random.default_rng([rep_seed, 3])
         graph = add_background_fraction(cpdag, model.dag, fraction, rng_bg)
-        amen = bool(is_amenable(graph, x, y, max_nodes=p).ok)
-        identifiable = adjust_set(graph, x, y, max_nodes=p) is not None
+        amen = bool(is_amenable(graph, x, y).ok)
+        identifiable = adjust_set(graph, x, y) is not None
         effects = ida_effects(graph, x, y, data)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(

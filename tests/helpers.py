@@ -2,16 +2,17 @@
 
 These deliberately avoid the library's production code paths: the
 restart-scan closure re-derives the orientation rules from scratch, the
-parent-set oracle runs one full public merge per sibling subset, and
-the DAG-level adjustment oracle evaluates the criterion by brute-force
-path enumeration.
+parent-set oracle runs one full public merge per sibling subset, the
+DAG-level adjustment oracle evaluates the criterion by brute-force path
+enumeration, and the blocking-witness oracle finds its path by
+iterative deepening.
 """
 
 from itertools import permutations, product
 
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
-from mpdagkit.pdag_core import PdagGraph
+from mpdagkit.pdag_core import PdagGraph, _bits, _closure
 
 
 class ScanState:
@@ -165,13 +166,23 @@ def dag_descendants(d: PdagGraph, node: str) -> set:
     return out
 
 
-def _proper_paths(d: PdagGraph, xs: frozenset, ys: frozenset):
-    """All proper simple paths (any edge directions) from xs to ys."""
+def name_adjacency(d: PdagGraph) -> dict:
+    """Sorted adjacent node names per node, from the public edge lists."""
+    adjacent = {v: [] for v in d.nodes}
+    for a, b in d.directed_edges() + d.undirected_edges():
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    return {v: sorted(ws) for v, ws in adjacent.items()}
+
+
+def _proper_paths(adjacent: dict, xs: frozenset, ys: frozenset):
+    """All proper simple paths (any edge directions) from xs to ys, given
+    the graph's :func:`name_adjacency`."""
     paths = []
 
     def extend(path, on_path):
         cur = path[-1]
-        for w in sorted(d.adjacent(cur)):
+        for w in adjacent[cur]:
             if w in on_path or w in xs:
                 continue
             path.append(w)
@@ -205,7 +216,7 @@ def _path_blocked(d: PdagGraph, path, zs: frozenset) -> bool:
 
 def dag_forbidden(d: PdagGraph, xs: frozenset, ys: frozenset) -> set:
     on_causal = set()
-    for path in _proper_paths(d, xs, ys):
+    for path in _proper_paths(name_adjacency(d), xs, ys):
         if _is_causal(d, path):
             on_causal.update(path[1:])
     forb = set()
@@ -219,7 +230,47 @@ def dag_adjustment_criterion(d: PdagGraph, xs, ys, zs) -> bool:
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     if zs & dag_forbidden(d, xs, ys):
         return False
-    for path in _proper_paths(d, xs, ys):
+    for path in _proper_paths(name_adjacency(d), xs, ys):
         if not _is_causal(d, path) and not _path_blocked(d, path, zs):
             return False
     return True
+
+
+def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):
+    """Reference blocking witness: a shortest d-connecting simple path
+    in the DAG ``d`` (node masks ``xs``, ``ys``, ``zs``), or None.
+
+    Iterative deepening over simple paths whose interior nodes satisfy
+    the blocking conditions; the first hit in node-index order is the
+    least shortest path by node indices.
+    """
+    pa, ch = d._pa, d._ch
+    anz = _closure(pa, zs)
+
+    def extend(path, on_path, depth):
+        cur = path[-1]
+        if ys >> cur & 1:
+            return tuple(d.nodes[v] for v in path)
+        if len(path) > depth:
+            return None
+        arrived_in = len(path) >= 2 and ch[path[-2]] >> cur & 1
+        for w in _bits((pa[cur] | ch[cur]) & ~on_path & ~xs):
+            if len(path) >= 2:
+                if arrived_in and ch[w] >> cur & 1:
+                    if not anz >> cur & 1:
+                        continue
+                elif zs >> cur & 1:
+                    continue
+            path.append(w)
+            hit = extend(path, on_path | 1 << w, depth)
+            path.pop()
+            if hit is not None:
+                return hit
+        return None
+
+    for depth in range(1, len(d.nodes)):
+        for x in _bits(xs):
+            hit = extend([x], 1 << x, depth)
+            if hit is not None:
+                return hit
+    return None

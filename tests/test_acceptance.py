@@ -94,6 +94,7 @@ def criterion_sweep():
         g, _ = random_mpdag(rng, 6)
         dags = list(enumerate_dags(g))
         assert dags
+        views = [_dag_view(d) for d in dags]
         per_pair = []
         nodes = list(g.nodes)
         for x in nodes:
@@ -101,9 +102,7 @@ def criterion_sweep():
                 if x == y:
                     continue
                 rest = [n for n in nodes if n not in (x, y)]
-                oracle_cache = [
-                    _dag_condition_cache(d, x, y) for d in dags
-                ]
+                oracle_cache = [_dag_condition_cache(view, x, y) for view in views]
                 z_results = []
                 for r in range(len(rest) + 1):
                     for zs in combinations(rest, r):
@@ -118,21 +117,33 @@ def criterion_sweep():
     return instances
 
 
-def _dag_condition_cache(d, x, y):
-    from helpers import _is_causal, _proper_paths, dag_descendants, dag_forbidden
+def _dag_view(d):
+    """Name adjacency, directed edges and descendant sets of one DAG,
+    built once from its public edge list and shared by all its queries."""
+    from helpers import dag_descendants, name_adjacency
 
-    xs, ys = frozenset({x}), frozenset({y})
-    forbidden = dag_forbidden(d, xs, ys)
+    descendants = {v: frozenset(dag_descendants(d, v)) for v in d.nodes}
+    return name_adjacency(d), frozenset(d.directed_edges()), descendants
+
+
+def _dag_condition_cache(view, x, y):
+    """Forbidden set and the non-causal paths' blocking data of one DAG
+    query, from a single enumeration of its proper paths."""
+    from helpers import _proper_paths
+
+    adjacent, directed, descendants = view
+    forbidden = set()
     noncausal = []
-    for path in _proper_paths(d, xs, ys):
-        if _is_causal(d, path):
+    for path in _proper_paths(adjacent, frozenset({x}), frozenset({y})):
+        if all(step in directed for step in zip(path, path[1:])):
+            for w in path[1:]:
+                forbidden |= descendants[w]
             continue
         noncolliders = set()
         collider_descendants = []
-        for i in range(1, len(path) - 1):
-            left, mid, right = path[i - 1], path[i], path[i + 1]
-            if d.is_directed(left, mid) and d.is_directed(right, mid):
-                collider_descendants.append(frozenset(dag_descendants(d, mid)))
+        for left, mid, right in zip(path, path[1:], path[2:]):
+            if (left, mid) in directed and (right, mid) in directed:
+                collider_descendants.append(descendants[mid])
             else:
                 noncolliders.add(mid)
         noncausal.append((frozenset(noncolliders), tuple(collider_descendants)))

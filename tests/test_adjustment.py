@@ -20,7 +20,37 @@ from mpdagkit.meek import construct_max_pdag
 from mpdagkit.pdag_core import PdagGraph, parse_graph
 
 from conftest import random_mpdag
-from helpers import _path_blocked, _proper_paths, dag_adjustment_criterion
+from helpers import (
+    _path_blocked,
+    _proper_paths,
+    dag_adjustment_criterion,
+    deepening_connecting_path,
+    name_adjacency,
+)
+
+
+def complete_graph(n):
+    names = [f"V{i}" for i in range(n)]
+    return PdagGraph(names, undirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+
+
+def strip(n):
+    """Undirected chordal strip: V_i -- V_i+1 and V_i -- V_i+2."""
+    names = [f"V{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in (i + 1, i + 2) if j < n]
+    return PdagGraph(names, undirected=pairs)
+
+
+def enumerated_conditions(g, xs, ys):
+    """Amenability witness (None when amenable) and forbidden set, read
+    off the enumeration of proper possibly-causal paths."""
+    paths = adjustment._proper_possibly_causal_paths(g, xs, ys, len(g))
+    named = [tuple(g.nodes[v] for v in path) for path in paths]
+    undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
+    witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
+    on_path = frozenset(v for p in named for v in p[1:])
+    forbidden = b_possible_descendants(g, on_path).nodes if on_path else on_path
+    return witness, forbidden
 
 
 class TestForbiddenSet:
@@ -137,7 +167,7 @@ class TestDSeparation:
                     blocked_all = all(
                         _path_blocked(dag, path, frozenset(zs))
                         for path in _proper_paths(
-                            dag, frozenset({x}), frozenset({y})
+                            name_adjacency(dag), frozenset({x}), frozenset({y})
                         )
                     )
                     assert d_separated(dag, x, y, zs) == blocked_all
@@ -272,6 +302,80 @@ class TestListing:
             assert listed == checked
 
 
+class TestReachabilityRoutes:
+    @staticmethod
+    def queries():
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            g, _ = random_mpdag(rng, 9)
+            nodes = list(g.nodes)
+            for _ in range(2):
+                rng.shuffle(nodes)
+                kx, ky = (int(k) for k in rng.integers(1, 3, size=2))
+                if kx + ky > len(nodes):
+                    kx = ky = 1
+                yield g, frozenset(nodes[:kx]), frozenset(nodes[kx : kx + ky])
+        for g in [complete_graph(n) for n in range(3, 10)] + [strip(n) for n in range(8, 15)]:
+            last = g.nodes[-1]
+            yield g, frozenset({"V0"}), frozenset({last})
+            yield g, frozenset({"V0", "V1"}), frozenset({last})
+            yield g, frozenset({"V1"}), frozenset({"V0", last})
+
+    def test_amenability_and_forbidden_nodes_match_enumeration(self):
+        amenable = not_amenable = 0
+        for g, xs, ys in self.queries():
+            witness, forbidden = enumerated_conditions(g, xs, ys)
+            check = is_amenable(g, xs, ys)
+            assert (check.ok, check.witness) == (witness is None, witness), (g, xs, ys)
+            if check.ok:
+                assert g._names(adjustment._forbidden_nodes(g, xs, ys)) == forbidden
+                amenable += 1
+            else:
+                not_amenable += 1
+        assert amenable > 200 and not_amenable > 200
+
+    def test_blocking_witness_matches_iterative_deepening(self):
+        rng = np.random.default_rng(2027)
+        connected = 0
+        for _ in range(400):
+            g, _ = random_mpdag(rng, 8)
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            xs, ys = frozenset(nodes[:1]), frozenset(nodes[1:2])
+            if not is_amenable(g, xs, ys).ok:
+                continue
+            forb = forbidden_set(g, xs, ys).nodes
+            zs = frozenset(v for v in nodes[2:] if v not in forb and rng.random() < 0.3)
+            check = check_b_blocking(g, xs, ys, zs)
+            pruned = adjustment._backdoor_dag(g, xs, ys)
+            want = deepening_connecting_path(pruned, *(g._mask(s) for s in (xs, ys, zs)))
+            assert check.witness == want
+            connected += want is not None
+        assert connected > 100
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(12), complete_graph(16), strip(40)],
+        ids=["K12", "K16", "strip40"],
+    )
+    def test_large_graphs_answer_without_max_nodes(self, g):
+        last = g.nodes[-1]
+        check = is_amenable(g, "V0", last)
+        assert not check.ok
+        assert check.witness[0] == "V0" and check.witness[-1] == last
+        assert adjust_set(g, "V0", last) is None
+        verdict = satisfies_b_adjustment(g, "V0", last, ())
+        assert not verdict.amenable and verdict.witness == check.witness
+        assert list_adjustment_sets(g, "V0", last) == []
+
+    def test_large_amenable_graph_answers_without_max_nodes(self):
+        g = construct_max_pdag(strip(40), [("V0", "V1"), ("V0", "V2")]).graph
+        assert is_amenable(g, "V0", "V39").ok
+        assert adjust_set(g, "V0", "V39") == frozenset()
+        assert satisfies_b_adjustment(g, "V0", "V39", ()).overall
+        assert list_adjustment_sets(g, "V0", "V39") == [frozenset()]
+
+
 class TestOnePassPerQuery:
     @pytest.fixture()
     def enumerations(self, monkeypatch):
@@ -292,12 +396,20 @@ class TestOnePassPerQuery:
             lambda g: satisfies_b_adjustment(g, "X", "Y", "V1"),
             lambda g: list_adjustment_sets(g, "X", "Y"),
             lambda g: check_b_blocking(g, "X", "Y", "V1"),
+            lambda g: is_amenable(g, "X", "Y"),
         ],
-        ids=["adjust_set", "satisfies_b_adjustment", "list_adjustment_sets", "check_b_blocking"],
+        ids=[
+            "adjust_set",
+            "satisfies_b_adjustment",
+            "list_adjustment_sets",
+            "check_b_blocking",
+            "is_amenable",
+        ],
     )
     def test_one_path_enumeration(self, fig3_g1, enumerations, query):
+        # The query routes decide by reachability: no path is enumerated.
         query(fig3_g1)
-        assert len(enumerations) == 1
+        assert len(enumerations) == 0
 
     def test_listing_checks_acyclicity_once_not_per_subset(self, monkeypatch):
         g = parse_graph("A1 -> X\nA2 -> X\nA3 -> X\nA4 -> X\nX -> Y")

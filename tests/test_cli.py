@@ -179,6 +179,23 @@ class TestAdjust:
         assert verdict["overall"] is True
         assert verdict["witness"] is None
 
+    @pytest.mark.parametrize(
+        "mode, stdout",
+        [
+            (("--find",), "{A, B}\n"),
+            (("--z", "A"), '"overall": true'),
+            (("--list",), "{}\n{A}\n{B}\n{A, B}\n"),
+        ],
+    )
+    def test_twenty_node_cpdag_answers(self, tmp_path, mode, stdout):
+        # X -> Y is oriented by the collider A -> X <- B; the D chain hangs off Y.
+        chain = "".join(f"D{i} -> D{i + 1}\n" for i in range(1, 16))
+        path = tmp_path / "twenty.g"
+        path.write_text("A -> X\nB -> X\nX -> Y\nY -> D1\n" + chain)
+        result = run_cli("adjust", str(path), "--x", "X", "--y", "Y", *mode)
+        assert result.returncode == 0
+        assert stdout in result.stdout and result.stderr == ""
+
     def test_mode_required(self, graphs):
         result = run_cli("adjust", graphs["fig3_g1"], "--x", "X", "--y", "Y")
         assert result.returncode == 2

@@ -120,6 +120,13 @@ class TestEnumerateDags:
         with pytest.raises(ValueError, match="positive"):
             enumerate_dags(fig1_cpdag, limit=0)
 
+    def test_deep_backtracking_needs_no_recursion(self):
+        # 1,100 independent choices: deeper than Python's recursion limit.
+        names = [f"N{i:04d}" for i in range(2200)]
+        pairs = [(names[i], names[i + 1]) for i in range(0, 2200, 2)]
+        cut = enumerate_dags(PdagGraph(names, undirected=pairs), limit=3)
+        assert len(cut) == 3 and cut.truncated
+
     def test_deterministic_order(self, fig1_cpdag):
         first = enumerate_dags(fig1_cpdag)
         second = enumerate_dags(fig1_cpdag)

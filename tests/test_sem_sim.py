@@ -7,7 +7,7 @@ import pytest
 
 from mpdagkit.extension import represents
 from mpdagkit.meek import cpdag_of
-from mpdagkit.pdag_core import GraphParseError, parse_graph
+from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
 from mpdagkit.sem_sim import (
     SemModel,
     SimConfig,
@@ -176,6 +176,20 @@ class TestBackgroundFraction:
             add_background_fraction(
                 cpdag_of(model.dag), other.dag, 0.5, np.random.default_rng(0)
             )
+
+    def test_skeleton_check_with_other_node_order(self):
+        model = random_dag(5, 3, np.random.default_rng(19))
+        cpdag = cpdag_of(model.dag)
+        shuffled = PdagGraph(
+            cpdag.nodes[::-1],
+            directed=cpdag.directed_edges(),
+            undirected=cpdag.undirected_edges(),
+        )
+        full = add_background_fraction(shuffled, model.dag, 1.0, np.random.default_rng(0))
+        assert set(full.directed_edges()) == set(model.dag.directed_edges())
+        other = random_dag(5, 2, np.random.default_rng(20))
+        with pytest.raises(ValueError, match="skeleton"):
+            add_background_fraction(shuffled, other.dag, 0.5, np.random.default_rng(0))
 
 
 class TestChooseXY:
