@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 from .causal_paths import (
     DEFAULT_ENUMERATION_GUARD,
     _forward_reach,
-    _guard,
+    _simple_paths,
     b_possible_descendants,
     classify_path,
     node_set,
@@ -108,28 +108,15 @@ def _proper_possibly_causal_paths(
     backward pair are pruned, as are nodes from which ``ys`` is no longer
     reachable along forward or undirected edges avoiding ``xs``.
     """
-    _guard(g, max_nodes)
     ch, und = g._ch, g._und
     x_mask, y_mask = g._mask(xs), g._mask(ys)
 
     # Static viability prune: reverse reachability to ys over usable edges.
     viable = _closure([(p | u) & ~x_mask for p, u in zip(g._pa, und)], y_mask)
+    step = [(c | u) & viable & ~x_mask for c, u in zip(ch, und)]
 
     paths: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], on_path: int) -> None:
-        cur = path[-1]
-        for w in _bits((ch[cur] | und[cur]) & viable & ~on_path & ~x_mask):
-            if ch[w] & on_path:
-                continue  # backward pair against an earlier path node
-            path.append(w)
-            if y_mask >> w & 1:
-                paths.append(tuple(path))
-            extend(path, on_path | 1 << w)
-            path.pop()
-
-    for x in _bits(x_mask):
-        extend([x], 1 << x)
+    _simple_paths(g, max_nodes, x_mask, step, ch, y_mask, paths.append)
     return paths
 
 
@@ -422,8 +409,8 @@ def b_blocking_by_enumeration(
     xs = node_set(g, xs)
     ys = node_set(g, ys)
     zs = node_set(g, zs)
-    _guard(g, max_nodes)
-    order = g.node_index
+    x_mask = g._mask(xs)
+    step = [(p | c | u) & ~x_mask for p, c, u in zip(g._pa, g._ch, g._und)]
     violations: list[tuple[str, ...]] = []
 
     def descendants(node: str) -> set[str]:
@@ -444,26 +431,13 @@ def b_blocking_by_enumeration(
                 return False
         return True
 
-    def extend(path: list[str], on_path: set[str]) -> None:
-        cur = path[-1]
-        for w in sorted(g.adjacent(cur), key=order):
-            if w in on_path or w in xs:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if w in ys:
-                tup = tuple(path)
-                if not classify_path(g, tup).is_b_possibly_causal and d_connecting(tup):
-                    violations.append(tup)
-            extend(path, on_path)
-            on_path.discard(w)
-            path.pop()
+    def check(path: tuple[int, ...]) -> None:
+        named = tuple(g.nodes[v] for v in path)
+        if not classify_path(g, named).is_b_possibly_causal and d_connecting(named):
+            violations.append(named)
 
-    for x in sorted(xs, key=order):
-        extend([x], {x})
-    if violations:
-        return ConditionCheck(False, _first_witness(violations))
-    return ConditionCheck(True)
+    _simple_paths(g, max_nodes, x_mask, step, (0,) * len(g), g._mask(ys), check)
+    return ConditionCheck(not violations, _first_witness(violations))
 
 
 def satisfies_b_adjustment(

@@ -6,13 +6,15 @@ already rules the path out as possibly causal.  Reachability uses a
 depth-first search over (previous, current) states that only follows
 forward or undirected edges and skips shielded continuations; an
 exhaustive path-enumeration oracle with the same semantics is provided
-for cross-checking on small graphs.
+for cross-checking on small graphs.  Its ``_simple_paths`` is the one
+simple-path enumerator, also behind ``forbidden_set`` and
+``b_blocking_by_enumeration``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .pdag_core import NodePath, PdagGraph, _bits, as_path
 
@@ -135,33 +137,38 @@ def _guard(g: PdagGraph, max_nodes: int) -> None:
         )
 
 
-def _enumerated_reach(g: PdagGraph, roots: frozenset[str]) -> frozenset[str]:
-    """Endpoints of b-possibly-causal simple paths, by exhaustive search.
+def _simple_paths(
+    g: PdagGraph,
+    max_nodes: int,
+    starts: int,
+    step: Sequence[int],
+    back: Sequence[int],
+    targets: int,
+    found: Callable[[tuple[int, ...]], object],
+) -> None:
+    """Call ``found`` with each simple path, as a node-index tuple, that
+    leaves a node of ``starts`` and ends in ``targets`` (``~0``: any
+    node), in depth-first order by index; paths go on past targets.
 
-    Prefixes that already contain a backward pair are pruned: the
-    classification quantifies over all node pairs, so no extension of
-    such a prefix can become possibly causal.
+    A path at ``v`` grows by each node ``w`` of ``step[v]`` off the path
+    whose ``back[w]`` misses it, since no extension repairs a backward
+    pair.  No path is kept.  This is the one simple-path enumerator; it
+    walks every viable path, so ``g`` may have at most ``max_nodes`` nodes.
     """
-    order = g.node_index
-    reached = set(roots)
+    _guard(g, max_nodes)
 
-    def extend(path: list[str], on_path: set[str]) -> None:
-        cur = path[-1]
-        for w in sorted(g.children(cur) | g.siblings(cur), key=order):
-            if w in on_path:
+    def extend(path: list[int], on_path: int) -> None:
+        for w in _bits(step[path[-1]] & ~on_path):
+            if back[w] & on_path:
                 continue
-            if g.children(w) & on_path:
-                continue  # would put a backward pair on the prefix
-            reached.add(w)
             path.append(w)
-            on_path.add(w)
-            extend(path, on_path)
-            on_path.discard(w)
+            if targets >> w & 1:
+                found(tuple(path))
+            extend(path, on_path | 1 << w)
             path.pop()
 
-    for root in sorted(roots, key=order):
-        extend([root], {root})
-    return frozenset(reached)
+    for s in _bits(starts):
+        extend([s], 1 << s)
 
 
 def oracle_reach(
@@ -176,9 +183,13 @@ def oracle_reach(
     viable simple path.  Agrees with the state-search implementation;
     the state search is the production route.
     """
-    _guard(g, max_nodes)
+    _guard(g, max_nodes)  # ahead of the query checks, not only in the enumerator
     roots = node_set(g, xs)
     if direction not in (DESCENDANTS, ANCESTORS):
         raise ValueError(f"unknown direction {direction!r}")
-    base = g if direction == DESCENDANTS else g.reversed()
-    return ReachSet(_enumerated_reach(base, roots), roots, direction)
+    # Ancestors are descendants along reversed edges.
+    out = g._ch if direction == DESCENDANTS else g._pa
+    step = [o | u for o, u in zip(out, g._und)]
+    ends: set[int] = set()
+    _simple_paths(g, max_nodes, g._mask(roots), step, out, ~0, lambda p: ends.add(p[-1]))
+    return ReachSet(roots | {g.nodes[v] for v in ends}, roots, direction)

@@ -4,11 +4,13 @@ Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
 adjustment set with --find, candidate cap exceeded), 2 usage or parse
 errors, including node lists that name unknown nodes, overlap (--x with
---y or --z) or are empty where a node is required, and an ``ida`` data
+--y or --z) or are empty where a node is required, an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
-outnumber the nodes.  All output is
-deterministic for fixed arguments and seeds, and graph output re-parses
-through the graph reader.
+outnumber the nodes, and ``simulate`` settings, from --config or the
+flags, that are malformed or outside the grid's ranges (the message
+names the key or flag).  All output is deterministic for fixed
+arguments and seeds, and graph output re-parses through the graph
+reader.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .causal_paths import b_possible_ancestors, b_possible_descendants
 from .ida import ida_effects, joint_ida_effects
 from .meek import construct_max_pdag, parse_background, validate_maximal_pdag
 from .pdag_core import GraphParseError, PdagGraph, parse_graph, serialize_graph
-from .sem_sim import SimConfig, rows_to_csv, run_simulation
+from .sem_sim import SimConfig, _grid_problem, rows_to_csv, run_simulation
 
 UNIVERSE_CAP_ENV = "MPDAGKIT_UNIVERSE_CAP"
 
@@ -85,29 +87,26 @@ def _check_node_lists(g: PdagGraph, lists: dict, may_be_empty: str = "") -> None
             raise UsageError(f"{flag} must name at least one node")
 
 
-def _verdict_json(g: PdagGraph, verdict: AdjustmentVerdict) -> str:
-    witness = verdict.witness
-    if isinstance(witness, tuple):
-        witness = list(witness)
+def _verdict_json(verdict: AdjustmentVerdict) -> str:
     payload = {
         "amenable": verdict.amenable,
         "forbidden_ok": verdict.forbidden_ok,
         "blocking_ok": verdict.blocking_ok,
         "overall": verdict.overall,
         "zero_effect": verdict.zero_effect,
-        "witness": witness,
+        "witness": verdict.witness,
     }
     return json.dumps(payload)
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise GraphParseError("empty data file")
-    header = [token.strip() for token in lines[0].split(",")]
+    header = [token.strip() for token in lines[0][1].split(",")]
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise GraphParseError(f"row has {len(cells)} cells, expected {len(header)}", lineno)
@@ -145,14 +144,10 @@ def _cmd_orient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reach(args: argparse.Namespace, direction: str) -> int:
+def _cmd_reach(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    query = _split_nodes(args.x)
-    if direction == "descendants":
-        reach = b_possible_descendants(g, query)
-    else:
-        reach = b_possible_ancestors(g, query)
-    print(_format_set(g, reach.nodes))
+    reach = b_possible_descendants if args.command == "possde" else b_possible_ancestors
+    print(_format_set(g, reach(g, _split_nodes(args.x)).nodes))
     return 0
 
 
@@ -167,7 +162,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     _check_node_lists(g, {"--x": xs, "--y": ys, "--z": zs}, may_be_empty="--z")
     if args.z is not None:
         verdict = satisfies_b_adjustment(g, xs, ys, zs)
-        print(_verdict_json(g, verdict))
+        print(_verdict_json(verdict))
         return 0
     if args.find:
         result = adjust_set(g, xs, ys)
@@ -214,30 +209,61 @@ def _cmd_ida(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+# SimConfig field, its flag, the type of its values, and whether it is a
+# tuple (a list in --config, a comma list as a flag).
+_SIM_SETTINGS = (
+    ("node_counts", "--p", int, True),
+    ("neighborhood_sizes", "--en", float, True),
+    ("graphs_per_setting", "--graphs", int, False),
+    ("sample_size", "--n", int, False),
+    ("fractions", "--fractions", float, True),
+    ("seed", "--seed", int, False),
+)
+
+
+def _sim_config(args: argparse.Namespace) -> SimConfig:
+    """The study grid from --config or from the flags; a malformed or
+    invalid setting is a usage error naming its key or flag."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = SimConfig(
-            node_counts=tuple(raw["node_counts"]),
-            neighborhood_sizes=tuple(raw["neighborhood_sizes"]),
-            graphs_per_setting=raw["graphs_per_setting"],
-            sample_size=raw["sample_size"],
-            fractions=tuple(raw["fractions"]),
-            seed=raw["seed"],
-        )
-    else:
-        if args.seed is None:
-            raise GraphParseError("simulate requires --seed (or a --config with one)")
-        cfg = SimConfig(
-            node_counts=tuple(int(v) for v in _split_nodes(args.p)),
-            neighborhood_sizes=tuple(float(v) for v in _split_nodes(args.en)),
-            graphs_per_setting=args.graphs,
-            sample_size=args.n,
-            fractions=tuple(float(v) for v in _split_nodes(args.fractions)),
-            seed=args.seed,
-        )
-    rows = run_simulation(cfg)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"--config is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise UsageError("--config must hold a JSON object")
+    elif args.seed is None:
+        raise GraphParseError("simulate requires --seed (or a --config with one)")
+    values, names = {}, {}
+    for field, flag, kind, many in _SIM_SETTINGS:
+        if args.config:
+            name = names[field] = f"--config key {field!r}"
+            if field not in raw:
+                raise UsageError(f"{name} is missing")
+            value = raw[field]
+            if many and not isinstance(value, list):
+                raise UsageError(f"{name} must be a list")
+        else:
+            name = names[field] = flag
+            value = getattr(args, flag[2:])
+            if many:
+                value = _split_nodes(value)
+        items = []
+        for text in map(str, value if many else [value]):
+            try:
+                items.append(kind(text))
+            except ValueError:
+                raise UsageError(f"{name}: invalid {kind.__name__} value {text!r}") from None
+        values[field] = tuple(items) if many else items[0]
+    problem = _grid_problem(argparse.Namespace(**values))
+    if problem is not None:
+        field, reason = problem
+        raise UsageError(f"{names[field]}: {reason}")
+    return SimConfig(**values)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    rows = run_simulation(_sim_config(args))
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -248,6 +274,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each subcommand's handler is its ``run``
+    default."""
     parser = argparse.ArgumentParser(
         prog="mpdagkit",
         description="Causal reasoning on maximally oriented partially directed acyclic graphs.",
@@ -256,10 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="report acyclic/closed/extendable")
     p_validate.add_argument("graph")
+    p_validate.set_defaults(run=_cmd_validate)
 
     p_orient = sub.add_parser("orient", help="merge required orientations")
     p_orient.add_argument("graph")
     p_orient.add_argument("--bg", required=True, help="knowledge file or inline 'A -> B' text")
+    p_orient.set_defaults(run=_cmd_orient)
 
     for name, helptext in (
         ("possde", "possible descendants of --x"),
@@ -268,6 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_reach = sub.add_parser(name, help=helptext)
         p_reach.add_argument("graph")
         p_reach.add_argument("--x", required=True, help="comma-separated query nodes")
+        p_reach.set_defaults(run=_cmd_reach)
 
     p_adjust = sub.add_parser("adjust", help="adjustment-set queries")
     p_adjust.add_argument("graph")
@@ -277,12 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_adjust.add_argument("--find", action="store_true", help="print the canonical set")
     p_adjust.add_argument("--list", action="store_true", help="list all valid sets")
     p_adjust.add_argument("--minimal", action="store_true", help="with --list: only minimal sets")
+    p_adjust.set_defaults(run=_cmd_adjust)
 
     p_ida = sub.add_parser("ida", help="possible total effects from data")
     p_ida.add_argument("graph")
     p_ida.add_argument("--x", required=True, help="one node, or a comma list for joint effects")
     p_ida.add_argument("--y", required=True)
     p_ida.add_argument("--data", required=True, help="CSV with a header of node names")
+    p_ida.set_defaults(run=_cmd_ida)
 
     p_sim = sub.add_parser("simulate", help="run the background-knowledge study")
     p_sim.add_argument("--config", help="JSON config file")
@@ -295,45 +328,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", help="CSV output path (default stdout)")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "orient":
-            return _cmd_orient(args)
-        if args.command == "possde":
-            return _cmd_reach(args, "descendants")
-        if args.command == "possan":
-            return _cmd_reach(args, "ancestors")
-        if args.command == "adjust":
-            return _cmd_adjust(args)
-        if args.command == "ida":
-            return _cmd_ida(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except DomainFailure as exc:
         print(f"error: {exc}")
         return 1
-    except (GraphParseError, UsageError) as exc:
+    except (GraphParseError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -51,10 +51,9 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     Repeatedly peels a node with no outgoing directed edge whose
     undirected neighbours are adjacent to all of its other neighbours,
     orienting the undirected edges into it.  Ties break on the lowest
-    node index, so the result is deterministic.
+    node index, so the result is deterministic.  A cyclic ``g`` gives
+    None: a node on a directed cycle always keeps a child left.
     """
-    if has_directed_cycle(g):
-        return None
     work = _Work(g)
     und, ch = work.und, work.ch
     adjacent = [work.adjacent(u) for u in range(len(und))]

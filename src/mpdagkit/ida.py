@@ -164,11 +164,11 @@ def _columns_index(
     return {name: i for i, name in enumerate(names)}
 
 
-def _regression_coefficient(
+def _least_squares(
     data: np.ndarray, col: dict[str, int], target: str, regressors: list[str]
-) -> float:
-    """Least-squares coefficient of the first regressor, NaN when the
-    design matrix is rank deficient."""
+) -> np.ndarray:
+    """Least-squares coefficients of ``regressors`` (after an intercept)
+    for ``target``; all NaN when the design matrix is rank deficient."""
     n = data.shape[0]
     design = np.column_stack(
         [np.ones(n)] + [data[:, col[name]] for name in regressors]
@@ -176,8 +176,8 @@ def _regression_coefficient(
     response = data[:, col[target]]
     solution, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
     if rank < design.shape[1]:
-        return float("nan")
-    return float(solution[1])
+        return np.full(len(regressors), np.nan)
+    return solution[1:]
 
 
 def ida_effects(
@@ -207,7 +207,7 @@ def ida_effects(
             values.append(0.0)
             continue
         regressors = [x] + sorted(parents, key=g.node_index)
-        values.append(_regression_coefficient(data, col, y, regressors))
+        values.append(float(_least_squares(data, col, y, regressors)[0]))
     return EffectMultiset(family, tuple(values))
 
 
@@ -217,18 +217,12 @@ def _fit_coefficient_matrix(
     """Node-wise least squares on DAG parents; B[i, j] is the fitted
     direct effect of node i on node j (node order of the graph)."""
     names = dag.nodes
-    n = data.shape[0]
     B = np.zeros((len(names), len(names)))
     for v, mask in enumerate(dag._pa):
         parents = list(_bits(mask))
         if not parents:
             continue
-        design = np.column_stack(
-            [np.ones(n)] + [data[:, col[names[u]]] for u in parents]
-        )
-        response = np.asarray(data[:, col[names[v]]], dtype=float)
-        solution, _, rank, _ = np.linalg.lstsq(design, response, rcond=None)
-        B[parents, v] = float("nan") if rank < design.shape[1] else solution[1:]
+        B[parents, v] = _least_squares(data, col, names[v], [names[u] for u in parents])
     return B
 
 

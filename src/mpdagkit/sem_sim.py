@@ -26,9 +26,12 @@ import numpy as np
 from .adjustment import adjust_set, is_amenable
 from .ida import ida_effects
 from .meek import construct_max_pdag, cpdag_of
-from .pdag_core import GraphParseError, PdagGraph, _edge_statements
+from .pdag_core import GraphParseError, PdagGraph, _bits, _closure, _edge_statements
 
 CSV_HEADER = "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_unique,ms"
+
+_FEW_NODES = "need at least two nodes"
+_BAD_EN = "expected neighbourhood size must be in (0, p-1]"
 
 
 @dataclass
@@ -85,9 +88,9 @@ def random_dag(p: int, en: float, rng: np.random.Generator) -> SemModel:
     noise is standard normal.
     """
     if p < 2:
-        raise ValueError("need at least two nodes")
+        raise ValueError(_FEW_NODES)
     if not 0 < en <= p - 1:
-        raise ValueError("expected neighbourhood size must be in (0, p-1]")
+        raise ValueError(_BAD_EN)
     names = [f"V{i}" for i in range(1, p + 1)]
     prob = en / (p - 1)
     directed = []
@@ -177,45 +180,24 @@ def add_background_fraction(
     return outcome.graph
 
 
-def _skeleton_components(g: PdagGraph) -> dict[str, frozenset[str]]:
-    comp: dict[str, frozenset[str]] = {}
-    unseen = set(g.nodes)
-    while unseen:
-        root = min(unseen, key=g.node_index)
-        members = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacent(v):
-                if w not in members:
-                    members.add(w)
-                    stack.append(w)
-        frozen = frozenset(members)
-        for v in members:
-            comp[v] = frozen
-        unseen -= members
-    return comp
-
-
 def choose_xy(true_dag: PdagGraph, rng: np.random.Generator) -> tuple[str, str]:
     """Draw a treatment uniformly, then an outcome uniformly among nodes
     in its skeleton component that are not its parents; redraw the
     treatment when no outcome qualifies."""
-    comp = _skeleton_components(true_dag)
+    adjacency = _adjacency(true_dag)
     nodes = true_dag.nodes
 
-    def candidates(x: str) -> list[str]:
-        banned = true_dag.parents(x) | {x}
-        return sorted(comp[x] - banned, key=true_dag.node_index)
+    def candidates(v: int) -> list[str]:
+        banned = true_dag._pa[v] | 1 << v
+        return [nodes[w] for w in _bits(_closure(adjacency, 1 << v) & ~banned)]
 
-    if not any(candidates(v) for v in nodes):
+    if not any(candidates(v) for v in range(len(nodes))):
         raise ValueError("no valid treatment/outcome pair exists in this graph")
     while True:
-        x = nodes[int(rng.integers(len(nodes)))]
-        pool = candidates(x)
+        v = int(rng.integers(len(nodes)))
+        pool = candidates(v)
         if pool:
-            y = pool[int(rng.integers(len(pool)))]
-            return x, y
+            return nodes[v], pool[int(rng.integers(len(pool)))]
 
 
 @dataclass(frozen=True)
@@ -230,14 +212,33 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if list(self.fractions) != sorted(self.fractions):
-            raise ValueError("fractions must be sorted")
-        if any(not 0 <= f <= 1 for f in self.fractions):
-            raise ValueError("fractions must lie in [0, 1]")
-        if self.sample_size <= max(self.node_counts):
-            raise ValueError("sample size must exceed the largest node count")
-        if self.graphs_per_setting < 1:
-            raise ValueError("need at least one graph per setting")
+        problem = _grid_problem(self)
+        if problem is not None:
+            raise ValueError(problem[1])
+
+
+def _grid_problem(cfg) -> Optional[tuple[str, str]]:
+    """The first invalid setting of a study grid as (field, reason), or
+    None.  ``cfg`` is a :class:`SimConfig` or any object with its fields;
+    every (p, en) of the grid must pass :func:`random_dag`'s checks."""
+    node_counts, sizes, fractions = cfg.node_counts, cfg.neighborhood_sizes, cfg.fractions
+    if list(fractions) != sorted(fractions):
+        return "fractions", "fractions must be sorted"
+    if any(not 0 <= f <= 1 for f in fractions):
+        return "fractions", "fractions must lie in [0, 1]"
+    if not node_counts:
+        return "node_counts", "need at least one node count"
+    if not sizes:
+        return "neighborhood_sizes", "need at least one neighbourhood size"
+    if cfg.sample_size <= max(node_counts):
+        return "sample_size", "sample size must exceed the largest node count"
+    if cfg.graphs_per_setting < 1:
+        return "graphs_per_setting", "need at least one graph per setting"
+    if min(node_counts) < 2:
+        return "node_counts", _FEW_NODES
+    if any(not 0 < en <= p - 1 for p, en in product(node_counts, sizes)):
+        return "neighborhood_sizes", _BAD_EN
+    return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mpdagkit import adjustment
+from mpdagkit import adjustment, causal_paths
 from mpdagkit.adjustment import (
     adjust_set,
     b_blocking_by_enumeration,
@@ -379,15 +379,21 @@ class TestReachabilityRoutes:
 class TestOnePassPerQuery:
     @pytest.fixture()
     def enumerations(self, monkeypatch):
+        """Calls of the one simple-path enumerator, in both modules that bind it."""
         calls = []
-        real = adjustment._proper_possibly_causal_paths
+        real = causal_paths._simple_paths
 
         def counting(*args):
             calls.append(args)
-            return real(*args)
+            real(*args)
 
-        monkeypatch.setattr(adjustment, "_proper_possibly_causal_paths", counting)
+        for module in (causal_paths, adjustment):
+            monkeypatch.setattr(module, "_simple_paths", counting)
         return calls
+
+    def test_fixture_counts_the_forbidden_set_enumeration(self, fig3_g1, enumerations):
+        forbidden_set(fig3_g1, "X", "Y")
+        assert len(enumerations) == 1
 
     @pytest.mark.parametrize(
         "query",

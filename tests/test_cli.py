@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mpdagkit import cli
 from mpdagkit.pdag_core import parse_graph
 from mpdagkit.sem_sim import SemModel, sample_data
 
@@ -329,8 +330,15 @@ class TestIdaCli:
             ("X,X\n1,2\n3,4\n5,6\n", "data columns do not match the graph's nodes"),
             ("X,Y\n", "need more samples than variables"),
             ("X,Y\n1,2\n", "need more samples than variables"),
+            ("X,Y\n1,2\n\n1,x\n3,4\n5,6\n", "line 4: non-numeric cell"),
         ],
-        ids=["other_column", "repeated_column", "header_only", "one_row"],
+        ids=[
+            "other_column",
+            "repeated_column",
+            "header_only",
+            "one_row",
+            "blank_line_before_bad_row",
+        ],
     )
     def test_malformed_data_is_usage_error(self, tmp_path, text, message):
         graph_path = tmp_path / "edge.g"
@@ -361,6 +369,14 @@ class TestSimulateCli:
         "--seed",
         "3",
     )
+    CONFIG = {
+        "node_counts": [5],
+        "neighborhood_sizes": [2],
+        "graphs_per_setting": 2,
+        "sample_size": 40,
+        "fractions": [0, 1],
+        "seed": 9,
+    }
 
     @staticmethod
     def strip_ms(text):
@@ -388,18 +404,59 @@ class TestSimulateCli:
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "node_counts": [5],
-                    "neighborhood_sizes": [2],
-                    "graphs_per_setting": 2,
-                    "sample_size": 40,
-                    "fractions": [0, 1],
-                    "seed": 9,
-                }
-            )
-        )
+        cfg.write_text(json.dumps(self.CONFIG))
         result = run_cli("simulate", "--config", str(cfg))
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 1 + 2 * 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "abc"], "--p: invalid int value 'abc'"),
+            (["--p", ""], "--p: need at least one node count"),
+            (["--p", "1"], "--p: need at least two nodes"),
+            (["--en", "9"], "--en: expected neighbourhood size must be in (0, p-1]"),
+            (["--graphs", "0"], "--graphs: need at least one graph per setting"),
+            (["--fractions", "0.5,0.2"], "--fractions: fractions must be sorted"),
+        ],
+        ids=[
+            "p_not_int",
+            "p_empty",
+            "p_one",
+            "en_above_p_minus_1",
+            "no_graphs",
+            "fractions_unsorted",
+        ],
+    )
+    def test_invalid_flags_are_usage_errors(self, capsys, flags, message):
+        argv = ["simulate", "--p", "5", "--en", "2", "--graphs", "1", "--n", "40", "--seed", "1"]
+        assert cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "{bad",
+                "--config is not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            (
+                json.dumps({**CONFIG, "node_counts": 5}),
+                "--config key 'node_counts' must be a list",
+            ),
+            (
+                json.dumps({k: v for k, v in CONFIG.items() if k != "seed"}),
+                "--config key 'seed' is missing",
+            ),
+        ],
+        ids=["malformed_json", "node_counts_not_a_list", "missing_key"],
+    )
+    def test_invalid_config_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+

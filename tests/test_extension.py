@@ -73,6 +73,18 @@ class TestConsistentExtension:
     def test_four_cycle_has_none(self):
         assert consistent_extension(FOUR_CYCLE) is None
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A -> B\nB -> C\nC -> A",
+            "A -> B\nB -> C\nC -> A\nC -- D\nD -- E",
+        ],
+        ids=["cycle", "cycle_with_undirected_edges"],
+    )
+    def test_directed_cycle_has_none(self, text):
+        # In the second graph E and D are peeled before the cycle is left.
+        assert consistent_extension(parse_graph(text)) is None
+
     def test_deterministic(self, fig1_cpdag):
         assert consistent_extension(fig1_cpdag) == consistent_extension(fig1_cpdag)
 
