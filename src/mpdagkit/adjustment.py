@@ -7,7 +7,10 @@ and every proper non-causal definite-status path must be blocked.  All
 three are decided by reachability: a shortest-walk search per treatment,
 two possible-descent walks, and d-separation in a single DAG extension,
 where removing the first edge of every proper causal path makes the
-test sound and complete.  Only public entry points validate inputs.
+test sound and complete.  Every public entry point checks its query in
+one place, :func:`_query`, which validates the node names in argument
+order, rejects overlapping sets and returns node masks; everything
+behind it works on masks and re-checks nothing.
 ``max_nodes`` is accepted everywhere but bounds only the simple-path
 enumerations left: :func:`forbidden_set`, whose ``on_path`` field needs
 them, and the reference :func:`b_blocking_by_enumeration`.
@@ -23,7 +26,6 @@ from .causal_paths import (
     DEFAULT_ENUMERATION_GUARD,
     _forward_reach,
     _simple_paths,
-    b_possible_descendants,
     classify_path,
     node_set,
 )
@@ -84,22 +86,29 @@ class AdjustmentVerdict:
     witness: "tuple[str, ...] | str | None" = None
 
 
-def _disjoint(name_a: str, a: frozenset, name_b: str, b: frozenset) -> None:
-    overlap = a & b
-    if overlap:
-        raise ValueError(f"{name_a} and {name_b} overlap: {sorted(overlap)}")
+def _query(
+    g: PdagGraph,
+    xs: "str | Iterable[str]",
+    ys: "str | Iterable[str]",
+    zs: "str | Iterable[str]" = (),
+) -> tuple[int, int, int]:
+    """The node masks of a query's sets, after the one boundary check:
+    every name is known (the first unknown one, in argument order, is
+    the KeyError) and the sets are pairwise disjoint (ValueError)."""
+    x, y, z = (g._mask(node_set(g, names)) for names in (xs, ys, zs))
+    for name_a, a, name_b, b in (("xs", x, "ys", y), ("xs", x, "zs", z), ("ys", y, "zs", z)):
+        if a & b:
+            raise ValueError(f"{name_a} and {name_b} overlap: {sorted(g._names(a & b))}")
+    return x, y, z
 
 
-def _nonempty(xs: frozenset, ys: frozenset) -> None:
+def _nonempty(xs: int, ys: int) -> None:
     if not xs or not ys:
         raise ValueError("treatment and outcome sets must be non-empty")
 
 
 def _proper_possibly_causal_paths(
-    g: PdagGraph,
-    xs: frozenset[str],
-    ys: frozenset[str],
-    max_nodes: int,
+    g: PdagGraph, x_mask: int, y_mask: int, max_nodes: int
 ) -> list[tuple[int, ...]]:
     """All proper b-possibly-causal simple paths from ``xs`` to ``ys``, as
     node-index tuples.
@@ -109,7 +118,6 @@ def _proper_possibly_causal_paths(
     reachable along forward or undirected edges avoiding ``xs``.
     """
     ch, und = g._ch, g._und
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
 
     # Static viability prune: reverse reachability to ys over usable edges.
     viable = _closure([(p | u) & ~x_mask for p, u in zip(g._pa, und)], y_mask)
@@ -156,7 +164,7 @@ def _least_shortest_path(
     return None
 
 
-def _amenability(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> ConditionCheck:
+def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     """Amenability, with the witness least by (length, node names).
 
     A witness is a proper possibly-causal path ``x - s ... y`` that
@@ -177,7 +185,6 @@ def _amenability(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> Condit
     That the least walk is the least witness is swept in the tests.
     """
     pa, ch, und = g._pa, g._ch, g._und
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
     names = g.nodes
     witnesses = []
     for x in _bits(x_mask):
@@ -194,7 +201,7 @@ def _amenability(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> Condit
     return ConditionCheck(witness is None, witness)
 
 
-def _forbidden_nodes(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> int:
+def _forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
     """Mask of the forbidden nodes of an amenable query: the b-possible
     descendants of the starts, which are the children of each ``x`` that
     are b-possible ancestors of ``ys`` in ``g`` without ``xs | pa(x)``.
@@ -210,7 +217,6 @@ def _forbidden_nodes(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> in
     enumeration.  On other queries it can miss forbidden nodes.
     """
     pa, ch = g._pa, g._ch
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
     starts = 0
     for x in _bits(x_mask):
         starts |= ch[x] & _forward_reach(g, y_mask, pa, x_mask | pa[x])
@@ -230,13 +236,13 @@ def forbidden_set(
     descent.  The paths are enumerated, so the graph may have at most
     ``max_nodes`` nodes.
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    _nonempty(xs, ys)
-    _disjoint("xs", xs, "ys", ys)
-    paths = _proper_possibly_causal_paths(g, xs, ys, max_nodes)
-    on_path = frozenset(g.nodes[v] for path in paths for v in path[1:])
-    return ForbiddenSet(b_possible_descendants(g, on_path).nodes, on_path)
+    x_mask, y_mask, _ = _query(g, xs, ys)
+    _nonempty(x_mask, y_mask)
+    on_path = 0
+    for path in _proper_possibly_causal_paths(g, x_mask, y_mask, max_nodes):
+        for v in path[1:]:
+            on_path |= 1 << v
+    return ForbiddenSet(g._names(_forward_reach(g, on_path, g._ch)), g._names(on_path))
 
 
 def is_amenable(
@@ -247,10 +253,8 @@ def is_amenable(
 ) -> ConditionCheck:
     """Check that every proper possibly-causal path leaves ``xs`` with a
     directed edge; a shortest offending path is the witness otherwise."""
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    _disjoint("xs", xs, "ys", ys)
-    return _amenability(g, xs, ys)
+    x_mask, y_mask, _ = _query(g, xs, ys)
+    return _amenability(g, x_mask, y_mask)
 
 
 # -- d-separation in DAGs ----------------------------------------------
@@ -271,13 +275,7 @@ def d_separated(
     """
     if not d.is_dag():
         raise ValueError("d-separation needs a fully directed acyclic graph")
-    xs = node_set(d, xs)
-    ys = node_set(d, ys)
-    zs = node_set(d, zs)
-    _disjoint("xs", xs, "ys", ys)
-    _disjoint("xs", xs, "zs", zs)
-    _disjoint("ys", ys, "zs", zs)
-    return _d_separated(d, d._mask(xs), d._mask(ys), d._mask(zs))
+    return _d_separated(d, *_query(d, xs, ys, zs))
 
 
 def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
@@ -335,14 +333,11 @@ def _connecting_path(
     return None if walk is None else tuple(d.nodes[v] for v in walk)
 
 
-def proper_backdoor_graph(
-    d: PdagGraph, xs: frozenset[str], ys: frozenset[str]
-) -> PdagGraph:
+def proper_backdoor_graph(d: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
     """Copy of DAG ``d`` without the first edge of any proper causal path
-    from ``xs`` to ``ys``."""
-    x_mask = d._mask(xs)
+    from the nodes of ``x_mask`` to those of ``y_mask``."""
     # Nodes with a directed path avoiding xs into ys, plus ys.
-    onward = _closure([m & ~x_mask for m in d._pa], d._mask(ys))
+    onward = _closure([m & ~x_mask for m in d._pa], y_mask)
     pa = [m & ~x_mask if onward >> v & 1 else m for v, m in enumerate(d._pa)]
     ch = [m & ~onward if x_mask >> v & 1 else m for v, m in enumerate(d._ch)]
     return PdagGraph._from_masks(d.nodes, d._index, pa, ch, (0,) * len(d))
@@ -361,36 +356,28 @@ def check_b_blocking(
     make the delegation valid); violation is a ValueError.  The witness
     on failure is a d-connecting path certified in the extension DAG.
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    zs = node_set(g, zs)
-    _disjoint("zs", zs, "xs", xs)
-    _disjoint("zs", zs, "ys", ys)
-    _disjoint("xs", xs, "ys", ys)
-    if not _amenability(g, xs, ys).ok:
+    x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
+    if not _amenability(g, x_mask, y_mask).ok:
         raise ValueError("blocking check requires amenability to hold")
-    _nonempty(xs, ys)
-    if g._mask(zs) & _forbidden_nodes(g, xs, ys):
+    _nonempty(x_mask, y_mask)
+    if z_mask & _forbidden_nodes(g, x_mask, y_mask):
         raise ValueError("blocking check requires zs to avoid the forbidden set")
-    return _blocking_fast(g, xs, ys, zs)
+    return _blocking_fast(g, x_mask, y_mask, z_mask)
 
 
-def _backdoor_dag(g: PdagGraph, xs: frozenset[str], ys: frozenset[str]) -> PdagGraph:
+def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
     """The proper back-door graph of one DAG extension of ``g``."""
     dag = consistent_extension(g)
     if dag is None:
         raise ValueError("graph has no consistent DAG extension")
-    return proper_backdoor_graph(dag, xs, ys)
+    return proper_backdoor_graph(dag, x_mask, y_mask)
 
 
-def _blocking_fast(
-    g: PdagGraph, xs: frozenset[str], ys: frozenset[str], zs: frozenset[str]
-) -> ConditionCheck:
-    pruned = _backdoor_dag(g, xs, ys)
-    masks = g._mask(xs), g._mask(ys), g._mask(zs)
-    if _d_separated(pruned, *masks):
+def _blocking_fast(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> ConditionCheck:
+    pruned = _backdoor_dag(g, x_mask, y_mask)
+    if _d_separated(pruned, x_mask, y_mask, z_mask):
         return ConditionCheck(True)
-    return ConditionCheck(False, _connecting_path(pruned, *masks))
+    return ConditionCheck(False, _connecting_path(pruned, x_mask, y_mask, z_mask))
 
 
 def b_blocking_by_enumeration(
@@ -406,10 +393,8 @@ def b_blocking_by_enumeration(
     Walks all proper simple paths, so it is guarded and only meant for
     small graphs and cross-checks of the fast route.
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    zs = node_set(g, zs)
-    x_mask = g._mask(xs)
+    x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
+    zs = g._names(z_mask)
     step = [(p | c | u) & ~x_mask for p, c, u in zip(g._pa, g._ch, g._und)]
     violations: list[tuple[str, ...]] = []
 
@@ -436,7 +421,7 @@ def b_blocking_by_enumeration(
         if not classify_path(g, named).is_b_possibly_causal and d_connecting(named):
             violations.append(named)
 
-    _simple_paths(g, max_nodes, x_mask, step, (0,) * len(g), g._mask(ys), check)
+    _simple_paths(g, max_nodes, x_mask, step, (0,) * len(g), y_mask, check)
     return ConditionCheck(not violations, _first_witness(violations))
 
 
@@ -453,16 +438,11 @@ def satisfies_b_adjustment(
     rest; the verdict also carries the zero-effect flag (outcomes outside
     the possible descendants of the treatments).
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    zs = node_set(g, zs)
-    _disjoint("xs", xs, "ys", ys)
-    _disjoint("zs", zs, "xs", xs)
-    _disjoint("zs", zs, "ys", ys)
-    _nonempty(xs, ys)
+    x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
+    _nonempty(x_mask, y_mask)
 
-    zero_effect = not (ys & b_possible_descendants(g, xs).nodes)
-    amenable = _amenability(g, xs, ys)
+    zero_effect = not y_mask & _forward_reach(g, x_mask, g._ch)
+    amenable = _amenability(g, x_mask, y_mask)
     if not amenable.ok:
         return AdjustmentVerdict(
             amenable=False,
@@ -473,7 +453,7 @@ def satisfies_b_adjustment(
             witness=amenable.witness,
         )
 
-    blocked_nodes = g._mask(zs) & _forbidden_nodes(g, xs, ys)
+    blocked_nodes = z_mask & _forbidden_nodes(g, x_mask, y_mask)
     if blocked_nodes:
         return AdjustmentVerdict(
             amenable=True,
@@ -484,7 +464,7 @@ def satisfies_b_adjustment(
             witness=g.nodes[next(_bits(blocked_nodes))],
         )
 
-    blocking = _blocking_fast(g, xs, ys, zs)
+    blocking = _blocking_fast(g, x_mask, y_mask, z_mask)
     return AdjustmentVerdict(
         amenable=True,
         forbidden_ok=True,
@@ -507,16 +487,13 @@ def adjust_set(
     set, and keeps it only when it passes the criterion; by construction
     no other set can pass when this one fails.
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    _nonempty(xs, ys)
-    _disjoint("xs", xs, "ys", ys)
-    if not _amenability(g, xs, ys).ok:
+    x_mask, y_mask, _ = _query(g, xs, ys)
+    _nonempty(x_mask, y_mask)
+    if not _amenability(g, x_mask, y_mask).ok:
         return None
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
-    taken = x_mask | y_mask | _forbidden_nodes(g, xs, ys)
+    taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
     candidate = _forward_reach(g, x_mask | y_mask, g._pa) & ~taken
-    if _d_separated(_backdoor_dag(g, xs, ys), x_mask, y_mask, candidate):
+    if _d_separated(_backdoor_dag(g, x_mask, y_mask), x_mask, y_mask, candidate):
         return g._names(candidate)
     return None
 
@@ -537,21 +514,18 @@ def list_adjustment_sets(
     universe is capped (override with ``universe_cap`` or the
     MPDAGKIT_UNIVERSE_CAP environment variable via the CLI).
     """
-    xs = node_set(g, xs)
-    ys = node_set(g, ys)
-    _disjoint("xs", xs, "ys", ys)
-    if not _amenability(g, xs, ys).ok:
+    x_mask, y_mask, _ = _query(g, xs, ys)
+    if not _amenability(g, x_mask, y_mask).ok:
         return []
-    _nonempty(xs, ys)
-    x_mask, y_mask = g._mask(xs), g._mask(ys)
-    taken = x_mask | y_mask | _forbidden_nodes(g, xs, ys)
+    _nonempty(x_mask, y_mask)
+    taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     if len(universe) > universe_cap:
         raise ValueError(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
-    pruned = _backdoor_dag(g, xs, ys)
+    pruned = _backdoor_dag(g, x_mask, y_mask)
     top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
     for size in range(top + 1):

@@ -28,12 +28,12 @@ DEFAULT_ENUMERATION_GUARD = 12
 
 
 def node_set(g: PdagGraph, names: "str | Iterable[str]") -> frozenset[str]:
-    """Coerce a name or iterable of names into a validated node set."""
-    if isinstance(names, str):
-        names = (names,)
-    result = frozenset(names)
-    g.check_nodes(result)
-    return result
+    """Coerce a name or iterable of names into a validated node set; the
+    names are checked in the caller's order, so the first unknown one is
+    the one reported."""
+    names = (names,) if isinstance(names, str) else tuple(names)
+    g.check_nodes(names)
+    return frozenset(names)
 
 
 @dataclass(frozen=True)

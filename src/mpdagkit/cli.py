@@ -7,10 +7,10 @@ errors, including node lists that name unknown nodes, overlap (--x with
 --y or --z) or are empty where a node is required, an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
 outnumber the nodes, and ``simulate`` settings, from --config or the
-flags, that are malformed or outside the grid's ranges (the message
-names the key or flag).  All output is deterministic for fixed
-arguments and seeds, and graph output re-parses through the graph
-reader.
+flags, that are malformed or outside the grid's ranges, or a grid flag
+given together with --config (the message names the key or flag).
+All output is deterministic for fixed arguments and seeds, and graph
+output re-parses through the graph reader.
 """
 
 from __future__ import annotations
@@ -222,9 +222,13 @@ _SIM_SETTINGS = (
 
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
-    """The study grid from --config or from the flags; a malformed or
-    invalid setting is a usage error naming its key or flag."""
+    """The study grid from --config or from the flags, whose defaults are
+    SimConfig's; a malformed or invalid setting, or a grid flag given
+    with --config, is a usage error naming its key or flag."""
     if args.config:
+        for _, flag, _, _ in _SIM_SETTINGS:
+            if getattr(args, flag[2:]) is not None:
+                raise UsageError(f"{flag} cannot be combined with --config")
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -246,6 +250,9 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         else:
             name = names[field] = flag
             value = getattr(args, flag[2:])
+            if value is None:
+                values[field] = getattr(SimConfig, field)
+                continue
             if many:
                 value = _split_nodes(value)
         items = []
@@ -319,14 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the background-knowledge study")
     p_sim.add_argument("--config", help="JSON config file")
-    p_sim.add_argument("--p", default="10,20", help="comma list of node counts")
-    p_sim.add_argument("--en", default="3,5", help="comma list of neighbourhood sizes")
-    p_sim.add_argument("--graphs", type=int, default=200)
-    p_sim.add_argument("--n", type=int, default=200)
-    p_sim.add_argument(
-        "--fractions", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
-    )
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--p", help="comma list of node counts")
+    p_sim.add_argument("--en", help="comma list of neighbourhood sizes")
+    p_sim.add_argument("--graphs", type=int)
+    p_sim.add_argument("--n", type=int)
+    p_sim.add_argument("--fractions")
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="CSV output path (default stdout)")
     p_sim.set_defaults(run=_cmd_simulate)
 

@@ -5,6 +5,8 @@ unshielded colliders that keeps every directed edge (the sink-peeling
 algorithm), ``enumerate_dags`` lists the whole class by backtracking
 over undirected edges with rule closure after every choice, and
 ``represents`` is the membership predicate both are measured against.
+The enumeration checks its input once and then trusts the closure: by
+Meek (1995) every branch of a closed, extendable graph is consistent.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import OrientationConflictError, _close, _Work
+from .meek import _close, _Work, close_orientations
 from .pdag_core import PdagGraph, _bits, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
@@ -79,12 +81,17 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     """All DAGs represented by ``g``, each exactly once.
 
-    Backtracks depth-first over the first undirected edge in canonical
-    pair order, orienting it both ways and re-closing the rules before
-    going deeper; branches whose closure would create a cycle are dead.
-    Fully oriented leaves are kept only when they pass
-    :func:`represents`.  The backtracking keeps an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
+    A graph with no consistent extension gives an empty list.  Otherwise
+    the rules are closed once, then the search backtracks depth-first
+    over the first undirected edge in canonical pair order, orienting it
+    both ways and re-closing the rules before going deeper.  Meek (1995,
+    "Causal inference and causal explanation with background knowledge")
+    shows that either orientation of an undirected edge of a closed,
+    extendable graph, re-closed, is again closed and extendable with no
+    new unshielded collider, so every leaf is represented by ``g`` and
+    none is re-checked; were that wrong, the closure's
+    ``OrientationConflictError`` would propagate, not a wrong list.  The
+    explicit stack keeps the depth clear of Python's recursion limit.
 
     Args:
         g: graph with an acyclic directed part.
@@ -95,6 +102,8 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
         raise ValueError("limit must be positive")
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
+    if consistent_extension(g) is None:
+        return DagList(())
 
     found: list[PdagGraph] = []
     truncated = False
@@ -110,25 +119,20 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
                         return u, v
         return None
 
-    stack = [_Work(g)]
+    stack = [_Work(close_orientations(g))]
     while stack:
         work = stack.pop()
         edge = first_undirected(work)
         if edge is None:
-            candidate = work.freeze()
-            if represents(g, candidate):
-                if len(found) >= limit:
-                    truncated = True
-                    break
-                found.append(candidate)
+            if len(found) >= limit:
+                truncated = True
+                break
+            found.append(work.freeze())
             continue
         a, b = edge
         for tail, head in ((b, a), (a, b)):  # (a, b) is popped, so explored, first
             branch = work.copy()
-            try:
-                branch.orient(tail, head)
-                _close(branch, [(tail, head)])
-            except OrientationConflictError:
-                continue
+            branch.orient(tail, head)
+            _close(branch, [(tail, head)])
             stack.append(branch)
     return DagList(tuple(found), truncated)

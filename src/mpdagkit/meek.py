@@ -27,6 +27,7 @@ from .pdag_core import (
     GraphParseError,
     PdagGraph,
     _bits,
+    _closure,
     has_directed_cycle,
     parse_statements,
 )
@@ -136,21 +137,6 @@ class _Work:
         dup.ch = self.ch[:]
         return dup
 
-    def reaches(self, src: int, dst: int) -> bool:
-        """Directed reachability src -> ... -> dst over at least one edge."""
-        ch = self.ch
-        target = 1 << dst
-        seen = frontier = ch[src]
-        while frontier:
-            if seen & target:
-                return True
-            grown = 0
-            for u in _bits(frontier):
-                grown |= ch[u]
-            frontier = grown & ~seen
-            seen |= frontier
-        return False
-
     def orient(self, u: int, v: int) -> None:
         """Turn u - v into u -> v."""
         names = self.nodes
@@ -158,7 +144,7 @@ class _Work:
             raise OrientationConflictError(
                 f"cannot orient {names[u]} -> {names[v]}: edge is not undirected"
             )
-        if self.reaches(v, u):
+        if _closure(self.ch, self.ch[v]) >> u & 1:
             raise OrientationConflictError(
                 f"orienting {names[u]} -> {names[v]} would create a directed cycle"
             )

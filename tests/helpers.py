@@ -4,15 +4,17 @@ These deliberately avoid the library's production code paths: the
 restart-scan closure re-derives the orientation rules from scratch, the
 parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
-enumeration, and the blocking-witness oracle finds its path by
-iterative deepening.
+enumeration, the blocking-witness oracle finds its path by iterative
+deepening, and the DAG-class oracle tries every orientation of the
+undirected edges.
 """
 
 from itertools import permutations, product
 
+from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
-from mpdagkit.pdag_core import PdagGraph, _bits, _closure
+from mpdagkit.pdag_core import PdagGraph, _bits, _closure, has_directed_cycle
 
 
 class ScanState:
@@ -274,3 +276,17 @@ def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):
             if hit is not None:
                 return hit
     return None
+
+
+def brute_force_dags(g: PdagGraph) -> list[PdagGraph]:
+    """All acyclic full orientations of g that pass represents()."""
+    undirected = g.undirected_edges()
+    dags = []
+    for flips in product((False, True), repeat=len(undirected)):
+        directed = list(g.directed_edges())
+        for (a, b), flip in zip(undirected, flips):
+            directed.append((b, a) if flip else (a, b))
+        candidate = PdagGraph(g.nodes, directed=directed)
+        if not has_directed_cycle(candidate) and represents(g, candidate):
+            dags.append(candidate)
+    return dags

@@ -44,7 +44,7 @@ def strip(n):
 def enumerated_conditions(g, xs, ys):
     """Amenability witness (None when amenable) and forbidden set, read
     off the enumeration of proper possibly-causal paths."""
-    paths = adjustment._proper_possibly_causal_paths(g, xs, ys, len(g))
+    paths = adjustment._proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys), len(g))
     named = [tuple(g.nodes[v] for v in path) for path in paths]
     undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
     witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
@@ -328,7 +328,8 @@ class TestReachabilityRoutes:
             check = is_amenable(g, xs, ys)
             assert (check.ok, check.witness) == (witness is None, witness), (g, xs, ys)
             if check.ok:
-                assert g._names(adjustment._forbidden_nodes(g, xs, ys)) == forbidden
+                nodes = adjustment._forbidden_nodes(g, g._mask(xs), g._mask(ys))
+                assert g._names(nodes) == forbidden
                 amenable += 1
             else:
                 not_amenable += 1
@@ -347,8 +348,9 @@ class TestReachabilityRoutes:
             forb = forbidden_set(g, xs, ys).nodes
             zs = frozenset(v for v in nodes[2:] if v not in forb and rng.random() < 0.3)
             check = check_b_blocking(g, xs, ys, zs)
-            pruned = adjustment._backdoor_dag(g, xs, ys)
-            want = deepening_connecting_path(pruned, *(g._mask(s) for s in (xs, ys, zs)))
+            masks = [g._mask(s) for s in (xs, ys, zs)]
+            pruned = adjustment._backdoor_dag(g, *masks[:2])
+            want = deepening_connecting_path(pruned, *masks)
             assert check.witness == want
             connected += want is not None
         assert connected > 100

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -13,8 +14,6 @@ from conftest import FIG1_CPDAG_TEXT, FIG3_CPDAG_TEXT, FIG3_G1_TEXT, FIG3_G2_TEX
 
 
 def run_cli(*args, env=None):
-    import os
-
     merged = dict(os.environ)
     if env:
         merged.update(env)
@@ -246,6 +245,27 @@ class TestErrors:
         result = run_cli("possde", graphs["fig3_g1"], "--x", "Q")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2", "3"])
+    def test_first_unknown_node_is_reported_whatever_the_hash_seed(self, graphs, hash_seed):
+        env = {"PYTHONHASHSEED": hash_seed}
+        script = (
+            "import sys\n"
+            "from mpdagkit import is_amenable, parse_graph\n"
+            "try:\n"
+            "    is_amenable(parse_graph(open(sys.argv[1]).read()), ['Q', 'R', 'S'], 'Y')\n"
+            "except KeyError as exc:\n"
+            "    print(exc.args[0])\n"
+        )
+        library = subprocess.run(
+            [sys.executable, "-c", script, graphs["fig3_g1"]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env},
+        )
+        assert library.stdout == "unknown node: 'Q'\n"
+        result = run_cli("possde", graphs["fig3_g1"], "--x", "Q,R,S", env=env)
+        assert (result.returncode, result.stderr) == (2, "error: unknown node: 'Q'\n")
+
     def test_missing_file(self):
         result = run_cli("validate", "/nonexistent/path.g")
         assert result.returncode == 2
@@ -433,6 +453,28 @@ class TestSimulateCli:
         assert cli.main(argv + flags) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--p", "7"),
+            ("--en", "2"),
+            ("--graphs", "3"),
+            ("--n", "50"),
+            ("--fractions", "0,1"),
+            ("--seed", "5"),
+        ],
+    )
+    def test_grid_flag_with_config_is_usage_error(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out = tmp_path / "rows.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), flag, value]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        message = f"error: {flag} cannot be combined with --config\n"
+        assert (captured.out, captured.err) == ("", message)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",

@@ -69,7 +69,7 @@ def test_derived_graphs_equal_their_public_rebuild():
         for member in enumerate_dags(g):
             assert_sound(member, g)
         x, y = g.nodes[0], g.nodes[-1]
-        assert_sound(proper_backdoor_graph(ext, frozenset({x}), frozenset({y})), g)
+        assert_sound(proper_backdoor_graph(ext, g._mask([x]), g._mask([y])), g)
         for _, work in _accepted_combinations(g, (x,)):
             assert_sound(work.freeze(), g)
 

@@ -1,0 +1,60 @@
+"""Properties over arbitrary PDAGs whose directed part is acyclic: closed
+under the orientation rules or not, with a DAG extension or not."""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpdagkit.extension import consistent_extension, enumerate_dags
+from mpdagkit.meek import OrientationConflictError, close_orientations, is_closed
+from mpdagkit.pdag_core import PdagGraph, parse_graph, serialize_graph
+
+from helpers import brute_force_dags
+
+# Seeded and stateless, so every tier-1 run checks the same examples.
+SEEDED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def pdags(draw) -> PdagGraph:
+    """One to five nodes, named in drawn declaration order; each pair is
+    non-adjacent, undirected or directed along a drawn topological order."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.permutations("ABCDE"[:n]))
+    rank = draw(st.permutations(range(n)))
+    directed, undirected = [], []
+    for i, j in combinations(range(n), 2):
+        state = draw(st.sampled_from((None, "->", "--")))
+        a, b = (names[i], names[j]) if rank[i] < rank[j] else (names[j], names[i])
+        if state == "->":
+            directed.append((a, b))
+        elif state == "--":
+            undirected.append((a, b))
+    return PdagGraph(names, directed=directed, undirected=undirected)
+
+
+@SEEDED
+@given(pdags())
+def test_enumerate_dags_lists_the_brute_force_class_once(g):
+    listed = enumerate_dags(g).dags
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(brute_force_dags(g))
+
+
+@SEEDED
+@given(pdags())
+def test_parse_serialize_round_trip(g):
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@SEEDED
+@given(pdags())
+def test_closure_is_idempotent(g):
+    try:
+        closed = close_orientations(g)
+    except OrientationConflictError:
+        assert consistent_extension(g) is None
+        return
+    assert is_closed(closed)
+    assert close_orientations(closed) == closed
