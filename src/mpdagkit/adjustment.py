@@ -443,35 +443,23 @@ def satisfies_b_adjustment(
 
     zero_effect = not y_mask & _forward_reach(g, x_mask, g._ch)
     amenable = _amenability(g, x_mask, y_mask)
-    if not amenable.ok:
-        return AdjustmentVerdict(
-            amenable=False,
-            forbidden_ok=None,
-            blocking_ok=None,
-            overall=False,
-            zero_effect=zero_effect,
-            witness=amenable.witness,
-        )
-
-    blocked_nodes = z_mask & _forbidden_nodes(g, x_mask, y_mask)
-    if blocked_nodes:
-        return AdjustmentVerdict(
-            amenable=True,
-            forbidden_ok=False,
-            blocking_ok=None,
-            overall=False,
-            zero_effect=zero_effect,
-            witness=g.nodes[next(_bits(blocked_nodes))],
-        )
-
-    blocking = _blocking_fast(g, x_mask, y_mask, z_mask)
+    forbidden_ok = blocking_ok = None
+    witness = amenable.witness
+    if amenable.ok:
+        blocked_nodes = z_mask & _forbidden_nodes(g, x_mask, y_mask)
+        forbidden_ok = not blocked_nodes
+        if blocked_nodes:
+            witness = g.nodes[next(_bits(blocked_nodes))]
+        else:
+            blocking = _blocking_fast(g, x_mask, y_mask, z_mask)
+            blocking_ok, witness = blocking.ok, blocking.witness
     return AdjustmentVerdict(
-        amenable=True,
-        forbidden_ok=True,
-        blocking_ok=blocking.ok,
-        overall=blocking.ok,
+        amenable=amenable.ok,
+        forbidden_ok=forbidden_ok,
+        blocking_ok=blocking_ok,
+        overall=blocking_ok is True,
         zero_effect=zero_effect,
-        witness=blocking.witness,
+        witness=witness,
     )
 
 

@@ -3,10 +3,12 @@
 Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
 adjustment set with --find, candidate cap exceeded), 2 usage or parse
-errors, including node lists that name unknown nodes, overlap (--x with
---y or --z) or are empty where a node is required, an ``ida`` data
+errors.  Every subcommand's node lists pass one rule
+(:func:`_check_node_lists`): a list that names an unknown node,
+overlaps another (--x with --y or --z), is empty where a node is
+required or names a node twice exits 2.  So does an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
-outnumber the nodes, and ``simulate`` settings, from --config or the
+outnumber the nodes, and so do ``simulate`` settings, from --config or the
 flags, that are malformed or outside the grid's ranges, or a grid flag
 given together with --config (the message names the key or flag).
 All output is deterministic for fixed arguments and seeds, and graph
@@ -16,6 +18,7 @@ output re-parses through the graph reader.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,12 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adjustment import (
-    AdjustmentVerdict,
-    adjust_set,
-    list_adjustment_sets,
-    satisfies_b_adjustment,
-)
+from .adjustment import adjust_set, list_adjustment_sets, satisfies_b_adjustment
 from .causal_paths import b_possible_ancestors, b_possible_descendants
 from .ida import ida_effects, joint_ida_effects
 from .meek import construct_max_pdag, parse_background, validate_maximal_pdag
@@ -60,7 +58,7 @@ def _load_background(spec: str):
             return parse_background(fh.read())
     if "->" in spec:
         return parse_background(spec.replace(";", "\n"))
-    raise GraphParseError(f"background file not found: {spec}")
+    raise UsageError(f"background file not found: {spec}")
 
 
 def _split_nodes(arg: str) -> list[str]:
@@ -73,9 +71,10 @@ def _format_set(g: PdagGraph, names) -> str:
 
 
 def _check_node_lists(g: PdagGraph, lists: dict, may_be_empty: str = "") -> None:
-    """Reject malformed node lists before any query runs: an unknown name
-    (KeyError), two lists sharing a node, or an empty list other than
-    the one named ``may_be_empty``."""
+    """The CLI's one node-list rule, run before any query.  Four checks,
+    each over all lists in flag order: an unknown name (KeyError), two
+    lists sharing a node, an empty list other than the one named
+    ``may_be_empty``, and a node named twice in one list."""
     for names in lists.values():
         g.check_nodes(names)
     for (flag_a, a), (flag_b, b) in combinations(lists.items(), 2):
@@ -85,18 +84,9 @@ def _check_node_lists(g: PdagGraph, lists: dict, may_be_empty: str = "") -> None
     for flag, names in lists.items():
         if not names and flag != may_be_empty:
             raise UsageError(f"{flag} must name at least one node")
-
-
-def _verdict_json(verdict: AdjustmentVerdict) -> str:
-    payload = {
-        "amenable": verdict.amenable,
-        "forbidden_ok": verdict.forbidden_ok,
-        "blocking_ok": verdict.blocking_ok,
-        "overall": verdict.overall,
-        "zero_effect": verdict.zero_effect,
-        "witness": verdict.witness,
-    }
-    return json.dumps(payload)
+    for flag, names in lists.items():
+        if len(set(names)) != len(names):
+            raise UsageError(f"{flag} names a node more than once")
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
@@ -122,15 +112,7 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_maximal_pdag(_load_graph(args.graph))
-    print(
-        json.dumps(
-            {
-                "acyclic": report.acyclic,
-                "closed": report.closed,
-                "extendable": report.extendable,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(report)))
     return 0
 
 
@@ -146,8 +128,10 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 def _cmd_reach(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    xs = _split_nodes(args.x)
+    _check_node_lists(g, {"--x": xs})
     reach = b_possible_descendants if args.command == "possde" else b_possible_ancestors
-    print(_format_set(g, reach(g, _split_nodes(args.x)).nodes))
+    print(_format_set(g, reach(g, xs).nodes))
     return 0
 
 
@@ -157,12 +141,11 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     ys = _split_nodes(args.y)
     modes = sum(1 for flag in (args.z is not None, args.find, args.list) if flag)
     if modes != 1:
-        raise GraphParseError("choose exactly one of --z, --find or --list")
+        raise UsageError("choose exactly one of --z, --find or --list")
     zs = _split_nodes(args.z or "")
     _check_node_lists(g, {"--x": xs, "--y": ys, "--z": zs}, may_be_empty="--z")
     if args.z is not None:
-        verdict = satisfies_b_adjustment(g, xs, ys, zs)
-        print(_verdict_json(verdict))
+        print(json.dumps(dataclasses.asdict(satisfies_b_adjustment(g, xs, ys, zs))))
         return 0
     if args.find:
         result = adjust_set(g, xs, ys)
@@ -188,8 +171,6 @@ def _cmd_ida(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     xs = _split_nodes(args.x)
     _check_node_lists(g, {"--x": xs, "--y": [args.y]})
-    if len(set(xs)) != len(xs):
-        raise UsageError("--x names a node more than once")
     data, columns = _read_csv_matrix(args.data)
     if sorted(columns) != sorted(g.nodes):
         raise UsageError("data columns do not match the graph's nodes")
@@ -237,7 +218,7 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         if not isinstance(raw, dict):
             raise UsageError("--config must hold a JSON object")
     elif args.seed is None:
-        raise GraphParseError("simulate requires --seed (or a --config with one)")
+        raise UsageError("simulate requires --seed (or a --config with one)")
     values, names = {}, {}
     for field, flag, kind, many in _SIM_SETTINGS:
         if args.config:

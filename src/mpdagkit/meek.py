@@ -11,10 +11,9 @@ Closure runs on :class:`_Work`, a mutable list copy of a graph's
 per-node sibling, parent and child bitmasks, where each rule premise is
 a few mask operations; it shares the graph's node tuple and index and
 freezes back into a graph through the trusted constructor, so no name
-is looked up or re-checked on the way.  Public entry points check
-maximality once per graph object: closure and merge outputs are marked
-maximal when built, and a passing check on any other input is memoised
-on the graph.
+is looked up or re-checked on the way.  Closure and merge outputs are
+marked maximal when built, so public entry points check maximality only
+on graphs built elsewhere.
 """
 
 from __future__ import annotations
@@ -260,18 +259,13 @@ def is_closed(g: PdagGraph) -> bool:
 
 
 def _require_maximal(g: PdagGraph) -> None:
-    """Raise ValueError unless ``g`` is acyclic and closed.
-
-    A passing verdict is memoised on the graph, so each graph object is
-    checked at most once however many merges it goes through.
-    """
+    """Raise ValueError unless ``g`` is acyclic and closed."""
     if g._maximal:
         return
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
     if not is_closed(g):
         raise ValueError("input graph is not closed under the orientation rules")
-    g._maximal = True
 
 
 def _merge_one(work: _Work, x: int, y: int) -> Optional[str]:

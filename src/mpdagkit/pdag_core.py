@@ -7,11 +7,7 @@ the masks; names appear only at the public methods and in
 parse/serialize.  The public constructor validates names and edges; a
 graph derived from another (closure, merge, extension, reversal) is
 built by the private ``PdagGraph._from_masks``, which shares the
-source's nodes and index and re-checks nothing.  Graphs are immutable
-and safe to share between threads, except for a private memo: once
-:mod:`mpdagkit.meek` has found a graph acyclic and closed under the
-orientation rules it records that on the graph, a one-way False to True
-write, so a race between threads can only repeat the check, never skip it.
+source's nodes and index and re-checks nothing.  Graphs are immutable.
 """
 
 from __future__ import annotations
@@ -130,7 +126,7 @@ class PdagGraph:
         self._ch = tuple(ch)
         self._und = tuple(und)
         self._hash = hash((nodes, self._pa, self._und))
-        self._maximal = False  # set by meek once the graph is known maximal
+        self._maximal = False  # set by meek on a closure or merge output it built
 
     @classmethod
     def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":
@@ -454,8 +450,6 @@ def parse_statements(
                 raise GraphParseError("too many tokens on edge statement", lineno)
             statements.append(("edge", u, v, op, weight, lineno))
             continue
-        if NAME_RE.match(tokens[0]) and len(tokens) == 1:
-            raise GraphParseError(f"syntax error near {tokens[0]!r}", lineno)
         if NAME_RE.match(tokens[0]) and len(tokens) >= 2 and tokens[1] not in _EDGE_TOKEN:
             if NAME_RE.match(tokens[1]) and len(tokens) == 2:
                 raise GraphParseError(f"unknown directive {tokens[0]!r}", lineno)

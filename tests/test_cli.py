@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdagkit import cli
 from mpdagkit.pdag_core import parse_graph
@@ -71,11 +75,7 @@ class TestValidate:
     def test_maximal_pdag(self, graphs):
         result = run_cli("validate", graphs["fig3_g1"])
         assert result.returncode == 0
-        assert json.loads(result.stdout) == {
-            "acyclic": True,
-            "closed": True,
-            "extendable": True,
-        }
+        assert result.stdout == '{"acyclic": true, "closed": true, "extendable": true}\n'
 
     def test_four_cycle(self, tmp_path):
         path = tmp_path / "cycle.g"
@@ -103,6 +103,20 @@ class TestReach:
         result = run_cli("possde", graphs["fig3_g1"], "--x", "V1,V2")
         assert result.returncode == 0
         assert set(result.stdout.strip()[1:-1].split(", ")) == {"V1", "X", "V2", "Y"}
+
+    @pytest.mark.parametrize("command", ["possde", "possan"])
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ("", "--x must name at least one node"),
+            (",", "--x must name at least one node"),
+            ("X,X", "--x names a node more than once"),
+        ],
+    )
+    def test_malformed_node_lists_are_usage_errors(self, graphs, capsys, command, x, message):
+        assert cli.main([command, graphs["fig3_g1"], "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestAdjust:
@@ -145,13 +159,17 @@ class TestAdjust:
             (("--x", "X", "--y", "Y", "--z", "V1,Y"), "--y and --z overlap: {Y}"),
             (("--x", "", "--y", "Y", "--find"), "--x must name at least one node"),
             (("--x", "X", "--y", ",", "--list"), "--y must name at least one node"),
+            (("--x", "X,X", "--y", "Y", "--find"), "--x names a node more than once"),
+            (("--x", "X", "--y", "Y,Y", "--list"), "--y names a node more than once"),
+            (("--x", "X", "--y", "Y", "--z", "V1,V1"), "--z names a node more than once"),
+            # Empty lists are reported before repeated nodes.
+            (("--x", "X,X", "--y", "", "--find"), "--y must name at least one node"),
         ],
     )
-    def test_malformed_node_lists_are_usage_errors(self, graphs, args, message):
-        result = run_cli("adjust", graphs["fig3_g1"], *args)
-        assert result.returncode == 2
-        assert result.stderr == f"error: {message}\n"
-        assert result.stdout == ""
+    def test_malformed_node_lists_are_usage_errors(self, graphs, capsys, args, message):
+        assert cli.main(["adjust", graphs["fig3_g1"], *args]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_verdict_json(self, graphs):
         result = run_cli(
@@ -502,3 +520,70 @@ class TestSimulateCli:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
+
+NAMES = ("X", "Y", "V1", "V2")
+
+
+@pytest.fixture(scope="module")
+def rule_files(tmp_path_factory):
+    """The closed MPDAG ``FIG3_G1_TEXT`` and a data file over its nodes."""
+    root = tmp_path_factory.mktemp("rule")
+    graph = root / "g1.g"
+    graph.write_text(FIG3_G1_TEXT + "\n")
+    rows = np.random.default_rng(0).standard_normal((30, len(NAMES)))
+    data = root / "data.csv"
+    data.write_text(",".join(NAMES) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    return str(graph), str(data)
+
+
+def breaks_node_list_rule(lists, may_be_empty=""):
+    """Reference for the rule: every name known, no name twice across
+    all lists (overlap or repeat), and no required list empty."""
+    flat = [name for names in lists.values() for name in names]
+    if any(name not in NAMES for name in flat) or len(set(flat)) != len(flat):
+        return True
+    return any(not names and flag != may_be_empty for flag, names in lists.items())
+
+
+@st.composite
+def node_list_queries(draw):
+    """A subcommand whose node lists take disjoint runs of a shuffle of
+    the graph's names, each with at most one extra name (the unknown Q,
+    a repeat or another list's node); a list may end in a stray comma."""
+    shuffled = draw(st.permutations(NAMES))
+
+    def node_list():
+        names = [shuffled.pop() for _ in range(min(draw(st.integers(0, 2)), len(shuffled)))]
+        names += draw(st.lists(st.sampled_from(NAMES + ("Q",)), max_size=1))
+        return names, ",".join(names) + ("," if draw(st.booleans()) else "")
+
+    mode = draw(st.sampled_from(["possde", "possan", "--find", "--z", "ida"]))
+    xs, x_arg = node_list()
+    if mode in ("possde", "possan"):
+        return [mode, "--x", x_arg], {"--x": xs}, ""
+    if mode == "ida":
+        y = draw(st.sampled_from(NAMES + ("Q",)))
+        return ["ida", "--x", x_arg, "--y", y], {"--x": xs, "--y": [y]}, ""
+    ys, y_arg = node_list()
+    argv = ["adjust", "--x", x_arg, "--y", y_arg]
+    if mode == "--find":
+        return argv + ["--find"], {"--x": xs, "--y": ys}, ""
+    zs, z_arg = node_list()
+    return argv + ["--z", z_arg], {"--x": xs, "--y": ys, "--z": zs}, "--z"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(query=node_list_queries())
+def test_one_node_list_rule_for_every_subcommand(rule_files, query):
+    argv, lists, may_be_empty = query
+    graph, data = rule_files
+    argv = [argv[0], graph, *argv[1:]] + (["--data", data] if argv[0] == "ida" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if breaks_node_list_rule(lists, may_be_empty):
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert code in (0, 1)
+        assert err.getvalue() == ""
