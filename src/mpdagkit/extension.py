@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import _close, _Work, close_orientations
+from .meek import _close, _low, _Work, close_orientations
 from .pdag_core import PdagGraph, _bits, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
@@ -55,27 +55,37 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     orienting the undirected edges into it.  Ties break on the lowest
     node index, so the result is deterministic.  A cyclic ``g`` gives
     None: a node on a directed cycle always keeps a child left.
+
+    Eligible nodes are kept in a mask (Dor and Tarsi 1992): peeling
+    ``x`` only removes nodes from its neighbours' tests, so eligible
+    nodes stay eligible and only the other neighbours are re-tested.
     """
     work = _Work(g)
-    und, ch = work.und, work.ch
+    und, pa, ch = work.und, work.pa, work.ch
     adjacent = [work.adjacent(u) for u in range(len(und))]
     remaining = (1 << len(und)) - 1
 
-    while remaining:
-        for x in _bits(remaining):
-            if ch[x] & remaining:
-                continue
-            near = adjacent[x] & remaining
-            if all(not near & ~(1 << u | adjacent[u]) for u in _bits(und[x] & remaining)):
-                break
-        else:
-            return None
-        # Never a cycle: every descendant of x has been peeled already.
-        for u in _bits(und[x] & remaining):
-            work.orient(u, x)
-        remaining ^= 1 << x
+    def eligible(x: int) -> bool:
+        near = adjacent[x] & remaining
+        return not ch[x] & remaining and all(
+            not near & ~(1 << u | adjacent[u]) for u in _bits(und[x])
+        )
 
-    return work.freeze()
+    ready = sum(1 << x for x in range(len(und)) if eligible(x))
+    while ready:
+        x = _low(ready)
+        # Never a cycle: every descendant of x has been peeled already.
+        for u in _bits(und[x]):
+            und[u] ^= 1 << x
+            ch[u] |= 1 << x
+        pa[x] |= und[x]
+        und[x] = 0
+        remaining ^= 1 << x
+        ready ^= 1 << x
+        for y in _bits(adjacent[x] & remaining & ~ready):
+            if eligible(y):
+                ready |= 1 << y
+    return work.freeze() if not remaining else None
 
 
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:

@@ -325,7 +325,10 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
     pa, ch, nodes = d._pa, d._ch, range(len(d))
     # An edge u -> v is kept when v has another parent not adjacent to u.
     kept_pa = [sum(1 << u for u in _bits(m) if m & ~(pa[u] | ch[u] | 1 << u)) for m in pa]
-    kept_ch = [sum(1 << v for v in nodes if kept_pa[v] >> u & 1) for u in nodes]
+    kept_ch = [0] * len(d)
+    for v in nodes:
+        for u in _bits(kept_pa[v]):
+            kept_ch[u] |= 1 << v
     und = [pa[v] & ~kept_pa[v] | ch[v] & ~kept_ch[v] for v in nodes]
     return close_orientations(PdagGraph._from_masks(d.nodes, d._index, kept_pa, kept_ch, und))
 

@@ -5,11 +5,12 @@ Every run is reproducible from one master seed: per-replicate seeds are
 the uint64 stream of ``numpy.random.SeedSequence(master)``, and each
 replicate derives separate generators for the model, the data, the
 treatment/outcome draw and the background-knowledge order by seeding
-``default_rng([replicate_seed, purpose])`` with purpose codes 0-3.  The
-background generator is re-created identically for every fraction, so a
-graph's oriented-edge sets are nested prefixes of one permutation as the
-fraction grows; identifiability then improves monotonically row by row
-rather than merely on average.
+``default_rng([replicate_seed, purpose])`` with purpose codes 0-3.  A
+replicate orients its undirected CPDAG edges as in the true DAG in one
+random order, and each fraction merges only the next edges of that
+order into the previous fraction's graph, so every edge is merged once,
+the oriented sets are nested, and identifiability improves
+monotonically row by row rather than merely on average.
 """
 
 from __future__ import annotations
@@ -142,6 +143,32 @@ def _adjacency(g: PdagGraph) -> list[int]:
     return [p | c | u for p, c, u in zip(g._pa, g._ch, g._und)]
 
 
+def _background_requirements(
+    cpdag: PdagGraph, true_dag: PdagGraph, rng: np.random.Generator
+) -> list[tuple[str, str]]:
+    """Every undirected edge of ``cpdag`` oriented as in ``true_dag``, in
+    the order of one permutation drawn from ``rng``."""
+    if cpdag.nodes == true_dag.nodes:  # always so for graphs from cpdag_of
+        same = _adjacency(cpdag) == _adjacency(true_dag)
+    else:
+        same = cpdag.skeleton() == true_dag.skeleton()
+    if not same:
+        raise ValueError("graph and true DAG must share a skeleton")
+    undirected = cpdag.undirected_edges()
+    chosen = [undirected[i] for i in rng.permutation(len(undirected))]
+    return [(a, b) if true_dag.is_directed(a, b) else (b, a) for a, b in chosen]
+
+
+def _merge_background(graph: PdagGraph, requirements: list[tuple[str, str]]) -> PdagGraph:
+    outcome = construct_max_pdag(graph, requirements)
+    if not outcome.ok:
+        raise ValueError(
+            f"background edge {outcome.violation} is inconsistent; the input "
+            "graph does not represent the true DAG"
+        )
+    return outcome.graph
+
+
 def add_background_fraction(
     cpdag: PdagGraph,
     true_dag: PdagGraph,
@@ -153,31 +180,15 @@ def add_background_fraction(
 
     The sample is the prefix of one random permutation, so two calls with
     identically seeded generators and growing fractions produce nested
-    orientation sets.  Fraction 0 returns the input; fraction 1 recovers
-    the true DAG.
+    orientation sets.  A study replicate merges each edge once, adding
+    each fraction's new edges to the previous fraction's graph, which
+    gives these graphs.  Fraction 0 returns the input; fraction 1
+    recovers the true DAG.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must lie in [0, 1]")
-    if cpdag.nodes == true_dag.nodes:  # always so for graphs from cpdag_of
-        same = _adjacency(cpdag) == _adjacency(true_dag)
-    else:
-        same = cpdag.skeleton() == true_dag.skeleton()
-    if not same:
-        raise ValueError("graph and true DAG must share a skeleton")
-    undirected = cpdag.undirected_edges()
-    count = int(round(fraction * len(undirected)))
-    perm = rng.permutation(len(undirected))
-    chosen = [undirected[i] for i in perm[:count]]
-    requirements = []
-    for a, b in chosen:
-        requirements.append((a, b) if true_dag.is_directed(a, b) else (b, a))
-    outcome = construct_max_pdag(cpdag, requirements)
-    if not outcome.ok:
-        raise ValueError(
-            f"background edge {outcome.violation} is inconsistent; the input "
-            "graph does not represent the true DAG"
-        )
-    return outcome.graph
+    requirements = _background_requirements(cpdag, true_dag, rng)
+    return _merge_background(cpdag, requirements[: int(round(fraction * len(requirements)))])
 
 
 def choose_xy(true_dag: PdagGraph, rng: np.random.Generator) -> tuple[str, str]:
@@ -264,18 +275,23 @@ def _replicate_rows(
     rng_model = np.random.default_rng([rep_seed, 0])
     rng_data = np.random.default_rng([rep_seed, 1])
     rng_xy = np.random.default_rng([rep_seed, 2])
+    rng_bg = np.random.default_rng([rep_seed, 3])
 
     model = random_dag(p, en, rng_model)
     data = sample_data(model, cfg.sample_size, rng_data)
     x, y = choose_xy(model.dag, rng_xy)
     cpdag = cpdag_of(model.dag)
     truth = float(true_total_effect(model, x, y)[0])
+    requirements = _background_requirements(cpdag, model.dag, rng_bg)
 
     rows = []
+    graph, merged = cpdag, 0
     for fraction in cfg.fractions:
         start = time.perf_counter()
-        rng_bg = np.random.default_rng([rep_seed, 3])
-        graph = add_background_fraction(cpdag, model.dag, fraction, rng_bg)
+        # Fractions ascend, so this fraction's prefix extends the last one's.
+        count = int(round(fraction * len(requirements)))
+        graph = _merge_background(graph, requirements[merged:count])
+        merged = count
         amen = bool(is_amenable(graph, x, y).ok)
         identifiable = adjust_set(graph, x, y) is not None
         effects = ida_effects(graph, x, y, data)

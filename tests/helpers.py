@@ -5,15 +5,16 @@ restart-scan closure re-derives the orientation rules from scratch, the
 parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
-deepening, and the DAG-class oracle tries every orientation of the
-undirected edges.
+deepening, the extension oracle restarts its sink scan after every peel,
+and the DAG-class oracle tries every orientation of the undirected
+edges.
 """
 
 from itertools import permutations, product
 
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
-from mpdagkit.meek import construct_max_pdag
+from mpdagkit.meek import _Work, construct_max_pdag
 from mpdagkit.pdag_core import PdagGraph, _bits, _closure, has_directed_cycle
 
 
@@ -290,3 +291,28 @@ def brute_force_dags(g: PdagGraph) -> list[PdagGraph]:
         if not has_directed_cycle(candidate) and represents(g, candidate):
             dags.append(candidate)
     return dags
+
+
+def scan_extension(g: PdagGraph):
+    """Reference for ``consistent_extension``: after every peel the scan
+    restarts from node 0 and takes the first node with no remaining
+    child whose undirected neighbours are adjacent to all of its other
+    remaining neighbours, and each edge into it is oriented with the
+    cycle-checking ``_Work.orient``.  None when no node qualifies."""
+    work = _Work(g)
+    und, ch = work.und, work.ch
+    adjacent = [work.adjacent(u) for u in range(len(und))]
+    remaining = (1 << len(und)) - 1
+    while remaining:
+        for x in _bits(remaining):
+            if ch[x] & remaining:
+                continue
+            near = adjacent[x] & remaining
+            if all(not near & ~(1 << u | adjacent[u]) for u in _bits(und[x] & remaining)):
+                break
+        else:
+            return None
+        for u in _bits(und[x] & remaining):
+            work.orient(u, x)
+        remaining ^= 1 << x
+    return work.freeze()

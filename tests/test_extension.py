@@ -9,9 +9,10 @@ from mpdagkit.extension import (
 )
 from mpdagkit.meek import cpdag_of
 from mpdagkit.pdag_core import PdagGraph, parse_graph
+from mpdagkit.sem_sim import add_background_fraction, random_dag
 
 from conftest import dag_key, random_mpdag
-from helpers import brute_force_dags
+from helpers import brute_force_dags, scan_extension
 
 FOUR_CYCLE = PdagGraph(
     "ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
@@ -85,6 +86,33 @@ class TestConsistentExtension:
     def test_none_iff_enumeration_empty(self):
         assert len(enumerate_dags(FOUR_CYCLE)) == 0
         assert consistent_extension(FOUR_CYCLE) is None
+
+
+def masks(g):
+    return None if g is None else (g.nodes, g._pa, g._ch, g._und)
+
+
+class TestExtensionMatchesScanOracle:
+    """The ready-mask extension picks the same sink as the restart scan
+    at every step, so it returns the same DAG; the property corpus in
+    test_properties adds cyclic and non-extendable inputs."""
+
+    def test_random_mpdags(self):
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            g, _ = random_mpdag(rng, 12)
+            assert masks(consistent_extension(g)) == masks(scan_extension(g))
+
+    @pytest.mark.parametrize("p", [50, 100, 200, 400])
+    def test_sparse_cpdags_and_mpdags(self, p):
+        rng = np.random.default_rng(p)
+        for _ in range(2):
+            dag = random_dag(p, 4.0, rng).dag
+            cpdag = cpdag_of(dag)
+            for g in (cpdag, add_background_fraction(cpdag, dag, 0.3, rng)):
+                ext = consistent_extension(g)
+                assert ext is not None and represents(g, ext)
+                assert masks(ext) == masks(scan_extension(g))
 
 
 class TestEnumerateDags:

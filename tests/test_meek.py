@@ -294,6 +294,9 @@ class TestCpdagOf:
             c = cpdag_of(dag)
             assert represents(c, dag)
             assert is_closed(c)
+            # Equality ignores the child masks; check them against the parents.
+            rebuilt = PdagGraph(c.nodes, c.directed_edges(), c.undirected_edges())
+            assert (rebuilt._pa, rebuilt._ch) == (c._pa, c._ch)
 
 
 class TestValidation:

@@ -10,7 +10,7 @@ from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.meek import OrientationConflictError, close_orientations, is_closed
 from mpdagkit.pdag_core import PdagGraph, parse_graph, serialize_graph
 
-from helpers import brute_force_dags
+from helpers import brute_force_dags, scan_extension
 
 # Seeded and stateless, so every tier-1 run checks the same examples.
 SEEDED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -40,6 +40,15 @@ def test_enumerate_dags_lists_the_brute_force_class_once(g):
     listed = enumerate_dags(g).dags
     assert len(set(listed)) == len(listed)
     assert set(listed) == set(brute_force_dags(g))
+
+
+@SEEDED
+@given(pdags())
+def test_consistent_extension_matches_the_restart_scan(g):
+    ext, oracle = consistent_extension(g), scan_extension(g)
+    assert (ext is None) == (oracle is None)
+    if ext is not None:
+        assert (ext._pa, ext._ch, ext._und) == (oracle._pa, oracle._ch, oracle._und)
 
 
 @SEEDED

@@ -1,10 +1,14 @@
+import dataclasses
+import hashlib
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from mpdagkit import sem_sim
 from mpdagkit.extension import represents
 from mpdagkit.meek import cpdag_of
 from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
@@ -177,6 +181,20 @@ class TestBackgroundFraction:
                 cpdag_of(model.dag), other.dag, 0.5, np.random.default_rng(0)
             )
 
+    @pytest.mark.parametrize("seed, edge", [(0, "('C', 'B')"), (3, "('A', 'B')")])
+    def test_true_dag_outside_the_class_rejected(self, seed, edge):
+        # Same skeleton, but the true DAG adds a collider the CPDAG lacks;
+        # which requirement fails first depends on the drawn order.
+        cpdag = cpdag_of(parse_graph("A -> B\nB -> C"))
+        message = (
+            f"background edge {edge} is inconsistent; the input graph does not "
+            "represent the true DAG"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            add_background_fraction(
+                cpdag, parse_graph("A -> B\nC -> B"), 1.0, np.random.default_rng(seed)
+            )
+
     def test_skeleton_check_with_other_node_order(self):
         model = random_dag(5, 3, np.random.default_rng(19))
         cpdag = cpdag_of(model.dag)
@@ -295,6 +313,54 @@ class TestSimulation:
         assert first[1] == "5"
         assert first[4] in ("true", "false")
         assert text == rows_to_csv(rows)
+
+
+# Rows of DIGEST_CFG rendered by rows_to_csv with ms set to 0, as the
+# study computed them when it re-merged every fraction from the CPDAG.
+DIGEST_CFG = SimConfig(
+    node_counts=(6, 10),
+    neighborhood_sizes=(2.0, 4.0),
+    graphs_per_setting=15,
+    sample_size=60,
+    seed=11,
+)
+ROWS_DIGEST = "976d07b69cc2be7daca9425c49d6935af9f5fb51dc3f04bda3dca54094fd644b"
+
+
+class TestStudyRoute:
+    def test_rows_match_pinned_digest(self):
+        rows = run_simulation(DIGEST_CFG)
+        text = rows_to_csv(dataclasses.replace(row, ms=0.0) for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == ROWS_DIGEST
+
+    def test_fraction_graphs_match_add_background_fraction(self, monkeypatch):
+        # The study merges each fraction's new edges into the previous
+        # graph; every graph it analyses must be the whole-prefix merge.
+        # The repeated fraction merges an empty slice.
+        seen = []
+        is_amenable = sem_sim.is_amenable
+
+        def recording(graph, x, y):
+            seen.append(graph)
+            return is_amenable(graph, x, y)
+
+        monkeypatch.setattr(sem_sim, "is_amenable", recording)
+        cfg = SimConfig(
+            node_counts=(6, 9),
+            neighborhood_sizes=(2.0, 3.0),
+            graphs_per_setting=75,
+            sample_size=40,
+            fractions=(0.0, 0.1, 0.3, 0.3, 0.7, 1.0),
+            seed=23,
+        )
+        rows = run_simulation(cfg)
+        assert len(rows) == len(seen) == 300 * len(cfg.fractions)
+        for row, graph in zip(rows, seen):
+            dag = random_dag(row.p, row.en, np.random.default_rng([row.seed, 0])).dag
+            want = add_background_fraction(
+                cpdag_of(dag), dag, row.fraction, np.random.default_rng([row.seed, 3])
+            )
+            assert graph == want
 
 
 SAMPLE_DIGEST_SCRIPT = """
