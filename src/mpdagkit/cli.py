@@ -104,7 +104,11 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
             rows.append([float(cell) for cell in cells])
         except ValueError:
             raise GraphParseError("non-numeric cell", lineno) from None
-    return np.array(rows), header
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        bad = next(n for (n, _), row in zip(lines[1:], rows) if not np.isfinite(row).all())
+        raise GraphParseError("non-finite cell", bad)
+    return data, header
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -326,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainFailure as exc:
         print(f"error: {exc}")
         return 1
-    except (GraphParseError, UsageError, FileNotFoundError) as exc:
+    except (GraphParseError, UnicodeDecodeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

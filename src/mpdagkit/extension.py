@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import _close, _low, _Work, close_orientations
+from .meek import _close, _closed, _low, _Work
 from .pdag_core import PdagGraph, _bits, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
@@ -61,7 +61,7 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     nodes stay eligible and only the other neighbours are re-tested.
     """
     work = _Work(g)
-    und, pa, ch = work.und, work.pa, work.ch
+    und, ch = work.und, work.ch
     adjacent = [work.adjacent(u) for u in range(len(und))]
     remaining = (1 << len(und)) - 1
 
@@ -76,10 +76,7 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
         x = _low(ready)
         # Never a cycle: every descendant of x has been peeled already.
         for u in _bits(und[x]):
-            und[u] ^= 1 << x
-            ch[u] |= 1 << x
-        pa[x] |= und[x]
-        und[x] = 0
+            work.orient(u, x)
         remaining ^= 1 << x
         ready ^= 1 << x
         for y in _bits(adjacent[x] & remaining & ~ready):
@@ -99,9 +96,9 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     shows that either orientation of an undirected edge of a closed,
     extendable graph, re-closed, is again closed and extendable with no
     new unshielded collider, so every leaf is represented by ``g`` and
-    none is re-checked; were that wrong, the closure's
-    ``OrientationConflictError`` would propagate, not a wrong list.  The
-    explicit stack keeps the depth clear of Python's recursion limit.
+    none is re-checked; the property test against a brute-force
+    orientation of every undirected edge checks this.  The explicit
+    stack keeps the depth clear of Python's recursion limit.
 
     Args:
         g: graph with an acyclic directed part.
@@ -129,7 +126,7 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
                         return u, v
         return None
 
-    stack = [_Work(close_orientations(g))]
+    stack = [_Work(_closed(g))]
     while stack:
         work = stack.pop()
         edge = first_undirected(work)

@@ -144,24 +144,34 @@ def possible_parent_sets(g: PdagGraph, xs: Sequence[str]) -> ParentSetFamily:
     excluding earlier intervention nodes), the corresponding required
     orientations are merged into ``g``; accepted combinations record the
     parent sets read from the merged graph.  Raises ValueError when
-    ``g`` is not an acyclic, rule-closed graph.
+    ``g`` is not a maximal PDAG (acyclic, rule-closed and extendable).
     """
     xs = tuple(xs)
     entries = tuple(entry for entry, _ in _accepted_combinations(g, xs))
     return ParentSetFamily(xs, entries)
 
 
-def _columns_index(
-    g: PdagGraph, data: np.ndarray, columns: Optional[Sequence[str]]
-) -> dict[str, int]:
+def _effect_data(
+    g: PdagGraph, xs: tuple[str, ...], y: str, data, columns: Optional[Sequence[str]]
+) -> tuple[np.ndarray, dict[str, int]]:
+    """The data as a float matrix and each node's column, once the query
+    names nodes of ``g`` (a KeyError otherwise) with ``y`` outside ``xs``,
+    the columns are its nodes, the samples outnumber them and every
+    value is finite."""
+    if y in xs:
+        raise ValueError("outcome must not be an intervention node")
+    g.check_nodes(xs + (y,))
+    data = np.asarray(data, dtype=float)
     names = tuple(columns) if columns is not None else g.nodes
     if set(names) != set(g.nodes) or len(names) != len(g.nodes):
         raise ValueError("data columns do not match the graph's nodes")
     if data.ndim != 2 or data.shape[1] != len(names):
-        raise ValueError(
-            f"data must be a 2-d matrix with {len(names)} columns, got {data.shape}"
-        )
-    return {name: i for i, name in enumerate(names)}
+        raise ValueError(f"data must be a 2-d matrix with {len(names)} columns, got {data.shape}")
+    if data.shape[0] <= len(g.nodes):
+        raise ValueError("need more samples than variables")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite (no nan or inf)")
+    return data, {name: i for i, name in enumerate(names)}
 
 
 def _least_squares(
@@ -193,12 +203,7 @@ def ida_effects(
     in ``P``, otherwise the coefficient of ``x`` when ``y`` is regressed
     on ``x`` and ``P``.
     """
-    if x == y:
-        raise ValueError("intervention and outcome must differ")
-    data = np.asarray(data, dtype=float)
-    col = _columns_index(g, data, columns)
-    if data.shape[0] <= len(g.nodes):
-        raise ValueError("need more samples than variables")
+    data, col = _effect_data(g, (x,), y, data, columns)
     family = possible_parent_sets(g, (x,))
     values = []
     for entry in family:
@@ -242,12 +247,7 @@ def joint_ida_effects(
     directed paths of fitted coefficient products).
     """
     xs = tuple(xs)
-    if y in xs:
-        raise ValueError("outcome must not be an intervention node")
-    data = np.asarray(data, dtype=float)
-    col = _columns_index(g, data, columns)
-    if data.shape[0] <= len(g.nodes):
-        raise ValueError("need more samples than variables")
+    data, col = _effect_data(g, xs, y, data, columns)
     accepted = list(_accepted_combinations(g, xs))
     family = ParentSetFamily(xs, tuple(entry for entry, _ in accepted))
     idx = g._index

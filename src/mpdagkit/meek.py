@@ -1,7 +1,9 @@
 """Orientation closure, background-knowledge merging and CPDAG construction.
 
 The four orientation rules are applied as exact induced-subgraph
-patterns; a graph closed under them is a maximal PDAG.  Required edge
+patterns; a graph closed under them that has a DAG extension is a
+maximal PDAG, and every public entry point that needs one checks all
+three properties once (:func:`_require_maximal`).  Required edge
 orientations are merged one at a time: each requirement either matches
 the current graph (undirected or already oriented) and is followed by
 re-closure, or the whole merge fails and the input is reported back
@@ -26,18 +28,15 @@ from .pdag_core import (
     GraphParseError,
     PdagGraph,
     _bits,
-    _closure,
     has_directed_cycle,
     parse_statements,
 )
 
 
 class OrientationConflictError(RuntimeError):
-    """An orientation step would create a directed cycle.
-
-    Only reachable when the input graph is closed but admits no DAG
-    extension, or when a requirement contradicts the graph; callers that
-    merge background knowledge translate this into a failure outcome.
+    """``close_orientations`` was given an acyclic graph that has no
+    consistent DAG extension, so closing it could create a directed
+    cycle.  Raised before any rule is applied; merges never raise it.
     """
 
 
@@ -118,35 +117,23 @@ class _Work:
     __slots__ = ("nodes", "index", "und", "pa", "ch")
 
     def __init__(self, g: PdagGraph):
-        self.nodes = g._nodes
-        self.index = g._index
-        self.und = list(g._und)
-        self.pa = list(g._pa)
-        self.ch = list(g._ch)
+        self.nodes, self.index = g._nodes, g._index
+        self.und, self.pa, self.ch = list(g._und), list(g._pa), list(g._ch)
 
     def adjacent(self, u: int) -> int:
         return self.und[u] | self.pa[u] | self.ch[u]
 
     def copy(self) -> "_Work":
         dup = object.__new__(_Work)
-        dup.nodes = self.nodes
-        dup.index = self.index
-        dup.und = self.und[:]
-        dup.pa = self.pa[:]
-        dup.ch = self.ch[:]
+        dup.nodes, dup.index = self.nodes, self.index
+        dup.und, dup.pa, dup.ch = self.und[:], self.pa[:], self.ch[:]
         return dup
 
     def orient(self, u: int, v: int) -> None:
-        """Turn u - v into u -> v."""
-        names = self.nodes
-        if not self.und[u] >> v & 1:
-            raise OrientationConflictError(
-                f"cannot orient {names[u]} -> {names[v]}: edge is not undirected"
-            )
-        if _closure(self.ch, self.ch[v]) >> u & 1:
-            raise OrientationConflictError(
-                f"orienting {names[u]} -> {names[v]} would create a directed cycle"
-            )
+        """Turn the undirected edge u - v into u -> v, unchecked.  No
+        caller creates a cycle: by Meek (1995) closing an extendable graph,
+        or orienting and re-closing one of its undirected edges, keeps it
+        extendable, and sink peeling orients only into a node with no child left."""
         self.und[u] ^= 1 << v
         self.und[v] ^= 1 << u
         self.ch[u] |= 1 << v
@@ -233,19 +220,28 @@ def _maximal_graph(work: _Work) -> PdagGraph:
     return out
 
 
+def _closed(g: PdagGraph) -> PdagGraph:
+    """Closure of a graph already known to be acyclic and extendable."""
+    work = _Work(g)
+    _close(work, [(u, v) for u, m in enumerate(g._ch) for v in _bits(m)])
+    return _maximal_graph(work)
+
+
 def close_orientations(g: PdagGraph) -> PdagGraph:
     """Close the edge orientations of ``g`` under the four rules.
 
     The skeleton is unchanged and existing directed edges are kept.
-    Raises ValueError when the input already has a directed cycle and
-    :class:`OrientationConflictError` when closing would create one
-    (possible only for inputs with no DAG extension).
+    Raises ValueError when the input has a directed cycle and
+    :class:`OrientationConflictError` when it has no consistent DAG
+    extension, both checked before any rule is applied.
     """
+    from .extension import consistent_extension
+
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
-    work = _Work(g)
-    _close(work, [(u, v) for u, m in enumerate(g._ch) for v in _bits(m)])
-    return _maximal_graph(work)
+    if consistent_extension(g) is None:
+        raise OrientationConflictError("graph has no consistent DAG extension")
+    return _closed(g)
 
 
 def is_closed(g: PdagGraph) -> bool:
@@ -259,30 +255,31 @@ def is_closed(g: PdagGraph) -> bool:
 
 
 def _require_maximal(g: PdagGraph) -> None:
-    """Raise ValueError unless ``g`` is acyclic and closed."""
+    """Raise ValueError naming the first maximality check ``g`` fails."""
     if g._maximal:
         return
-    if has_directed_cycle(g):
+    report = validate_maximal_pdag(g)
+    if not report.acyclic:
         raise ValueError("input graph has a directed cycle")
-    if not is_closed(g):
+    if not report.closed:
         raise ValueError("input graph is not closed under the orientation rules")
+    if not report.extendable:
+        raise ValueError("graph has no consistent DAG extension")
 
 
 def _merge_one(work: _Work, x: int, y: int) -> Optional[str]:
     """Merge the required orientation x -> y into ``work`` and re-close.
 
-    Returns None on success, otherwise why the requirement fails; after
-    a failure ``work`` is left part-way and must be discarded.
+    ``work`` must be a maximal PDAG, and stays one.  Returns None on
+    success, otherwise why the requirement fails; after a failure
+    ``work`` is left part-way and must be discarded.
     """
     if work.ch[x] >> y & 1:
         return None
     names = work.nodes
     if work.und[x] >> y & 1:
-        try:
-            work.orient(x, y)
-            _close(work, [(x, y)])
-        except OrientationConflictError:
-            return f"{names[x]} -> {names[y]} creates a directed cycle"
+        work.orient(x, y)
+        _close(work, [(x, y)])
         return None
     if work.ch[y] >> x & 1:
         return f"{names[x]} -> {names[y]} conflicts with {names[y]} -> {names[x]}"
@@ -296,11 +293,12 @@ def construct_max_pdag(
 
     Requirements are processed in order.  A requirement ``X -> Y`` is
     oriented when the current graph has ``X - Y`` or already ``X -> Y``;
-    after each new orientation the rules are re-closed.  Any other edge
-    state, or a re-closure that would create a directed cycle, makes the
-    whole merge fail: the outcome then carries that requirement and the
-    untouched input graph.  Raises ValueError when ``g`` is not an
-    acyclic, rule-closed graph.
+    after each new orientation the rules are re-closed, which by Meek
+    (1995) keeps the graph maximal.  Any other edge state (a reversed
+    edge, no edge or an unknown node) makes the whole merge fail: the
+    outcome then carries that requirement and the untouched input graph.
+    Raises ValueError when ``g`` is not a maximal PDAG (acyclic,
+    rule-closed and extendable).
     """
     if not isinstance(r, BackgroundKnowledge):
         r = BackgroundKnowledge(r)
@@ -330,14 +328,15 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
         for u in _bits(kept_pa[v]):
             kept_ch[u] |= 1 << v
     und = [pa[v] & ~kept_pa[v] | ch[v] & ~kept_ch[v] for v in nodes]
-    return close_orientations(PdagGraph._from_masks(d.nodes, d._index, kept_pa, kept_ch, und))
+    # ``d`` itself extends the seed, so it needs no check.
+    return _closed(PdagGraph._from_masks(d.nodes, d._index, kept_pa, kept_ch, und))
 
 
 def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:
     """Report whether ``g`` is acyclic, rule-closed and DAG-extendable."""
     from .extension import consistent_extension
 
-    acyclic = not has_directed_cycle(g)
-    closed = is_closed(g)
-    extendable = consistent_extension(g) is not None if acyclic else False
-    return ValidationReport(acyclic=acyclic, closed=closed, extendable=extendable)
+    # consistent_extension returns None on a cyclic graph.
+    return ValidationReport(
+        not has_directed_cycle(g), is_closed(g), consistent_extension(g) is not None
+    )

@@ -297,8 +297,9 @@ def scan_extension(g: PdagGraph):
     """Reference for ``consistent_extension``: after every peel the scan
     restarts from node 0 and takes the first node with no remaining
     child whose undirected neighbours are adjacent to all of its other
-    remaining neighbours, and each edge into it is oriented with the
-    cycle-checking ``_Work.orient``.  None when no node qualifies."""
+    remaining neighbours, and each edge into it is oriented with
+    ``_Work.orient``, which trusts its caller and checks nothing.  None
+    when no node qualifies."""
     work = _Work(g)
     und, ch = work.und, work.ch
     adjacent = [work.adjacent(u) for u in range(len(und))]

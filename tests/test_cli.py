@@ -289,6 +289,112 @@ class TestErrors:
         assert result.returncode == 2
 
 
+FOUR_CYCLE_TEXT = "A -- B\nB -- C\nC -- D\nD -- A\n"
+
+
+class TestInputWithNoExtension:
+    """The undirected 4-cycle is closed and acyclic but has no DAG
+    extension: the commands that need a maximal PDAG refuse it."""
+
+    @pytest.fixture()
+    def cycle(self, tmp_path):
+        path = tmp_path / "cycle.g"
+        path.write_text(FOUR_CYCLE_TEXT)
+        csv_path = tmp_path / "data.csv"
+        rows = "".join(f"{i},{i % 3},{i % 5},{i % 7}\n" for i in range(9))
+        csv_path.write_text("A,B,C,D\n" + rows)
+        return str(path), str(csv_path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["orient", "{g}", "--bg", "A -> B"],
+            ["ida", "{g}", "--x", "A", "--y", "C", "--data", "{data}"],
+            ["ida", "{g}", "--x", "A,B", "--y", "C", "--data", "{data}"],
+        ],
+        ids=["orient", "ida", "joint_ida"],
+    )
+    def test_refused_with_exit_1(self, cycle, capsys, args):
+        g, data = cycle
+        assert cli.main([a.format(g=g, data=data) for a in args]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "error: graph has no consistent DAG extension\n",
+            "",
+        )
+
+    def test_validate_still_reports(self, cycle, capsys):
+        assert cli.main(["validate", cycle[0]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"acyclic": True, "closed": True, "extendable": False}
+
+
+class TestFileErrors:
+    """A path the CLI cannot open, or a file that is not UTF-8, is an
+    input error: exit 2 with the message on stderr."""
+
+    SIM = ["simulate", "--p", "4", "--en", "2", "--graphs", "1", "--n", "20", "--fractions", "0"]
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        graph = tmp_path / "edge.g"
+        graph.write_text("X -> Y\n")
+        data = tmp_path / "data.csv"
+        data.write_text("X,Y\n" + "".join(f"{i},{i * i % 7}\n" for i in range(6)))
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xffX -> Y\n")
+        return {"dir": str(tmp_path), "g": str(graph), "data": str(data), "bad": str(undecodable)}
+
+    def assert_input_error(self, capsys, argv, files, fragment):
+        assert cli.main([a.format(**files) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and fragment in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{dir}"],
+            ["orient", "{dir}", "--bg", "X -> Y"],
+            ["orient", "{g}", "--bg", "{dir}"],
+            ["possde", "{dir}", "--x", "X"],
+            ["possan", "{dir}", "--x", "X"],
+            ["adjust", "{dir}", "--x", "X", "--y", "Y", "--find"],
+            ["ida", "{dir}", "--x", "X", "--y", "Y", "--data", "{data}"],
+            ["ida", "{g}", "--x", "X", "--y", "Y", "--data", "{dir}"],
+            ["simulate", "--config", "{dir}"],
+            SIM + ["--seed", "1", "--out", "{dir}"],
+        ],
+        ids=[
+            "validate",
+            "orient_graph",
+            "orient_bg",
+            "possde",
+            "possan",
+            "adjust",
+            "ida_graph",
+            "ida_data",
+            "simulate_config",
+            "simulate_out",
+        ],
+    )
+    def test_directory_path_exits_2(self, capsys, files, argv):
+        self.assert_input_error(capsys, argv, files, "directory")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{bad}"],
+            ["orient", "{g}", "--bg", "{bad}"],
+            ["ida", "{g}", "--x", "X", "--y", "Y", "--data", "{bad}"],
+            ["simulate", "--config", "{bad}"],
+        ],
+        ids=["graph", "knowledge", "data", "config"],
+    )
+    def test_undecodable_file_exits_2(self, capsys, files, argv):
+        self.assert_input_error(capsys, argv, files, "can't decode byte 0xff")
+
+
 class TestIdaCli:
     def test_single_edge(self, tmp_path):
         g = parse_graph("X -> Y")
@@ -369,6 +475,8 @@ class TestIdaCli:
             ("X,Y\n", "need more samples than variables"),
             ("X,Y\n1,2\n", "need more samples than variables"),
             ("X,Y\n1,2\n\n1,x\n3,4\n5,6\n", "line 4: non-numeric cell"),
+            ("X,Y\n1,2\n3,4\nnan,6\n7,8\n", "line 4: non-finite cell"),
+            ("X,Y\n1,2\n3,-inf\n5,6\n7,1e999\n", "line 3: non-finite cell"),
         ],
         ids=[
             "other_column",
@@ -376,6 +484,8 @@ class TestIdaCli:
             "header_only",
             "one_row",
             "blank_line_before_bad_row",
+            "nan_cell",
+            "inf_cell",
         ],
     )
     def test_malformed_data_is_usage_error(self, tmp_path, text, message):

@@ -17,6 +17,10 @@ from mpdagkit.sem_sim import SemModel, random_dag, sample_data, true_total_effec
 from conftest import random_mpdag
 from helpers import global_merge_parent_sets
 
+FOUR_CYCLE = PdagGraph(
+    "ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
+)
+
 
 def regression_se(data, col_x, col_y, col_extra):
     """Standard error of the treatment coefficient in one OLS fit."""
@@ -114,6 +118,10 @@ class TestPossibleParentSets:
         with pytest.raises(ValueError, match="not closed"):
             possible_parent_sets(parse_graph("A -> B\nB -- C"), ["C"])
 
+    def test_rejects_input_with_no_extension(self):
+        with pytest.raises(ValueError, match="no consistent DAG extension"):
+            possible_parent_sets(FOUR_CYCLE, ["A"])
+
 
 def complete_graph(n):
     names = [f"V{i}" for i in range(1, n + 1)]
@@ -198,6 +206,29 @@ class TestIdaEffects:
         with pytest.raises(ValueError, match="columns"):
             ida_effects(fig1_mpdag, "C", "A", data, columns=("A", "B", "C", "Q"))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_data(self, fig1_mpdag, bad):
+        data = np.random.default_rng(2).standard_normal((10, 4))
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ida_effects(fig1_mpdag, "C", "A", data)
+        with pytest.raises(ValueError, match="finite"):
+            joint_ida_effects(fig1_mpdag, ["C", "B"], "A", data)
+
+    def test_unknown_outcome_is_an_unknown_node(self, fig1_mpdag):
+        data = np.random.default_rng(2).standard_normal((10, 4))
+        with pytest.raises(KeyError, match="unknown node: 'Q'"):
+            ida_effects(fig1_mpdag, "C", "Q", data)
+        with pytest.raises(KeyError, match="unknown node: 'Q'"):
+            joint_ida_effects(fig1_mpdag, ["C", "B"], "Q", data)
+
+    def test_rejects_input_with_no_extension(self):
+        data = np.random.default_rng(2).standard_normal((10, 4))
+        with pytest.raises(ValueError, match="no consistent DAG extension"):
+            ida_effects(FOUR_CYCLE, "A", "C", data)
+        with pytest.raises(ValueError, match="no consistent DAG extension"):
+            joint_ida_effects(FOUR_CYCLE, ["A", "B"], "C", data)
+
     def test_singular_design_reported_as_nan(self):
         g = parse_graph("X -> Y")
         rng = np.random.default_rng(23)
@@ -272,6 +303,9 @@ class TestJointEffects:
     def test_outcome_among_interventions_rejected(self, fig1_mpdag):
         with pytest.raises(ValueError, match="outcome"):
             joint_ida_effects(fig1_mpdag, ["C", "A"], "A", np.zeros((10, 4)))
+        # The single-intervention route shares the check and its message.
+        with pytest.raises(ValueError, match="outcome must not be an intervention node"):
+            ida_effects(fig1_mpdag, "A", "A", np.zeros((10, 4)))
 
 
 class TestDedup:

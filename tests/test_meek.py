@@ -71,6 +71,11 @@ class TestRules:
         with pytest.raises(OrientationConflictError):
             close_orientations(seeded)
 
+    def test_closed_input_with_no_extension_rejected(self):
+        # Already closed, so no rule would fire; the check comes first.
+        with pytest.raises(OrientationConflictError, match="no consistent DAG extension"):
+            close_orientations(FOUR_CYCLE)
+
 
 class TestCloseOrientations:
     def test_figure_one_merge(self, fig1_cpdag, fig1_mpdag):
@@ -132,11 +137,13 @@ class TestConstructMaxPdag:
         assert not outcome.ok
         assert "no edge" in outcome.reason
 
-    def test_fail_on_cycle_creation(self):
-        outcome = construct_max_pdag(FOUR_CYCLE, [("A", "B")])
-        assert not outcome.ok
-        assert outcome.violation == ("A", "B")
-        assert "cycle" in outcome.reason
+    @pytest.mark.parametrize("reqs", [[], [("A", "B")]], ids=["no_requirements", "one"])
+    def test_rejects_input_with_no_extension(self, reqs):
+        # Closed and acyclic, but not maximal: the undirected 4-cycle has
+        # no DAG extension, so it is refused before any merge.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no consistent DAG extension"):
+                construct_max_pdag(FOUR_CYCLE, reqs)
 
     def test_duplicates_and_satisfied_requirements_are_noops(self, fig1_cpdag):
         once = construct_max_pdag(fig1_cpdag, [("D", "B")])

@@ -3,14 +3,22 @@ under the orientation rules or not, with a DAG extension or not."""
 
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdagkit.extension import consistent_extension, enumerate_dags
-from mpdagkit.meek import OrientationConflictError, close_orientations, is_closed
-from mpdagkit.pdag_core import PdagGraph, parse_graph, serialize_graph
+from mpdagkit.ida import ida_effects, joint_ida_effects, possible_parent_sets
+from mpdagkit.meek import (
+    OrientationConflictError,
+    close_orientations,
+    construct_max_pdag,
+    is_closed,
+)
+from mpdagkit.pdag_core import PdagGraph, has_directed_cycle, parse_graph, serialize_graph
 
-from helpers import brute_force_dags, scan_extension
+from helpers import all_rule_orders, brute_force_dags, scan_close, scan_extension
 
 # Seeded and stateless, so every tier-1 run checks the same examples.
 SEEDED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -67,3 +75,41 @@ def test_closure_is_idempotent(g):
         return
     assert is_closed(closed)
     assert close_orientations(closed) == closed
+
+
+@SEEDED
+@given(pdags())
+def test_closure_is_confluent_on_extendable_input(g):
+    """Every extendable input closes to the restart scan's result under
+    all 24 rule orders; every other input is refused before closing."""
+    if consistent_extension(g) is None:
+        expected = ValueError if has_directed_cycle(g) else OrientationConflictError
+        with pytest.raises(expected):
+            close_orientations(g)
+        return
+    closed = close_orientations(g)
+    for order in all_rule_orders():
+        assert scan_close(g, order) == closed
+
+
+# The three ways to fail the maximality check, in the order they are tested.
+NOT_MAXIMAL = "directed cycle|not closed|no consistent DAG extension"
+
+
+@SEEDED
+@given(pdags())
+def test_inputs_with_no_extension_are_rejected_at_every_boundary(g):
+    # close_orientations is covered by the confluence property above.
+    if consistent_extension(g) is not None:
+        return
+    x = g.nodes[0]
+    with pytest.raises(ValueError, match=NOT_MAXIMAL):
+        construct_max_pdag(g, [])
+    with pytest.raises(ValueError, match=NOT_MAXIMAL):
+        possible_parent_sets(g, [x])
+    data = np.random.default_rng(0).standard_normal((len(g) + 2, len(g)))
+    y = g.nodes[-1]
+    with pytest.raises(ValueError, match=NOT_MAXIMAL):
+        ida_effects(g, x, y, data)
+    with pytest.raises(ValueError, match=NOT_MAXIMAL):
+        joint_ida_effects(g, [x], y, data)
