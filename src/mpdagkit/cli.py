@@ -10,7 +10,10 @@ required or names a node twice exits 2.  So does an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
 outnumber the nodes, and so do ``simulate`` settings, from --config or the
 flags, that are malformed or outside the grid's ranges, or a grid flag
-given together with --config (the message names the key or flag).
+given together with --config (the message names the key or flag), a
+``simulate --out`` that is a directory or whose parent is not one
+(checked before the study runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that
+is not a non-negative integer.
 All output is deterministic for fixed arguments and seeds, and graph
 output re-parses through the graph reader.
 """
@@ -19,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import functools
 import json
 import os
+import stat
 import sys
 from itertools import combinations
 from typing import Optional, Sequence
@@ -95,6 +101,19 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     if not lines:
         raise GraphParseError("empty data file")
     header = [token.strip() for token in lines[0][1].split(",")]
+    if len(lines) > 1:
+        # One numpy parse; it accepts no cell that float() rejects, so any
+        # failure, width mismatch or non-finite value falls through to the
+        # per-row loop, which reports the line.
+        try:
+            data = np.loadtxt(
+                [line for _, line in lines[1:]], delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == len(header) and np.isfinite(data).all():
+                return data, header
     rows = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
@@ -162,8 +181,12 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     raw_cap = os.environ.get(UNIVERSE_CAP_ENV, "20")
     try:
         cap = int(raw_cap)
+        if cap < 0:
+            raise ValueError
     except ValueError:
-        raise UsageError(f"{UNIVERSE_CAP_ENV} must be an integer, got {raw_cap!r}") from None
+        raise UsageError(
+            f"{UNIVERSE_CAP_ENV} must be a non-negative integer, got {raw_cap!r}"
+        ) from None
     for z in list_adjustment_sets(
         g, xs, ys, minimal_only=args.minimal, universe_cap=cap
     ):
@@ -254,8 +277,27 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
+def _check_out_path(path: str) -> None:
+    """Raise the error that opening ``path`` for writing would raise if it
+    is a directory or its parent is not one, so that a bad --out fails
+    before the study runs; creates nothing."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    rows = run_simulation(_sim_config(args))
+    config = _sim_config(args)
+    if args.out:
+        _check_out_path(args.out)
+    rows = run_simulation(config)
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -265,9 +307,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; each subcommand's handler is its ``run``
-    default."""
+    """The argument parser, built once per process and reused by every
+    :func:`main` call; each subcommand's handler is its ``run`` default."""
     parser = argparse.ArgumentParser(
         prog="mpdagkit",
         description="Causal reasoning on maximally oriented partially directed acyclic graphs.",

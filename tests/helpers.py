@@ -6,16 +6,18 @@ parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the extension oracle restarts its sink scan after every peel,
-and the DAG-class oracle tries every orientation of the undirected
-edges.
+the DAG-class oracle tries every orientation of the undirected
+edges, and the data-file oracle parses each cell with ``float``.
 """
 
 from itertools import permutations, product
 
+import numpy as np
+
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import _Work, construct_max_pdag
-from mpdagkit.pdag_core import PdagGraph, _bits, _closure, has_directed_cycle
+from mpdagkit.pdag_core import GraphParseError, PdagGraph, _bits, _closure, has_directed_cycle
 
 
 class ScanState:
@@ -317,3 +319,28 @@ def scan_extension(g: PdagGraph):
             work.orient(u, x)
         remaining ^= 1 << x
     return work.freeze()
+
+
+def read_csv_rows(path: str):
+    """Reference for the CLI's ``--data`` reader: every row is split and
+    parsed cell by cell with ``float``, and the first bad row names its
+    line.  Returns the data and the header, as the reader does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
+        raise GraphParseError("empty data file")
+    header = [token.strip() for token in lines[0][1].split(",")]
+    rows = []
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise GraphParseError(f"row has {len(cells)} cells, expected {len(header)}", lineno)
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise GraphParseError("non-numeric cell", lineno) from None
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        bad = next(n for (n, _), row in zip(lines[1:], rows) if not np.isfinite(row).all())
+        raise GraphParseError("non-finite cell", bad)
+    return data, header

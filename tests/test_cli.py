@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli
-from mpdagkit.pdag_core import parse_graph
+from mpdagkit.pdag_core import GraphParseError, parse_graph
 from mpdagkit.sem_sim import SemModel, sample_data
 
 from conftest import FIG1_CPDAG_TEXT, FIG3_CPDAG_TEXT, FIG3_G1_TEXT, FIG3_G2_TEXT
+from helpers import read_csv_rows
 
 
 def run_cli(*args, env=None):
@@ -247,6 +250,20 @@ class TestAdjust:
         assert "MPDAGKIT_UNIVERSE_CAP" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("cap", ["abc", "-1"], ids=["non_integer", "negative"])
+    def test_rejected_universe_cap_is_usage_error(self, graphs, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MPDAGKIT_UNIVERSE_CAP", cap)
+        assert cli.main(["adjust", graphs["fig3_g1"], "--x", "X", "--y", "Y", "--list"]) == 2
+        message = f"error: MPDAGKIT_UNIVERSE_CAP must be a non-negative integer, got {cap!r}\n"
+        assert capsys.readouterr() == ("", message)
+
+    def test_zero_universe_cap_lists_an_empty_universe(self, tmp_path, capsys, monkeypatch):
+        graph = tmp_path / "edge.g"
+        graph.write_text("A -> B\n")
+        monkeypatch.setenv("MPDAGKIT_UNIVERSE_CAP", "0")
+        assert cli.main(["adjust", str(graph), "--x", "A", "--y", "B", "--list"]) == 0
+        assert capsys.readouterr() == ("{}\n", "")
+
 
 class TestErrors:
     def test_usage_error(self):
@@ -477,6 +494,7 @@ class TestIdaCli:
             ("X,Y\n1,2\n\n1,x\n3,4\n5,6\n", "line 4: non-numeric cell"),
             ("X,Y\n1,2\n3,4\nnan,6\n7,8\n", "line 4: non-finite cell"),
             ("X,Y\n1,2\n3,-inf\n5,6\n7,1e999\n", "line 3: non-finite cell"),
+            ("X,Y\n1,2\n3#4,5\n5,6\n7,8\n", "line 3: non-numeric cell"),
         ],
         ids=[
             "other_column",
@@ -486,6 +504,7 @@ class TestIdaCli:
             "blank_line_before_bad_row",
             "nan_cell",
             "inf_cell",
+            "comment_character",
         ],
     )
     def test_malformed_data_is_usage_error(self, tmp_path, text, message):
@@ -549,6 +568,26 @@ class TestSimulateCli:
         result = run_cli(*self.ARGS, "--out", str(out))
         assert result.returncode == 0
         assert out.read_text().startswith("seed,p,en,")
+
+    @pytest.mark.parametrize(
+        "out",
+        ["", "missing/rows.csv", "file.txt/rows.csv"],
+        ids=["directory", "missing_parent", "parent_is_a_file"],
+    )
+    def test_bad_out_fails_before_the_study(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "file.txt").write_text("")
+        out = str(tmp_path / out)
+        with pytest.raises(OSError) as opening:
+            open(out, "w")
+        before = sorted(tmp_path.rglob("*"))
+
+        def study_must_not_run(config):
+            raise AssertionError("the study ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_simulation", study_must_not_run)
+        assert cli.main([*self.ARGS, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {opening.value}\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -697,3 +736,120 @@ def test_one_node_list_rule_for_every_subcommand(rule_files, query):
     else:
         assert code in (0, 1)
         assert err.getvalue() == ""
+
+
+HELP_GOLDEN = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+class TestParserCache:
+    """One parser per process: reusing it changes no help text and no
+    usage error.  The help goldens were captured at 80 columns from the
+    parser before it was cached."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", list(HELP_GOLDEN))
+    def test_help_matches_golden(self, capsys, name):
+        argv = ["--help"] if name == "mpdagkit" else [name, "--help"]
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr() == (HELP_GOLDEN[name], "")
+
+    def test_one_parser_for_many_calls(self, graphs, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        g = graphs["fig3_g1"]
+        for argv in (
+            ["validate", g],
+            ["possde", g, "--x", "X"],
+            ["adjust", g, "--x", "X", "--y", "Y", "--find"],
+            ["possan", g, "--x", "Q"],
+        ):
+            cli.main(argv)
+        capsys.readouterr()
+        assert len(built) == 8  # the top-level parser and one per subcommand
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_usage_error_is_identical_when_repeated(self, graphs, capsys):
+        argv = ["adjust", graphs["fig3_g1"], "--x", "X"]
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 2 and fresh.stderr.startswith("usage: mpdagkit adjust")
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr() == ("", fresh.stderr)
+
+
+# Cells that float() and a C parser may read differently: comment and
+# digit-group characters, bare signs and exponents, non-finite words,
+# inner whitespace and non-ASCII digits and spaces.
+HOSTILE_CELLS = st.one_of(
+    st.sampled_from(
+        ["", " ", "nan", "inf", "-inf", "Infinity", "1_0", "3#4", "#", "1e5", "1e", "e", ".",
+         "+.5", "1.", "-0", "1e999", "1e-400", " 7 ", "7 8", "\t2", "\xa03", "\u0661", "0x10"]
+    ),
+    st.text(alphabet="0123456789.e+-_# ", max_size=4),
+)
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A data file of up to five rows under a one- to three-column
+    header; rows may have a cell too few or too many or a trailing comma,
+    blank lines may follow them, and the cells are either all numbers or
+    about one in four hostile."""
+    width = draw(st.integers(1, 3))
+    hostile = draw(st.booleans())
+
+    def cell():
+        if hostile and draw(st.integers(0, 3)) == 0:
+            return draw(HOSTILE_CELLS)
+        return draw(NUMBER_CELLS)
+
+    lines = [",".join("ABC"[:width])]
+    for _ in range(draw(st.integers(0, 5))):
+        count = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.append(",".join(cell() for _ in range(count)))
+        if draw(st.integers(0, 7)) == 0:
+            lines[-1] += ","
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@pytest.fixture(scope="module")
+def sweep_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+def read_outcome(read, path):
+    try:
+        data, header = read(path)
+    except GraphParseError as exc:
+        return str(exc), exc.line
+    return data.shape, data.dtype, data.tobytes(), header
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(text=csv_texts())
+def test_data_reader_matches_the_per_row_oracle(sweep_file, text):
+    sweep_file.write_text(text, encoding="utf-8")
+    path = str(sweep_file)
+    assert read_outcome(cli._read_csv_matrix, path) == read_outcome(read_csv_rows, path)
