@@ -254,6 +254,7 @@ def is_amenable(
     """Check that every proper possibly-causal path leaves ``xs`` with a
     directed edge; a shortest offending path is the witness otherwise."""
     x_mask, y_mask, _ = _query(g, xs, ys)
+    _nonempty(x_mask, y_mask)
     return _amenability(g, x_mask, y_mask)
 
 
@@ -340,7 +341,7 @@ def proper_backdoor_graph(d: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
     onward = _closure([m & ~x_mask for m in d._pa], y_mask)
     pa = [m & ~x_mask if onward >> v & 1 else m for v, m in enumerate(d._pa)]
     ch = [m & ~onward if x_mask >> v & 1 else m for v, m in enumerate(d._ch)]
-    return PdagGraph._from_masks(d.nodes, d._index, pa, ch, (0,) * len(d))
+    return PdagGraph._from_masks(d.nodes, d._index, pa, ch, [0] * len(d))
 
 
 def check_b_blocking(
@@ -357,9 +358,9 @@ def check_b_blocking(
     on failure is a d-connecting path certified in the extension DAG.
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
+    _nonempty(x_mask, y_mask)
     if not _amenability(g, x_mask, y_mask).ok:
         raise ValueError("blocking check requires amenability to hold")
-    _nonempty(x_mask, y_mask)
     if z_mask & _forbidden_nodes(g, x_mask, y_mask):
         raise ValueError("blocking check requires zs to avoid the forbidden set")
     return _blocking_fast(g, x_mask, y_mask, z_mask)
@@ -503,9 +504,9 @@ def list_adjustment_sets(
     MPDAGKIT_UNIVERSE_CAP environment variable via the CLI).
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
+    _nonempty(x_mask, y_mask)
     if not _amenability(g, x_mask, y_mask).ok:
         return []
-    _nonempty(x_mask, y_mask)
     taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     if len(universe) > universe_cap:

@@ -165,6 +165,8 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     modes = sum(1 for flag in (args.z is not None, args.find, args.list) if flag)
     if modes != 1:
         raise UsageError("choose exactly one of --z, --find or --list")
+    if args.minimal and not args.list:
+        raise UsageError("--minimal needs --list")
     zs = _split_nodes(args.z or "")
     _check_node_lists(g, {"--x": xs, "--y": ys, "--z": zs}, may_be_empty="--z")
     if args.z is not None:
@@ -367,9 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:  # from argparse: 2 on a usage error, 0 after --help
+        return exc.code
     except DomainFailure as exc:
         print(f"error: {exc}")
         return 1

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import _close, _closed, _low, _Work
-from .pdag_core import PdagGraph, _bits, has_directed_cycle, unshielded_collider_triples
+from .meek import _close, _closed, _low
+from .pdag_core import PdagGraph, _adjacency, _bits, has_directed_cycle, unshielded_collider_triples
 
 DEFAULT_DAG_LIMIT = 100_000
 
@@ -60,9 +60,9 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     ``x`` only removes nodes from its neighbours' tests, so eligible
     nodes stay eligible and only the other neighbours are re-tested.
     """
-    work = _Work(g)
-    und, ch = work.und, work.ch
-    adjacent = [work.adjacent(u) for u in range(len(und))]
+    dag = g._copy()
+    und, ch = dag._und, dag._ch
+    adjacent = _adjacency(g)
     remaining = (1 << len(und)) - 1
 
     def eligible(x: int) -> bool:
@@ -76,13 +76,13 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
         x = _low(ready)
         # Never a cycle: every descendant of x has been peeled already.
         for u in _bits(und[x]):
-            work.orient(u, x)
+            dag._orient(u, x)
         remaining ^= 1 << x
         ready ^= 1 << x
         for y in _bits(adjacent[x] & remaining & ~ready):
             if eligible(y):
                 ready |= 1 << y
-    return work.freeze() if not remaining else None
+    return dag if not remaining else None
 
 
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
@@ -117,29 +117,29 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
 
     by_name = sorted(range(len(g.nodes)), key=g.nodes.__getitem__)
 
-    def first_undirected(work: _Work) -> Optional[tuple[int, int]]:
+    def first_undirected(h: PdagGraph) -> Optional[tuple[int, int]]:
         """First undirected edge in canonical (name-sorted) pair order."""
         for pos, u in enumerate(by_name):
-            if work.und[u]:
+            if h._und[u]:
                 for v in by_name[pos + 1 :]:
-                    if work.und[u] >> v & 1:
+                    if h._und[u] >> v & 1:
                         return u, v
         return None
 
-    stack = [_Work(_closed(g))]
+    stack = [_closed(g)]
     while stack:
-        work = stack.pop()
-        edge = first_undirected(work)
+        h = stack.pop()
+        edge = first_undirected(h)
         if edge is None:
             if len(found) >= limit:
                 truncated = True
                 break
-            found.append(work.freeze())
+            found.append(h)
             continue
         a, b = edge
         for tail, head in ((b, a), (a, b)):  # (a, b) is popped, so explored, first
-            branch = work.copy()
-            branch.orient(tail, head)
+            branch = h._copy()
+            branch._orient(tail, head)
             _close(branch, [(tail, head)])
             stack.append(branch)
     return DagList(tuple(found), truncated)

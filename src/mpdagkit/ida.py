@@ -6,8 +6,8 @@ required as children); a subset is kept exactly when that local
 knowledge merges consistently into the graph.  The graph is validated
 once; subsets that are not cliques are skipped without a merge (two
 non-adjacent parents would form an unshielded collider the class
-lacks), and every other combination is merged on a copy of one bitset
-work state, reading the parents off its masks.  Effects are one linear
+lacks), and every other combination is merged on its own copy of the
+graph, reading the parents off its masks.  Effects are one linear
 regression per surviving parent set, or path tracing through a fitted
 extension DAG for joint interventions.
 """
@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .extension import consistent_extension
-from .meek import _merge_one, _require_maximal, _Work
+from .meek import _merge_one, _require_maximal
 from .pdag_core import PdagGraph, _bits
 
 DEDUP_TOLERANCE = 1e-8
@@ -94,13 +94,13 @@ class EffectMultiset:
 
 def _accepted_combinations(
     g: PdagGraph, xs: tuple[str, ...]
-) -> Iterator[tuple[PossibleParents, _Work]]:
-    """Each accepted combination in counter order, with its merged state.
+) -> Iterator[tuple[PossibleParents, PdagGraph]]:
+    """Each accepted combination in counter order, with its merged graph.
 
     Every intervention node gets a binary counter over its canonically
     ordered siblings (later nodes excluding earlier intervention
     nodes); the combination's requirements (picked siblings into the
-    node, the rest out of it) are merged into a copy of one base state.
+    node, the rest out of it) are merged into a copy of ``g``.
     Picks that are not cliques of ``g`` are skipped unmerged: two
     non-adjacent parents would form an unshielded collider that no DAG
     of the class has, so that merge always fails.
@@ -109,18 +109,17 @@ def _accepted_combinations(
         raise ValueError("intervention nodes must be distinct")
     g.check_nodes(xs)
     _require_maximal(g)
-    base = _Work(g)
-    targets = [base.index[x] for x in xs]
+    targets = [g._index[x] for x in xs]
 
     options = []  # per node: (chosen siblings, requirements), counter order
     for i, x in enumerate(targets):
         earlier = sum(1 << t for t in targets[:i])
-        pool = list(_bits(base.und[x] & ~earlier))
+        pool = list(_bits(g._und[x] & ~earlier))
         # Extending every clique found so far by the next sibling, and
         # appending, lists the cliques in counter order.
         cliques = [0]
         for v in pool:
-            near = base.adjacent(v)
+            near = g._pa[v] | g._ch[v] | g._und[v]
             cliques += [m | 1 << v for m in cliques if not m & ~near]
         options.append(
             [
@@ -130,10 +129,10 @@ def _accepted_combinations(
         )
 
     for combo in product(*options):
-        work = base.copy()
-        if all(_merge_one(work, a, b) is None for _, reqs in combo for a, b in reqs):
-            parents = tuple(g._names(work.pa[x]) for x in targets)
-            yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), work
+        merged = g._copy()
+        if all(_merge_one(merged, a, b) is None for _, reqs in combo for a, b in reqs):
+            parents = tuple(g._names(merged._pa[x]) for x in targets)
+            yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), merged
 
 
 def possible_parent_sets(g: PdagGraph, xs: Sequence[str]) -> ParentSetFamily:
@@ -254,7 +253,7 @@ def joint_ida_effects(
 
     values = []
     for _, merged in accepted:
-        dag = consistent_extension(merged.freeze())
+        dag = consistent_extension(merged)
         assert dag is not None, "merged graph of an accepted combination extends"
         B = _fit_coefficient_matrix(dag, data, col)
         if np.isnan(B).any():

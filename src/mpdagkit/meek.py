@@ -9,13 +9,12 @@ the current graph (undirected or already oriented) and is followed by
 re-closure, or the whole merge fails and the input is reported back
 untouched together with the first violating requirement.
 
-Closure runs on :class:`_Work`, a mutable list copy of a graph's
-per-node sibling, parent and child bitmasks, where each rule premise is
-a few mask operations; it shares the graph's node tuple and index and
-freezes back into a graph through the trusted constructor, so no name
-is looked up or re-checked on the way.  Closure and merge outputs are
-marked maximal when built, so public entry points check maximality only
-on graphs built elsewhere.
+Closure orients a private copy of the graph in place, where each rule
+premise is a few operations on its per-node sibling, parent and child
+bitmasks; the copy shares the graph's node index and is itself the
+result, so no name is looked up or re-checked.  Closure and merge
+outputs are marked maximal when built, so public entry points check
+maximality only on graphs built elsewhere.
 """
 
 from __future__ import annotations
@@ -110,40 +109,7 @@ def _low(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-class _Work:
-    """Mutable copy of a graph's per-node sibling, parent and child
-    bitmasks (bit ``i`` stands for ``nodes[i]``)."""
-
-    __slots__ = ("nodes", "index", "und", "pa", "ch")
-
-    def __init__(self, g: PdagGraph):
-        self.nodes, self.index = g._nodes, g._index
-        self.und, self.pa, self.ch = list(g._und), list(g._pa), list(g._ch)
-
-    def adjacent(self, u: int) -> int:
-        return self.und[u] | self.pa[u] | self.ch[u]
-
-    def copy(self) -> "_Work":
-        dup = object.__new__(_Work)
-        dup.nodes, dup.index = self.nodes, self.index
-        dup.und, dup.pa, dup.ch = self.und[:], self.pa[:], self.ch[:]
-        return dup
-
-    def orient(self, u: int, v: int) -> None:
-        """Turn the undirected edge u - v into u -> v, unchecked.  No
-        caller creates a cycle: by Meek (1995) closing an extendable graph,
-        or orienting and re-closing one of its undirected edges, keeps it
-        extendable, and sink peeling orients only into a node with no child left."""
-        self.und[u] ^= 1 << v
-        self.und[v] ^= 1 << u
-        self.ch[u] |= 1 << v
-        self.pa[v] |= 1 << u
-
-    def freeze(self) -> PdagGraph:
-        return PdagGraph._from_masks(self.nodes, self.index, self.pa, self.ch, self.und)
-
-
-def _first_target(work: _Work, a: int, b: int) -> Optional[tuple[int, int]]:
+def _first_target(g: PdagGraph, a: int, b: int) -> Optional[tuple[int, int]]:
     """First orientation implied by a rule whose pattern uses the directed
     edge a -> b, or None.
 
@@ -153,7 +119,7 @@ def _first_target(work: _Work, a: int, b: int) -> Optional[tuple[int, int]]:
     one directed edge, so scanning each directed edge as it appears
     visits every applicable pattern.
     """
-    und, pa, ch = work.und, work.pa, work.ch
+    und, pa, ch = g._und, g._pa, g._ch
     # Nodes other than a that are not adjacent to a.
     apart_a = ~(und[a] | pa[a] | ch[a] | 1 << a)
 
@@ -196,8 +162,8 @@ def _first_target(work: _Work, a: int, b: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _close(work: _Work, seed: Iterable[tuple[int, int]]) -> None:
-    """Apply rules until fixpoint, starting from the given directed edges.
+def _close(g: PdagGraph, seed: Iterable[tuple[int, int]]) -> None:
+    """Apply rules to ``g`` until fixpoint, starting from the given directed edges.
 
     The first target is recomputed after every orientation so each
     firing is checked against the current state, never a stale premise.
@@ -206,25 +172,19 @@ def _close(work: _Work, seed: Iterable[tuple[int, int]]) -> None:
     while queue:
         a, b = queue.popleft()
         while True:
-            target = _first_target(work, a, b)
+            target = _first_target(g, a, b)
             if target is None:
                 break
-            work.orient(*target)
+            g._orient(*target)
             queue.append(target)
-
-
-def _maximal_graph(work: _Work) -> PdagGraph:
-    """Freeze a closed, acyclic work state and record that it is maximal."""
-    out = work.freeze()
-    out._maximal = True
-    return out
 
 
 def _closed(g: PdagGraph) -> PdagGraph:
     """Closure of a graph already known to be acyclic and extendable."""
-    work = _Work(g)
-    _close(work, [(u, v) for u, m in enumerate(g._ch) for v in _bits(m)])
-    return _maximal_graph(work)
+    out = g._copy()
+    _close(out, [(u, v) for u, m in enumerate(g._ch) for v in _bits(m)])
+    out._maximal = True
+    return out
 
 
 def close_orientations(g: PdagGraph) -> PdagGraph:
@@ -248,9 +208,8 @@ def is_closed(g: PdagGraph) -> bool:
     """True iff no orientation rule applies to ``g``."""
     if g._maximal:
         return True
-    work = _Work(g)
     return not any(
-        _first_target(work, u, v) for u, children in enumerate(work.ch) for v in _bits(children)
+        _first_target(g, u, v) for u, children in enumerate(g._ch) for v in _bits(children)
     )
 
 
@@ -267,21 +226,21 @@ def _require_maximal(g: PdagGraph) -> None:
         raise ValueError("graph has no consistent DAG extension")
 
 
-def _merge_one(work: _Work, x: int, y: int) -> Optional[str]:
-    """Merge the required orientation x -> y into ``work`` and re-close.
+def _merge_one(g: PdagGraph, x: int, y: int) -> Optional[str]:
+    """Merge the required orientation x -> y into ``g`` and re-close.
 
-    ``work`` must be a maximal PDAG, and stays one.  Returns None on
+    ``g`` must be a maximal PDAG, and stays one.  Returns None on
     success, otherwise why the requirement fails; after a failure
-    ``work`` is left part-way and must be discarded.
+    ``g`` is left part-way and must be discarded.
     """
-    if work.ch[x] >> y & 1:
+    if g._ch[x] >> y & 1:
         return None
-    names = work.nodes
-    if work.und[x] >> y & 1:
-        work.orient(x, y)
-        _close(work, [(x, y)])
+    names = g._nodes
+    if g._und[x] >> y & 1:
+        g._orient(x, y)
+        _close(g, [(x, y)])
         return None
-    if work.ch[y] >> x & 1:
+    if g._ch[y] >> x & 1:
         return f"{names[x]} -> {names[y]} conflicts with {names[y]} -> {names[x]}"
     return f"no edge between {names[x]} and {names[y]}"
 
@@ -303,16 +262,17 @@ def construct_max_pdag(
     if not isinstance(r, BackgroundKnowledge):
         r = BackgroundKnowledge(r)
     _require_maximal(g)
-    work = _Work(g)
-    index = work.index
+    merged = g._copy()
+    index = g._index
     for x, y in r:
         if x not in index or y not in index:
             missing = x if x not in index else y
             return OrientationOutcome(g, (x, y), f"unknown node {missing}")
-        reason = _merge_one(work, index[x], index[y])
+        reason = _merge_one(merged, index[x], index[y])
         if reason is not None:
             return OrientationOutcome(g, (x, y), reason)
-    return OrientationOutcome(_maximal_graph(work))
+    merged._maximal = True
+    return OrientationOutcome(merged)
 
 
 def cpdag_of(d: PdagGraph) -> PdagGraph:

@@ -6,8 +6,9 @@ type is used for DAGs, CPDAGs and maximal PDAGs.  Library code works on
 the masks; names appear only at the public methods and in
 parse/serialize.  The public constructor validates names and edges; a
 graph derived from another (closure, merge, extension, reversal) is
-built by the private ``PdagGraph._from_masks``, which shares the
-source's nodes and index and re-checks nothing.  Graphs are immutable.
+built by the private ``PdagGraph._from_masks`` or ``_copy``, which share
+the source's nodes and index and re-check nothing.  Graphs are immutable
+once returned, as derived graphs may share mask lists with their source.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ def _closure(step: Sequence[int], seeds: int) -> int:
     return out
 
 
+def _adjacency(g: "PdagGraph") -> list[int]:
+    return [p | c | u for p, c, u in zip(g._pa, g._ch, g._und)]
+
+
 class PdagGraph:
     """Immutable partially directed graph over named nodes.
 
@@ -77,7 +82,7 @@ class PdagGraph:
     of the parents, children and siblings of ``nodes[i]``.
     """
 
-    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_und", "_hash", "_maximal")
+    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_und", "_maximal")
 
     def __init__(
         self,
@@ -122,21 +127,35 @@ class PdagGraph:
     def _assign(self, nodes, index, pa, ch, und) -> None:
         self._nodes = nodes
         self._index = index
-        self._pa = tuple(pa)
-        self._ch = tuple(ch)
-        self._und = tuple(und)
-        self._hash = hash((nodes, self._pa, self._und))
+        self._pa = pa
+        self._ch = ch
+        self._und = und
         self._maximal = False  # set by meek on a closure or merge output it built
 
     @classmethod
     def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":
         """Trusted constructor for graphs derived from an existing one:
-        ``nodes`` and ``index`` are that graph's, and the mask sequences
+        ``nodes`` and ``index`` are that graph's, and the mask lists
         must be consistent (``pa`` the transpose of ``ch``, ``und``
         symmetric, the three pairwise disjoint); nothing is re-checked."""
         g = object.__new__(cls)
         g._assign(nodes, index, pa, ch, und)
         return g
+
+    def _copy(self) -> "PdagGraph":
+        """Fresh mask lists, same nodes and index.  Only the function that
+        made a copy may ``_orient`` it, and only before returning it."""
+        return self._from_masks(self._nodes, self._index, self._pa[:], self._ch[:], self._und[:])
+
+    def _orient(self, u: int, v: int) -> None:
+        """Turn the undirected edge u - v into u -> v, unchecked.  No
+        caller creates a cycle: by Meek (1995) closing an extendable graph,
+        or orienting and re-closing one of its undirected edges, keeps it
+        extendable, and sink peeling orients only into a node with no child left."""
+        self._und[u] ^= 1 << v
+        self._und[v] ^= 1 << u
+        self._ch[u] |= 1 << v
+        self._pa[v] |= 1 << u
 
     # -- basic views ---------------------------------------------------
 
@@ -187,7 +206,7 @@ class PdagGraph:
             return UNDIRECTED
         return None
 
-    def _pair_bit(self, masks: tuple[int, ...], u: str, v: str) -> bool:
+    def _pair_bit(self, masks: list[int], u: str, v: str) -> bool:
         """Bit ``v`` of ``masks[u]``; False when either name is unknown."""
         i = self._index.get(u)
         j = self._index.get(v)
@@ -273,7 +292,7 @@ class PdagGraph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._nodes, tuple(self._pa), tuple(self._und)))
 
     def __repr__(self) -> str:
         return f"PdagGraph(nodes={len(self._nodes)}, edges={self.edge_count()})"

@@ -27,7 +27,7 @@ import numpy as np
 from .adjustment import adjust_set, is_amenable
 from .ida import ida_effects
 from .meek import construct_max_pdag, cpdag_of
-from .pdag_core import GraphParseError, PdagGraph, _bits, _closure, _edge_statements
+from .pdag_core import GraphParseError, PdagGraph, _adjacency, _bits, _closure, _edge_statements
 
 CSV_HEADER = "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_unique,ms"
 
@@ -137,10 +137,6 @@ def true_total_effect(m: SemModel, xs: "str | Sequence[str]", y: str) -> np.ndar
     idx = {name: i for i, name in enumerate(m.dag.nodes)}
     totals = np.linalg.inv(np.eye(len(idx)) - m.coefficient_matrix())
     return np.array([totals[idx[x], idx[y]] for x in xs])
-
-
-def _adjacency(g: PdagGraph) -> list[int]:
-    return [p | c | u for p, c, u in zip(g._pa, g._ch, g._und)]
 
 
 def _background_requirements(

@@ -16,8 +16,15 @@ import numpy as np
 
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
-from mpdagkit.meek import _Work, construct_max_pdag
-from mpdagkit.pdag_core import GraphParseError, PdagGraph, _bits, _closure, has_directed_cycle
+from mpdagkit.meek import construct_max_pdag
+from mpdagkit.pdag_core import (
+    GraphParseError,
+    PdagGraph,
+    _adjacency,
+    _bits,
+    _closure,
+    has_directed_cycle,
+)
 
 
 class ScanState:
@@ -37,7 +44,7 @@ class ScanState:
         self.ch[u].add(v)
         self.pa[v].add(u)
 
-    def freeze(self) -> PdagGraph:
+    def graph(self) -> PdagGraph:
         directed = [(u, v) for u in self.nodes for v in sorted(self.ch[u])]
         undirected = [
             (u, v) for u in self.nodes for v in sorted(self.und[u]) if u < v
@@ -100,7 +107,7 @@ def scan_close(g: PdagGraph, rule_order=("R1", "R2", "R3", "R4")) -> PdagGraph:
                 s.orient(*hit)
                 changed = True
                 break
-    return s.freeze()
+    return s.graph()
 
 
 def scan_construct(g: PdagGraph, requirements, rule_order=("R1", "R2", "R3", "R4")):
@@ -112,13 +119,13 @@ def scan_construct(g: PdagGraph, requirements, rule_order=("R1", "R2", "R3", "R4
         if y not in s.und[x]:
             return None
         s.orient(x, y)
-        frozen = scan_close(s.freeze(), rule_order)
+        closed = scan_close(s.graph(), rule_order)
         from mpdagkit.pdag_core import has_directed_cycle
 
-        if has_directed_cycle(frozen):
+        if has_directed_cycle(closed):
             return None
-        s = ScanState(frozen)
-    return s.freeze()
+        s = ScanState(closed)
+    return s.graph()
 
 
 def all_rule_orders():
@@ -299,12 +306,12 @@ def scan_extension(g: PdagGraph):
     """Reference for ``consistent_extension``: after every peel the scan
     restarts from node 0 and takes the first node with no remaining
     child whose undirected neighbours are adjacent to all of its other
-    remaining neighbours, and each edge into it is oriented with
-    ``_Work.orient``, which trusts its caller and checks nothing.  None
-    when no node qualifies."""
-    work = _Work(g)
-    und, ch = work.und, work.ch
-    adjacent = [work.adjacent(u) for u in range(len(und))]
+    remaining neighbours, and each edge into it is oriented on a copy of
+    ``g`` with ``PdagGraph._orient``, which trusts its caller and checks
+    nothing.  None when no node qualifies."""
+    dag = g._copy()
+    und, ch = dag._und, dag._ch
+    adjacent = _adjacency(g)
     remaining = (1 << len(und)) - 1
     while remaining:
         for x in _bits(remaining):
@@ -316,9 +323,9 @@ def scan_extension(g: PdagGraph):
         else:
             return None
         for u in _bits(und[x] & remaining):
-            work.orient(u, x)
+            dag._orient(u, x)
         remaining ^= 1 << x
-    return work.freeze()
+    return dag
 
 
 def read_csv_rows(path: str):

@@ -111,6 +111,24 @@ class TestForbiddenSet:
             )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        forbidden_set,
+        is_amenable,
+        check_b_blocking,
+        satisfies_b_adjustment,
+        adjust_set,
+        list_adjustment_sets,
+    ],
+)
+@pytest.mark.parametrize("xs, ys", [([], "Y"), ("X", [])])
+def test_every_entry_point_rejects_an_empty_set(entry, xs, ys):
+    g = parse_graph("X -> Y\nY -- Z")
+    with pytest.raises(ValueError, match="treatment and outcome sets must be non-empty"):
+        entry(g, xs, ys)
+
+
 class TestAmenability:
     def test_cpdag_not_amenable(self, fig3_cpdag):
         check = is_amenable(fig3_cpdag, "X", "Y")

@@ -221,6 +221,12 @@ class TestAdjust:
         result = run_cli("adjust", graphs["fig3_g1"], "--x", "X", "--y", "Y")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("mode", [("--find",), ("--z", "")])
+    def test_minimal_needs_list(self, graphs, capsys, mode):
+        argv = ["adjust", graphs["fig3_g1"], "--x", "X", "--y", "Y", *mode, "--minimal"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --minimal needs --list\n")
+
     def test_universe_cap_env(self, graphs):
         result = run_cli(
             "adjust",
@@ -754,9 +760,7 @@ class TestParserCache:
     def test_help_matches_golden(self, capsys, name):
         argv = ["--help"] if name == "mpdagkit" else [name, "--help"]
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 0
+            assert cli.main(argv) == 0
             assert capsys.readouterr() == (HELP_GOLDEN[name], "")
 
     def test_one_parser_for_many_calls(self, graphs, capsys, monkeypatch):
@@ -787,9 +791,7 @@ class TestParserCache:
         assert fresh.returncode == 2 and fresh.stderr.startswith("usage: mpdagkit adjust")
         cli._build_parser.cache_clear()
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2
+            assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", fresh.stderr)
 
 

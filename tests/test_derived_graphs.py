@@ -1,19 +1,28 @@
 """Graphs the library derives from another graph skip validation, so
-check them against a rebuild through the public constructor, and check
-that deriving them never goes back to node names."""
+check them against a rebuild through the public constructor, check that
+deriving them never goes back to node names, and check that it never
+changes the graph they are derived from."""
 
 from itertools import combinations
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpdagkit import pdag_core
-from mpdagkit.adjustment import adjust_set, proper_backdoor_graph
+from mpdagkit.adjustment import adjust_set, list_adjustment_sets, proper_backdoor_graph
 from mpdagkit.extension import consistent_extension, enumerate_dags
-from mpdagkit.ida import _accepted_combinations
-from mpdagkit.meek import _Work, close_orientations, construct_max_pdag
+from mpdagkit.ida import _accepted_combinations, joint_ida_effects, possible_parent_sets
+from mpdagkit.meek import (
+    OrientationConflictError,
+    close_orientations,
+    construct_max_pdag,
+    cpdag_of,
+)
 from mpdagkit.pdag_core import PdagGraph
 
 from conftest import random_mpdag
+from test_properties import SEEDED, pdags
 
 
 def corpus(count, seed):
@@ -70,8 +79,8 @@ def test_derived_graphs_equal_their_public_rebuild():
             assert_sound(member, g)
         x, y = g.nodes[0], g.nodes[-1]
         assert_sound(proper_backdoor_graph(ext, g._mask([x]), g._mask([y])), g)
-        for _, work in _accepted_combinations(g, (x,)):
-            assert_sound(work.freeze(), g)
+        for _, merged in _accepted_combinations(g, (x,)):
+            assert_sound(merged, g)
 
 
 class CountingNames:
@@ -98,7 +107,7 @@ def test_derived_graphs_check_no_names(monkeypatch):
     assert counter.calls == 0
 
 
-def test_work_copies_masks_without_name_lookups(monkeypatch):
+def test_copy_has_fresh_masks_without_name_lookups(monkeypatch):
     _, graphs = corpus(20, seed=5)
 
     def by_name(self, v):
@@ -106,7 +115,62 @@ def test_work_copies_masks_without_name_lookups(monkeypatch):
 
     for method in ("parents", "children", "siblings", "adjacent", "node_index"):
         monkeypatch.setattr(PdagGraph, method, by_name)
-    works = [(g, _Work(g)) for g, _ in graphs]
+    copies = [(g, g._copy()) for g, _ in graphs]
     monkeypatch.undo()
-    for g, work in works:
-        assert work.freeze() == g
+    for g, copy in copies:
+        assert copy == g
+        assert_sound(copy, g)
+        assert copy._nodes is g._nodes
+        for mine, source in zip((copy._pa, copy._ch, copy._und), (g._pa, g._ch, g._und)):
+            assert mine is not source
+
+
+def masks(g: PdagGraph):
+    return list(g._pa), list(g._ch), list(g._und)
+
+
+def attempt(call, *args):
+    """``call(*args)``, or None when it refuses its input."""
+    try:
+        return call(*args)
+    except (ValueError, OrientationConflictError):
+        return None
+
+
+def seeded_mpdag(seed: int) -> PdagGraph:
+    return random_mpdag(np.random.default_rng(seed), 6)[0]
+
+
+@SEEDED
+@given(st.one_of(pdags(), st.integers(0, 10_000).map(seeded_mpdag)))
+def test_deriving_a_graph_leaves_its_input_unchanged(g):
+    """Every entry point that orients a copy of ``g`` leaves ``g``'s masks
+    as they were, on success and on refusal, and returns sound graphs."""
+    before = masks(g)
+    ext = consistent_extension(g)
+    reqs = [
+        (a, b) if ext is None or ext.is_directed(a, b) else (b, a)
+        for a, b in g.undirected_edges()
+    ]
+    reversed_edge = [(b, a) for a, b in g.directed_edges()[:1]]
+    returned = [ext, attempt(close_orientations, g), attempt(cpdag_of, g)]
+    returned += enumerate_dags(g).dags
+    for requirements in (reqs, reqs + reversed_edge):
+        outcome = attempt(construct_max_pdag, g, requirements)
+        returned.append(outcome and outcome.graph)
+    if ext is not None:
+        ext_before = masks(ext)
+        returned.append(cpdag_of(ext))
+        assert masks(ext) == ext_before
+    y = g.nodes[-1]
+    xs = list(g.nodes[:-1])[:2]
+    if xs:
+        attempt(possible_parent_sets, g, xs)
+        data = np.random.default_rng(0).standard_normal((len(g) + 2, len(g)))
+        attempt(joint_ida_effects, g, xs, y, data)
+        attempt(adjust_set, g, xs[0], y)
+        attempt(list_adjustment_sets, g, xs[0], y)
+    assert masks(g) == before
+    for h in returned:
+        if h is not None:
+            assert_sound(h, g)
