@@ -357,13 +357,12 @@ def check_b_blocking(
     make the delegation valid); violation is a ValueError.  The witness
     on failure is a d-connecting path certified in the extension DAG.
     """
-    x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
-    _nonempty(x_mask, y_mask)
-    if not _amenability(g, x_mask, y_mask).ok:
+    verdict = satisfies_b_adjustment(g, xs, ys, zs)
+    if not verdict.amenable:
         raise ValueError("blocking check requires amenability to hold")
-    if z_mask & _forbidden_nodes(g, x_mask, y_mask):
+    if not verdict.forbidden_ok:
         raise ValueError("blocking check requires zs to avoid the forbidden set")
-    return _blocking_fast(g, x_mask, y_mask, z_mask)
+    return ConditionCheck(verdict.blocking_ok, verdict.witness)
 
 
 def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
@@ -503,6 +502,8 @@ def list_adjustment_sets(
     universe is capped (override with ``universe_cap`` or the
     MPDAGKIT_UNIVERSE_CAP environment variable via the CLI).
     """
+    if max_size is not None and max_size < 0:
+        raise ValueError("max_size must be non-negative")
     x_mask, y_mask, _ = _query(g, xs, ys)
     _nonempty(x_mask, y_mask)
     if not _amenability(g, x_mask, y_mask).ok:

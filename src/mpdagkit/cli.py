@@ -9,11 +9,13 @@ overlaps another (--x with --y or --z), is empty where a node is
 required or names a node twice exits 2.  So does an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
 outnumber the nodes, and so do ``simulate`` settings, from --config or the
-flags, that are malformed or outside the grid's ranges, or a grid flag
-given together with --config (the message names the key or flag), a
-``simulate --out`` that is a directory or whose parent is not one
-(checked before the study runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that
-is not a non-negative integer.
+flags, that are malformed or outside the grid's ranges (an empty --p,
+--en or --fractions among them), or a grid flag given together with
+--config (the message names the key or flag), a ``simulate --out``
+that cannot be opened for writing (a directory, a missing or
+non-directory parent, a name that is too long, no permission; checked
+before the study runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that is not a
+non-negative integer.
 All output is deterministic for fixed arguments and seeds, and graph
 output re-parses through the graph reader.
 """
@@ -22,11 +24,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import functools
 import json
 import os
-import stat
 import sys
 from itertools import combinations
 from typing import Optional, Sequence
@@ -41,10 +41,6 @@ from .pdag_core import GraphParseError, PdagGraph, parse_graph, serialize_graph
 from .sem_sim import SimConfig, _grid_problem, rows_to_csv, run_simulation
 
 UNIVERSE_CAP_ENV = "MPDAGKIT_UNIVERSE_CAP"
-
-
-class DomainFailure(Exception):
-    """Raised for well-formed queries with a negative or impossible answer."""
 
 
 class UsageError(Exception):
@@ -177,7 +173,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         if result is None:
             zero_effect = not set(ys) & b_possible_descendants(g, xs).nodes
             zero = " (total effect is zero)" if zero_effect else ""
-            raise DomainFailure(f"no adjustment set exists{zero}")
+            raise ValueError(f"no adjustment set exists{zero}")
         print(_format_set(g, result))
         return 0
     raw_cap = os.environ.get(UNIVERSE_CAP_ENV, "20")
@@ -279,26 +275,15 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
-def _check_out_path(path: str) -> None:
-    """Raise the error that opening ``path`` for writing would raise if it
-    is a directory or its parent is not one, so that a bad --out fails
-    before the study runs; creates nothing."""
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    else:
-        try:
-            if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
-                return
-            code = errno.ENOTDIR
-        except OSError as exc:
-            code = exc.errno
-    raise OSError(code, os.strerror(code), path)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _sim_config(args)
     if args.out:
-        _check_out_path(args.out)
+        # open() decides whether --out can be written, before the study
+        # runs; the probe appends nothing and removes a file it created.
+        existed = os.path.lexists(args.out)
+        open(args.out, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(args.out)
     rows = run_simulation(config)
     text = rows_to_csv(rows)
     if args.out:
@@ -374,9 +359,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # from argparse: 2 on a usage error, 0 after --help
         return exc.code
-    except DomainFailure as exc:
-        print(f"error: {exc}")
-        return 1
     except (GraphParseError, UnicodeDecodeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

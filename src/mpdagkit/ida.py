@@ -105,6 +105,8 @@ def _accepted_combinations(
     non-adjacent parents would form an unshielded collider that no DAG
     of the class has, so that merge always fails.
     """
+    if not xs:
+        raise ValueError("need at least one intervention node")
     if len(set(xs)) != len(xs):
         raise ValueError("intervention nodes must be distinct")
     g.check_nodes(xs)

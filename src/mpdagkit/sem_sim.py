@@ -74,7 +74,7 @@ class SemModel:
         return order
 
     def coefficient_matrix(self) -> np.ndarray:
-        idx = {name: i for i, name in enumerate(self.dag.nodes)}
+        idx = self.dag._index
         B = np.zeros((len(idx), len(idx)))
         for (tail, head), w in self.coefficients.items():
             B[idx[tail], idx[head]] = w
@@ -114,7 +114,7 @@ def sample_data(m: SemModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    idx = {name: i for i, name in enumerate(m.dag.nodes)}
+    idx = m.dag._index
     data = np.empty((n, len(idx)))
     for v in m.topological_order():
         noise = rng.standard_normal(n) * m.noise_scales[v]
@@ -134,7 +134,7 @@ def true_total_effect(m: SemModel, xs: "str | Sequence[str]", y: str) -> np.ndar
     if y in xs:
         raise ValueError("outcome must not be an intervention node")
     m.dag.check_nodes(tuple(xs) + (y,))
-    idx = {name: i for i, name in enumerate(m.dag.nodes)}
+    idx = m.dag._index
     totals = np.linalg.inv(np.eye(len(idx)) - m.coefficient_matrix())
     return np.array([totals[idx[x], idx[y]] for x in xs])
 
@@ -229,6 +229,8 @@ def _grid_problem(cfg) -> Optional[tuple[str, str]]:
     None.  ``cfg`` is a :class:`SimConfig` or any object with its fields;
     every (p, en) of the grid must pass :func:`random_dag`'s checks."""
     node_counts, sizes, fractions = cfg.node_counts, cfg.neighborhood_sizes, cfg.fractions
+    if not fractions:
+        return "fractions", "need at least one fraction"
     if list(fractions) != sorted(fractions):
         return "fractions", "fractions must be sorted"
     if any(not 0 <= f <= 1 for f in fractions):

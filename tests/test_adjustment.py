@@ -300,6 +300,12 @@ class TestListing:
     def test_max_size(self, fig3_g1):
         assert list_adjustment_sets(fig3_g1, "X", "Y", max_size=0) == [frozenset()]
 
+    def test_negative_max_size_is_rejected(self):
+        g = parse_graph("X -> Y\nnode Z")
+        assert list_adjustment_sets(g, "X", "Y") == [frozenset(), frozenset({"Z"})]
+        with pytest.raises(ValueError, match="max_size must be non-negative"):
+            list_adjustment_sets(g, "X", "Y", max_size=-1)
+
     def test_universe_cap(self, fig3_g1):
         with pytest.raises(ValueError, match="cap of 0"):
             list_adjustment_sets(fig3_g1, "X", "Y", universe_cap=0)

@@ -577,8 +577,8 @@ class TestSimulateCli:
 
     @pytest.mark.parametrize(
         "out",
-        ["", "missing/rows.csv", "file.txt/rows.csv"],
-        ids=["directory", "missing_parent", "parent_is_a_file"],
+        ["", "missing/rows.csv", "file.txt/rows.csv", "x" * 300],
+        ids=["directory", "missing_parent", "parent_is_a_file", "name_too_long"],
     )
     def test_bad_out_fails_before_the_study(self, tmp_path, capsys, monkeypatch, out):
         (tmp_path / "file.txt").write_text("")
@@ -594,6 +594,28 @@ class TestSimulateCli:
         assert cli.main([*self.ARGS, "--out", out]) == 2
         assert capsys.readouterr() == ("", f"error: {opening.value}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_existing_out_keeps_its_bytes_when_the_study_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"earlier rows\n")
+
+        def failing_study(config):
+            raise ValueError("study failed")
+
+        monkeypatch.setattr(cli, "run_simulation", failing_study)
+        assert cli.main([*self.ARGS, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("error: study failed\n", "")
+        assert out.read_bytes() == b"earlier rows\n"
+
+    def test_new_out_holds_the_stdout_csv(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli.main(list(self.ARGS)) == 0
+        printed = capsys.readouterr().out
+        assert cli.main([*self.ARGS, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert self.strip_ms(out.read_text()) == self.strip_ms(printed)
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -611,6 +633,7 @@ class TestSimulateCli:
             (["--en", "9"], "--en: expected neighbourhood size must be in (0, p-1]"),
             (["--graphs", "0"], "--graphs: need at least one graph per setting"),
             (["--fractions", "0.5,0.2"], "--fractions: fractions must be sorted"),
+            (["--fractions", ""], "--fractions: need at least one fraction"),
         ],
         ids=[
             "p_not_int",
@@ -619,6 +642,7 @@ class TestSimulateCli:
             "en_above_p_minus_1",
             "no_graphs",
             "fractions_unsorted",
+            "fractions_empty",
         ],
     )
     def test_invalid_flags_are_usage_errors(self, capsys, flags, message):
@@ -665,8 +689,12 @@ class TestSimulateCli:
                 json.dumps({k: v for k, v in CONFIG.items() if k != "seed"}),
                 "--config key 'seed' is missing",
             ),
+            (
+                json.dumps({**CONFIG, "fractions": []}),
+                "--config key 'fractions': need at least one fraction",
+            ),
         ],
-        ids=["malformed_json", "node_counts_not_a_list", "missing_key"],
+        ids=["malformed_json", "node_counts_not_a_list", "missing_key", "fractions_empty"],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"

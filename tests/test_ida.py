@@ -118,6 +118,14 @@ class TestPossibleParentSets:
         with pytest.raises(ValueError, match="not closed"):
             possible_parent_sets(parse_graph("A -> B\nB -- C"), ["C"])
 
+    def test_rejects_no_interventions(self):
+        g = parse_graph("A -- B\nB -- C")
+        data = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="need at least one intervention node"):
+            possible_parent_sets(g, [])
+        with pytest.raises(ValueError, match="need at least one intervention node"):
+            joint_ida_effects(g, [], "C", data)
+
     def test_rejects_input_with_no_extension(self):
         with pytest.raises(ValueError, match="no consistent DAG extension"):
             possible_parent_sets(FOUR_CYCLE, ["A"])

@@ -255,6 +255,10 @@ class TestSimulation:
         with pytest.raises(ValueError, match="sample size"):
             SimConfig(node_counts=(10,), sample_size=10)
 
+    def test_config_needs_a_fraction(self):
+        with pytest.raises(ValueError, match="need at least one fraction"):
+            SimConfig(fractions=())
+
     def test_smoke_run_shape_and_determinism(self):
         def content(row):
             return (
