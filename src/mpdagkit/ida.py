@@ -1,15 +1,16 @@
 """Possible (joint) parent sets of intervention nodes and effect multisets.
 
-Instead of listing every DAG in the class, each subset of a node's
-undirected neighbours is promoted to required parents (with the rest
-required as children); a subset is kept exactly when that local
-knowledge merges consistently into the graph.  The graph is validated
-once; subsets that are not cliques are skipped without a merge (two
-non-adjacent parents would form an unshielded collider the class
-lacks), and every other combination is merged on its own copy of the
-graph, reading the parents off its masks.  Effects are one linear
-regression per surviving parent set, or path tracing through a fitted
-extension DAG for joint interventions.
+Instead of listing every DAG in the class, each clique of a node's
+undirected neighbours is tried as the node's extra parents (the other
+neighbours becoming its children).  The graph is validated once.  For
+one intervention node a clique is decided by a local rule on the masks
+of the maximal PDAG, with no copy and no closure; for joint
+interventions every combination of cliques is merged on its own copy
+of the graph, reading the parents off its masks.  Sibling subsets that
+are not cliques are never tried: two non-adjacent parents would form an
+unshielded collider the class lacks.  Effects are one linear regression
+per surviving parent set, or path tracing through a fitted extension
+DAG of each merged graph for joint interventions.
 """
 
 from __future__ import annotations
@@ -92,41 +93,45 @@ class EffectMultiset:
         return len(self.unique_values(tolerance))
 
 
-def _accepted_combinations(
-    g: PdagGraph, xs: tuple[str, ...]
-) -> Iterator[tuple[PossibleParents, PdagGraph]]:
-    """Each accepted combination in counter order, with its merged graph.
-
-    Every intervention node gets a binary counter over its canonically
-    ordered siblings (later nodes excluding earlier intervention
-    nodes); the combination's requirements (picked siblings into the
-    node, the rest out of it) are merged into a copy of ``g``.
-    Picks that are not cliques of ``g`` are skipped unmerged: two
-    non-adjacent parents would form an unshielded collider that no DAG
-    of the class has, so that merge always fails.
-    """
+def _check_interventions(g: PdagGraph, xs: tuple[str, ...]) -> None:
+    """Raise unless ``xs`` are distinct nodes of ``g``, at least one,
+    and ``g`` is a maximal PDAG (checked in that order)."""
     if not xs:
         raise ValueError("need at least one intervention node")
     if len(set(xs)) != len(xs):
         raise ValueError("intervention nodes must be distinct")
     g.check_nodes(xs)
     _require_maximal(g)
+
+
+def _cliques(g: PdagGraph, pool: int) -> list[int]:
+    """The cliques of ``g`` inside node mask ``pool``, in binary-counter
+    order over its nodes: extending every clique found so far by the
+    next node, and appending, keeps that order."""
+    cliques = [0]
+    for v in _bits(pool):
+        near = g._pa[v] | g._ch[v] | g._und[v]
+        cliques += [m | 1 << v for m in cliques if not m & ~near]
+    return cliques
+
+
+def _accepted_combinations(
+    g: PdagGraph, xs: tuple[str, ...]
+) -> Iterator[tuple[PossibleParents, PdagGraph]]:
+    """Each accepted combination of sibling cliques in counter order,
+    with the copy of ``g`` that its orientations (picked siblings into
+    the node, the rest out of it) were merged into.  ``xs`` must pass
+    ``_check_interventions``."""
     targets = [g._index[x] for x in xs]
 
     options = []  # per node: (chosen siblings, requirements), counter order
     for i, x in enumerate(targets):
-        earlier = sum(1 << t for t in targets[:i])
-        pool = list(_bits(g._und[x] & ~earlier))
-        # Extending every clique found so far by the next sibling, and
-        # appending, lists the cliques in counter order.
-        cliques = [0]
-        for v in pool:
-            near = g._pa[v] | g._ch[v] | g._und[v]
-            cliques += [m | 1 << v for m in cliques if not m & ~near]
+        pool = g._und[x] & ~sum(1 << t for t in targets[:i])
+        order = list(_bits(pool))
         options.append(
             [
-                (g._names(m), [(v, x) if m >> v & 1 else (x, v) for v in pool])
-                for m in cliques
+                (g._names(m), [(v, x) if m >> v & 1 else (x, v) for v in order])
+                for m in _cliques(g, pool)
             ]
         )
 
@@ -137,18 +142,45 @@ def _accepted_combinations(
             yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), merged
 
 
-def possible_parent_sets(g: PdagGraph, xs: Sequence[str]) -> ParentSetFamily:
-    """All joint parent-set tuples of ``xs`` consistent with ``g``.
+def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFamily:
+    """All joint parent-set tuples of ``xs`` (a node name or a sequence
+    of them) consistent with ``g``.
 
-    For every combination of sibling subsets (a binary counter per
-    intervention node over its canonically ordered siblings, later nodes
-    excluding earlier intervention nodes), the corresponding required
-    orientations are merged into ``g``; accepted combinations record the
-    parent sets read from the merged graph.  Raises ValueError when
-    ``g`` is not a maximal PDAG (acyclic, rule-closed and extendable).
+    Entries follow a binary counter per intervention node over its
+    canonically ordered siblings (later nodes excluding earlier
+    intervention nodes); only cliques are tried.  For two or more nodes,
+    each combination's orientations are merged into a copy of ``g`` and
+    the parent sets are read from the merged graph.
+
+    For one node ``x`` nothing is copied or merged: a sibling clique
+    ``S`` is accepted iff no ``s`` in ``S`` has a parent in
+    ``sib(x) - S``, and its parent set is ``pa(x) | S``.  Orienting
+    ``S -> x`` and ``x -> sib(x) - S`` must add no unshielded collider
+    and no directed cycle, and then some DAG of the class has these
+    parents (Maathuis, Kalisch and Bühlmann, AoS 2009, for CPDAGs; Fang
+    and He, UAI 2020, for maximal PDAGs).  As ``g`` is closed under
+    Meek's (1995) rules, R1 makes every parent of ``x`` adjacent to
+    every sibling, and every parent of a sibling adjacent to ``x``, so
+    the only colliders the new orientations could add join two picks,
+    which the clique shields; R2 keeps every child of ``x`` out of the
+    siblings' parents.  What is left is the cycle ``s -> x -> t -> s``
+    with ``t`` unpicked.
+
+    Raises ValueError when ``xs`` is empty or repeats a node, KeyError
+    on an unknown node, and ValueError when ``g`` is not a maximal PDAG
+    (acyclic, rule-closed and extendable).
     """
-    xs = tuple(xs)
-    entries = tuple(entry for entry, _ in _accepted_combinations(g, xs))
+    xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
+    _check_interventions(g, xs)
+    if len(xs) > 1:
+        return ParentSetFamily(xs, tuple(entry for entry, _ in _accepted_combinations(g, xs)))
+    x = g._index[xs[0]]
+    sib = g._und[x]
+    entries = tuple(
+        PossibleParents((g._names(g._pa[x] | picked),), (g._names(picked),))
+        for picked in _cliques(g, sib)
+        if not any(g._pa[s] & sib & ~picked for s in _bits(picked))
+    )
     return ParentSetFamily(xs, entries)
 
 
@@ -234,7 +266,7 @@ def _fit_coefficient_matrix(
 
 def joint_ida_effects(
     g: PdagGraph,
-    xs: Sequence[str],
+    xs: "str | Sequence[str]",
     y: str,
     data: np.ndarray,
     columns: Optional[Sequence[str]] = None,
@@ -247,8 +279,9 @@ def joint_ida_effects(
     (I - B) at the treatment rows and outcome column (the sum over
     directed paths of fitted coefficient products).
     """
-    xs = tuple(xs)
+    xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     data, col = _effect_data(g, xs, y, data, columns)
+    _check_interventions(g, xs)
     accepted = list(_accepted_combinations(g, xs))
     family = ParentSetFamily(xs, tuple(entry for entry, _ in accepted))
     idx = g._index

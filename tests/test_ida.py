@@ -6,6 +6,7 @@ import pytest
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.ida import (
     EffectMultiset,
+    _least_squares,
     ida_effects,
     joint_ida_effects,
     possible_parent_sets,
@@ -108,6 +109,14 @@ class TestPossibleParentSets:
                 possible_parent_sets(g, [x]).tuples()
             )
 
+    def test_bare_string_is_one_node(self):
+        g = complete_graph(4)
+        assert list(possible_parent_sets(g, "V1")) == list(possible_parent_sets(g, ["V1"]))
+        assert possible_parent_sets(g, "V1").interventions == ("V1",)
+        # Not the joint query for A and B.
+        with pytest.raises(KeyError, match="unknown node: 'AB'"):
+            possible_parent_sets(parse_graph("A -- B\nB -- C"), "AB")
+
     def test_rejects_duplicates_and_unknowns(self, fig1_mpdag):
         with pytest.raises(ValueError, match="distinct"):
             possible_parent_sets(fig1_mpdag, ["C", "C"])
@@ -138,6 +147,23 @@ def complete_graph(n):
     )
 
 
+def sem_mpdag(rng, p, edge_prob=0.8):
+    """A maximal PDAG from a random linear SEM on ``p`` nodes: the
+    CPDAG of the SEM's DAG with 30 % of its undirected edges oriented as
+    in the DAG, and its nodes declared in a shuffled order.  Returns the
+    graph and the SEM."""
+    model = random_dag(p, edge_prob * (p - 1), rng)
+    cpdag = cpdag_of(model.dag)
+    reqs = [
+        (a, b) if model.dag.is_directed(a, b) else (b, a)
+        for a, b in cpdag.undirected_edges()
+        if rng.random() < 0.3
+    ]
+    g = construct_max_pdag(cpdag, reqs).graph
+    names = [g.nodes[i] for i in rng.permutation(len(g))]
+    return PdagGraph(names, directed=g.directed_edges(), undirected=g.undirected_edges()), model
+
+
 class TestParentSetOracle:
     """Production parent sets against one global merge per sibling subset."""
 
@@ -146,6 +172,17 @@ class TestParentSetOracle:
         family = possible_parent_sets(g, xs)
         assert list(family) == global_merge_parent_sets(g, xs)
         return len(family)
+
+    @staticmethod
+    def sweep_every_node(graphs):
+        """Each node of each graph as the one intervention; returns the
+        numbers of queries and of parent sets compared."""
+        queries = sets = 0
+        for g in graphs:
+            for x in g.nodes:
+                sets += TestParentSetOracle.assert_matches(g, [x])
+                queries += 1
+        return queries, sets
 
     def test_random_mpdags(self):
         rng = np.random.default_rng(67)
@@ -159,11 +196,21 @@ class TestParentSetOracle:
                 compared += 1
         assert compared == 600
 
+    def test_local_rule_on_random_mpdags(self):
+        rng = np.random.default_rng(71)
+        graphs = [random_mpdag(rng, 11, p_min=4)[0] for _ in range(600)]
+        assert self.sweep_every_node(graphs) == (4461, 9329)
+
+    def test_local_rule_on_dense_mpdags(self):
+        rng = np.random.default_rng(73)
+        graphs = [sem_mpdag(rng, int(rng.integers(4, 13)))[0] for _ in range(200)]
+        assert self.sweep_every_node(graphs) == (1602, 3474)
+
     def test_complete_graphs(self):
-        for n in range(3, 8):
+        for n in range(3, 9):
             g = complete_graph(n)
-            # every sibling subset of a node in K_n is a possible parent set
-            assert self.assert_matches(g, ["V1"]) == 2 ** (n - 1)
+            # every sibling subset of every node in K_n is a possible parent set
+            assert self.sweep_every_node([g]) == (n, n << n - 1)
             self.assert_matches(g, [g.nodes[-1], g.nodes[0]])
 
     def test_star_and_paired_hub(self):
@@ -244,6 +291,35 @@ class TestIdaEffects:
         effects = ida_effects(g, "X", "Y", data)
         assert math.isnan(effects.values[0])
 
+    def test_effects_equal_regressions_over_the_oracle_family(self):
+        """Every effect is bit-identical to the fit over the merge
+        oracle's parent set, with x first and the parents in node order."""
+        rng = np.random.default_rng(79)
+        compared = 0
+        for _ in range(200):
+            p = int(rng.integers(3, 10))
+            g, model = sem_mpdag(rng, p, edge_prob=float(rng.uniform(0.3, 0.9)))
+            data = sample_data(model, 60, rng)
+            columns = model.dag.nodes
+            col = {name: j for j, name in enumerate(columns)}
+            for x in g.nodes:
+                y = str(rng.choice([v for v in g.nodes if v != x]))
+                expected = [
+                    0.0
+                    if y in entry.parents[0]
+                    else float(
+                        _least_squares(
+                            data, col, y, [x] + sorted(entry.parents[0], key=g.node_index)
+                        )[0]
+                    )
+                    for entry in global_merge_parent_sets(g, [x])
+                ]
+                got = ida_effects(g, x, y, data, columns=columns).values
+                assert len(got) == len(expected)
+                assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, expected))
+                compared += len(got)
+        assert compared >= 1000
+
     def test_truth_lands_in_the_multiset(self):
         rng = np.random.default_rng(5)
         hits = 0
@@ -307,6 +383,13 @@ class TestJointEffects:
         assert len(effects) >= 1
         for vec in effects.values:
             assert abs(vec[0]) < 0.025
+
+    def test_bare_string_is_one_node(self):
+        g = complete_graph(4)
+        data = np.random.default_rng(19).standard_normal((30, 4))
+        single = joint_ida_effects(g, "V1", "V3", data)
+        assert single.family.interventions == ("V1",)
+        assert single.values == joint_ida_effects(g, ["V1"], "V3", data).values
 
     def test_outcome_among_interventions_rejected(self, fig1_mpdag):
         with pytest.raises(ValueError, match="outcome"):

@@ -15,10 +15,17 @@ from mpdagkit.meek import (
     close_orientations,
     construct_max_pdag,
     is_closed,
+    validate_maximal_pdag,
 )
 from mpdagkit.pdag_core import PdagGraph, has_directed_cycle, parse_graph, serialize_graph
 
-from helpers import all_rule_orders, brute_force_dags, scan_close, scan_extension
+from helpers import (
+    all_rule_orders,
+    brute_force_dags,
+    global_merge_parent_sets,
+    scan_close,
+    scan_extension,
+)
 
 # Seeded and stateless, so every tier-1 run checks the same examples.
 SEEDED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -113,3 +120,15 @@ def test_inputs_with_no_extension_are_rejected_at_every_boundary(g):
         ida_effects(g, x, y, data)
     with pytest.raises(ValueError, match=NOT_MAXIMAL):
         joint_ida_effects(g, [x], y, data)
+
+
+@SEEDED
+@given(pdags())
+def test_one_node_parent_sets_match_the_merge_oracle(g):
+    """The local rule for one intervention node gives the merge
+    oracle's family entry for entry, on every node of a maximal input."""
+    report = validate_maximal_pdag(g)
+    if not (report.acyclic and report.closed and report.extendable):
+        return
+    for x in g.nodes:
+        assert list(possible_parent_sets(g, [x])) == global_merge_parent_sets(g, [x])
