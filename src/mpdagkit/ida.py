@@ -2,12 +2,11 @@
 
 Instead of listing every DAG in the class, each clique of a node's
 undirected neighbours is tried as the node's extra parents (the other
-neighbours becoming its children).  The graph is validated once.  For
-one intervention node a clique is decided by a local rule on the masks
-of the maximal PDAG, with no copy and no closure; for joint
-interventions every combination of cliques is merged on its own copy
-of the graph, reading the parents off its masks.  Sibling subsets that
-are not cliques are never tried: two non-adjacent parents would form an
+neighbours becoming its children).  The graph is validated once.  The
+intervention nodes are decided in order, each by one local rule on the
+masks of the maximal PDAG that the earlier nodes' picks were merged
+into; one node needs no copy and no merge.  Sibling subsets that are
+not cliques are never tried: two non-adjacent parents would form an
 unshielded collider the class lacks.  Effects are one linear regression
 per surviving parent set, or path tracing through a fitted extension
 DAG of each merged graph for joint interventions.
@@ -17,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,18 +59,16 @@ class EffectMultiset:
 
     Values are floats for a single intervention and equal-length tuples
     of floats for joint interventions; failed (rank-deficient) fits are
-    NaN.  The dedup view depends only on the values and the tolerance.
+    NaN.  The dedup view depends only on the values and DEDUP_TOLERANCE.
     """
 
     family: ParentSetFamily
     values: tuple
-    tolerance: float = DEDUP_TOLERANCE
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def unique_values(self, tolerance: Optional[float] = None) -> list:
-        tol = self.tolerance if tolerance is None else tolerance
+    def unique_values(self) -> list:
         vectors = [
             value if isinstance(value, tuple) else (value,) for value in self.values
         ]
@@ -82,15 +78,15 @@ class EffectMultiset:
         clean = [vec for vec in vectors if not any(math.isnan(c) for c in vec)]
         reps: list[tuple] = []
         for vec in sorted(clean):
-            if not reps or max(abs(a - b) for a, b in zip(vec, reps[-1])) > tol:
+            if not reps or max(abs(a - b) for a, b in zip(vec, reps[-1])) > DEDUP_TOLERANCE:
                 reps.append(vec)
         out = [rep if len(rep) > 1 else rep[0] for rep in reps]
         if nan_seen:
             out.append(float("nan") if len(vectors[0]) == 1 else (float("nan"),) * len(vectors[0]))
         return out
 
-    def unique_count(self, tolerance: Optional[float] = None) -> int:
-        return len(self.unique_values(tolerance))
+    def unique_count(self) -> int:
+        return len(self.unique_values())
 
 
 def _check_interventions(g: PdagGraph, xs: tuple[str, ...]) -> None:
@@ -115,56 +111,67 @@ def _cliques(g: PdagGraph, pool: int) -> list[int]:
     return cliques
 
 
-def _accepted_combinations(
-    g: PdagGraph, xs: tuple[str, ...]
-) -> Iterator[tuple[PossibleParents, PdagGraph]]:
-    """Each accepted combination of sibling cliques in counter order,
-    with the copy of ``g`` that its orientations (picked siblings into
-    the node, the rest out of it) were merged into.  ``xs`` must pass
-    ``_check_interventions``."""
-    targets = [g._index[x] for x in xs]
-
-    options = []  # per node: (chosen siblings, requirements), counter order
-    for i, x in enumerate(targets):
-        pool = g._und[x] & ~sum(1 << t for t in targets[:i])
-        order = list(_bits(pool))
-        options.append(
-            [
-                (g._names(m), [(v, x) if m >> v & 1 else (x, v) for v in order])
-                for m in _cliques(g, pool)
-            ]
-        )
-
-    for combo in product(*options):
-        merged = g._copy()
-        if all(_merge_one(merged, a, b) is None for _, reqs in combo for a, b in reqs):
-            parents = tuple(g._names(merged._pa[x]) for x in targets)
-            yield PossibleParents(parents, tuple(chosen for chosen, _ in combo)), merged
+def _accepted(
+    g: PdagGraph, xs: tuple[str, ...], graphs: Optional[list], m: PdagGraph, parents=(), chosen=()
+) -> list[PossibleParents]:
+    """The entries for ``xs`` that extend the picks ``parents`` and
+    ``chosen`` of its first nodes, the next node decided on ``m``: ``g``
+    with those picks merged in.  When ``graphs`` is a list, the graph
+    each entry merges into is appended to it."""
+    i = len(parents)
+    x = g._index[xs[i]]
+    sib, pa = m._und[x], m._pa[x]
+    kept = pa & g._und[x]  # x's parents in its pool, which holds no earlier node
+    for earlier in xs[:i]:
+        kept &= ~(1 << g._index[earlier])
+    picks = [t for t in _cliques(m, sib) if not any(m._pa[s] & sib & ~t for s in _bits(t))]
+    last = i + 1 == len(xs)
+    if last and graphs is None:
+        return [
+            PossibleParents(parents + (g._names(pa | t),), chosen + (g._names(kept | t),))
+            for t in picks
+        ]
+    entries = []
+    for t in picks:
+        merged = m._copy()
+        for v in _bits(sib):
+            reason = _merge_one(merged, *((v, x) if t >> v & 1 else (x, v)))
+            assert reason is None, reason
+        step = (parents + (g._names(pa | t),), chosen + (g._names(kept | t),))
+        if last:
+            entries.append(PossibleParents(*step))
+            graphs.append(merged)
+        else:
+            entries += _accepted(g, xs, graphs, merged, *step)
+    return entries
 
 
 def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFamily:
     """All joint parent-set tuples of ``xs`` (a node name or a sequence
     of them) consistent with ``g``.
 
-    Entries follow a binary counter per intervention node over its
-    canonically ordered siblings (later nodes excluding earlier
-    intervention nodes); only cliques are tried.  For two or more nodes,
-    each combination's orientations are merged into a copy of ``g`` and
-    the parent sets are read from the merged graph.
+    The nodes are decided in order, each on the maximal PDAG ``m`` that
+    the earlier nodes' picks were merged into (``g`` for the first).  The
+    pool of node ``x`` is its siblings in ``g`` minus the earlier nodes.
+    A clique ``S`` of the pool is accepted iff it keeps every orientation
+    ``m`` has between ``x`` and the pool, and no ``s`` in ``S`` has a
+    parent in ``sib_m(x) - S``; the parent set is ``pa_m(x) | S``.
+    Entries follow a binary counter per node over its pool in node
+    order, earlier nodes outermost.  One node needs no copy or merge.
 
-    For one node ``x`` nothing is copied or merged: a sibling clique
-    ``S`` is accepted iff no ``s`` in ``S`` has a parent in
-    ``sib(x) - S``, and its parent set is ``pa(x) | S``.  Orienting
-    ``S -> x`` and ``x -> sib(x) - S`` must add no unshielded collider
-    and no directed cycle, and then some DAG of the class has these
-    parents (Maathuis, Kalisch and Bühlmann, AoS 2009, for CPDAGs; Fang
-    and He, UAI 2020, for maximal PDAGs).  As ``g`` is closed under
-    Meek's (1995) rules, R1 makes every parent of ``x`` adjacent to
-    every sibling, and every parent of a sibling adjacent to ``x``, so
-    the only colliders the new orientations could add join two picks,
-    which the clique shields; R2 keeps every child of ``x`` out of the
-    siblings' parents.  What is left is the cycle ``s -> x -> t -> s``
-    with ``t`` unpicked.
+    Orienting ``S -> x`` and ``x -> sib_m(x) - S`` must add no unshielded
+    collider and no directed cycle, and then some DAG of ``m``'s class
+    has these parents (Maathuis, Kalisch and Bühlmann, AoS 2009, for
+    CPDAGs; Fang and He, UAI 2020, for maximal PDAGs).  As ``m`` is
+    closed under Meek's (1995) rules, R1 makes every parent of ``x``
+    adjacent to every sibling, and every parent of a sibling adjacent to
+    ``x``, so the only colliders the new orientations could add join two
+    picks, which the clique shields; R2 keeps every child of ``x`` out of
+    the siblings' parents, and every sibling out of the parents' parents.
+    What is left is the cycle ``s -> x -> t -> s`` with ``t`` unpicked.
+    The pool's parents of ``x`` in ``m`` are pairwise adjacent, as ``m``
+    adds no unshielded collider to ``g``, so the accepted ``S`` are they
+    plus each clique of ``sib_m(x)`` that passes the test.
 
     Raises ValueError when ``xs`` is empty or repeats a node, KeyError
     on an unknown node, and ValueError when ``g`` is not a maximal PDAG
@@ -172,16 +179,7 @@ def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFa
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     _check_interventions(g, xs)
-    if len(xs) > 1:
-        return ParentSetFamily(xs, tuple(entry for entry, _ in _accepted_combinations(g, xs)))
-    x = g._index[xs[0]]
-    sib = g._und[x]
-    entries = tuple(
-        PossibleParents((g._names(g._pa[x] | picked),), (g._names(picked),))
-        for picked in _cliques(g, sib)
-        if not any(g._pa[s] & sib & ~picked for s in _bits(picked))
-    )
-    return ParentSetFamily(xs, entries)
+    return ParentSetFamily(xs, tuple(_accepted(g, xs, None, g)))
 
 
 def _effect_data(
@@ -282,12 +280,12 @@ def joint_ida_effects(
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     data, col = _effect_data(g, xs, y, data, columns)
     _check_interventions(g, xs)
-    accepted = list(_accepted_combinations(g, xs))
-    family = ParentSetFamily(xs, tuple(entry for entry, _ in accepted))
     idx = g._index
+    graphs: list[PdagGraph] = []
+    family = ParentSetFamily(xs, tuple(_accepted(g, xs, graphs, g)))
 
     values = []
-    for _, merged in accepted:
+    for merged in graphs:
         dag = consistent_extension(merged)
         assert dag is not None, "merged graph of an accepted combination extends"
         B = _fit_coefficient_matrix(dag, data, col)

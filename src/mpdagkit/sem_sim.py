@@ -10,7 +10,8 @@ replicate orients its undirected CPDAG edges as in the true DAG in one
 random order, and each fraction merges only the next edges of that
 order into the previous fraction's graph, so every edge is merged once,
 the oriented sets are nested, and identifiability improves
-monotonically row by row rather than merely on average.
+monotonically row by row rather than merely on average.  A model with
+no edge (so no treatment/outcome pair) is redrawn from its generator.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ CSV_HEADER = "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_un
 
 _FEW_NODES = "need at least two nodes"
 _BAD_EN = "expected neighbourhood size must be in (0, p-1]"
+_MAX_DRAWS = 1000  # models drawn per replicate before a grid with no edges fails
 
 
 @dataclass
@@ -247,6 +249,8 @@ def _grid_problem(cfg) -> Optional[tuple[str, str]]:
         return "node_counts", _FEW_NODES
     if any(not 0 < en <= p - 1 for p, en in product(node_counts, sizes)):
         return "neighborhood_sizes", _BAD_EN
+    if cfg.seed < 0:
+        return "seed", "seed must be non-negative"
     return None
 
 
@@ -275,7 +279,12 @@ def _replicate_rows(
     rng_xy = np.random.default_rng([rep_seed, 2])
     rng_bg = np.random.default_rng([rep_seed, 3])
 
-    model = random_dag(p, en, rng_model)
+    for _ in range(_MAX_DRAWS):
+        model = random_dag(p, en, rng_model)
+        if model.coefficients:  # choose_xy needs an edge
+            break
+    else:
+        raise ValueError(f"no DAG with an edge in {_MAX_DRAWS} draws at p={p}, en={en:g}")
     data = sample_data(model, cfg.sample_size, rng_data)
     x, y = choose_xy(model.dag, rng_xy)
     cpdag = cpdag_of(model.dag)
@@ -311,12 +320,11 @@ def _replicate_rows(
     return rows
 
 
-def run_simulation(cfg: SimConfig, csv_path: Optional[str] = None) -> list[SimRow]:
+def run_simulation(cfg: SimConfig) -> list[SimRow]:
     """Run the study grid and return one row per (graph, fraction).
 
     Row order is deterministic: settings in grid order, replicates in
-    seed order, fractions ascending.  When ``csv_path`` is given the rows
-    are also written there in the documented CSV schema.
+    seed order, fractions ascending.
     """
     settings = list(product(cfg.node_counts, cfg.neighborhood_sizes))
     total = len(settings) * cfg.graphs_per_setting
@@ -327,9 +335,6 @@ def run_simulation(cfg: SimConfig, csv_path: Optional[str] = None) -> list[SimRo
         for _ in range(cfg.graphs_per_setting):
             rows.extend(_replicate_rows(int(seeds[k]), p, en, cfg))
             k += 1
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(rows_to_csv(rows))
     return rows
 
 

@@ -141,6 +141,12 @@ def global_merge_parent_sets(g: PdagGraph, xs) -> list:
     order, later nodes excluding earlier intervention nodes) is merged
     into ``g`` with ``construct_max_pdag``; accepted ones are kept in
     counter order."""
+    return [entry for entry, _ in global_merge_combinations(g, xs)]
+
+
+def global_merge_combinations(g: PdagGraph, xs) -> list:
+    """Each entry of :func:`global_merge_parent_sets` with the graph its
+    orientations were merged into."""
     xs = tuple(xs)
     pools = [
         sorted(g.siblings(x) - set(xs[:i]), key=g.node_index) for i, x in enumerate(xs)
@@ -159,7 +165,7 @@ def global_merge_parent_sets(g: PdagGraph, xs) -> list:
         outcome = construct_max_pdag(g, reqs)
         if outcome.ok:
             parents = tuple(frozenset(outcome.graph.parents(x)) for x in xs)
-            entries.append(PossibleParents(parents, chosen))
+            entries.append((PossibleParents(parents, chosen), outcome.graph))
     return entries
 
 

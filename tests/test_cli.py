@@ -73,6 +73,19 @@ class TestOrient:
         b = run_cli("orient", graphs["fig1_cpdag"], "--bg", "D -> B")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize(
+        "bg, message",
+        [
+            ("{tmp}/nofile", "background file not found: {tmp}/nofile"),
+            ("A -> A", "line 1: self-loop on 'A'"),
+        ],
+        ids=["missing_file", "self_loop"],
+    )
+    def test_bad_background_is_usage_error(self, tmp_path, graphs, capsys, bg, message):
+        argv = ["orient", graphs["fig1_cpdag"], "--bg", bg.format(tmp=tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+
 
 class TestValidate:
     def test_maximal_pdag(self, graphs):
@@ -85,6 +98,23 @@ class TestValidate:
         path.write_text("A -- B\nB -- C\nC -- D\nD -- A\n")
         report = json.loads(run_cli("validate", str(path)).stdout)
         assert report == {"acyclic": True, "closed": True, "extendable": False}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("node A B", "node directive takes exactly one name"),
+            ("node 1A", "invalid node name '1A'"),
+            ("A -- B 0.5", "weights are only allowed on directed edges"),
+            ("A -> B 0.5 x", "too many tokens on edge statement"),
+            ("-> A B", "syntax error near '->'"),
+        ],
+        ids=["node_two_names", "node_bad_name", "undirected_weight", "too_many_tokens", "syntax"],
+    )
+    def test_parse_errors_exit_2_with_the_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.g"
+        path.write_text(text + "\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: line 1: {message}\n")
 
 
 class TestReach:
@@ -495,6 +525,7 @@ class TestIdaCli:
         [
             ("X,Z\n1,2\n3,4\n5,6\n", "data columns do not match the graph's nodes"),
             ("X,X\n1,2\n3,4\n5,6\n", "data columns do not match the graph's nodes"),
+            ("", "empty data file"),
             ("X,Y\n", "need more samples than variables"),
             ("X,Y\n1,2\n", "need more samples than variables"),
             ("X,Y\n1,2\n\n1,x\n3,4\n5,6\n", "line 4: non-numeric cell"),
@@ -505,6 +536,7 @@ class TestIdaCli:
         ids=[
             "other_column",
             "repeated_column",
+            "empty_file",
             "header_only",
             "one_row",
             "blank_line_before_bad_row",
@@ -617,6 +649,11 @@ class TestSimulateCli:
         assert capsys.readouterr() == ("", "")
         assert self.strip_ms(out.read_text()) == self.strip_ms(printed)
 
+    def test_sparse_grid_redraws_edgeless_models(self, capsys):
+        argv = ["simulate", "--seed", "3", "--graphs", "20", "--p", "10", "--en", "0.5", "--n", "20"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 20 * 11
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -634,6 +671,7 @@ class TestSimulateCli:
             (["--graphs", "0"], "--graphs: need at least one graph per setting"),
             (["--fractions", "0.5,0.2"], "--fractions: fractions must be sorted"),
             (["--fractions", ""], "--fractions: need at least one fraction"),
+            (["--seed", "-1"], "--seed: seed must be non-negative"),
         ],
         ids=[
             "p_not_int",
@@ -643,6 +681,7 @@ class TestSimulateCli:
             "no_graphs",
             "fractions_unsorted",
             "fractions_empty",
+            "seed_negative",
         ],
     )
     def test_invalid_flags_are_usage_errors(self, capsys, flags, message):
@@ -693,8 +732,20 @@ class TestSimulateCli:
                 json.dumps({**CONFIG, "fractions": []}),
                 "--config key 'fractions': need at least one fraction",
             ),
+            ("[1, 2]", "--config must hold a JSON object"),
+            (
+                json.dumps({**CONFIG, "seed": -3}),
+                "--config key 'seed': seed must be non-negative",
+            ),
         ],
-        ids=["malformed_json", "node_counts_not_a_list", "missing_key", "fractions_empty"],
+        ids=[
+            "malformed_json",
+            "node_counts_not_a_list",
+            "missing_key",
+            "fractions_empty",
+            "json_array",
+            "seed_negative",
+        ],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"

@@ -34,6 +34,10 @@ class TestRepresents:
     def test_skeleton_mismatch(self):
         assert not represents(parse_graph("A -- B"), parse_graph("A -> B\nB -> C"))
 
+    def test_node_set_mismatch(self):
+        # Two edgeless graphs agree on everything but their nodes.
+        assert not represents(PdagGraph(["A", "B"]), PdagGraph(["A", "C"]))
+
     def test_collider_mismatch(self):
         chain = parse_graph("X -> Z\nZ -> Y")
         collider = parse_graph("X -> Z\nY -> Z")

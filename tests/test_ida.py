@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mpdagkit.extension import enumerate_dags
+from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import (
     EffectMultiset,
+    _fit_coefficient_matrix,
     _least_squares,
     ida_effects,
     joint_ida_effects,
@@ -16,7 +17,7 @@ from mpdagkit.pdag_core import PdagGraph, parse_graph
 from mpdagkit.sem_sim import SemModel, random_dag, sample_data, true_total_effect
 
 from conftest import random_mpdag
-from helpers import global_merge_parent_sets
+from helpers import global_merge_combinations, global_merge_parent_sets
 
 FOUR_CYCLE = PdagGraph(
     "ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
@@ -174,6 +175,18 @@ class TestParentSetOracle:
         return len(family)
 
     @staticmethod
+    def sweep_joint(graphs, rng):
+        """Two random two-node and two random three-node queries on each
+        graph; returns the numbers of queries and of entries compared."""
+        queries = entries = 0
+        for g in graphs:
+            for k in (2, 2, 3, 3):
+                xs = [str(x) for x in rng.choice(g.nodes, size=k, replace=False)]
+                entries += TestParentSetOracle.assert_matches(g, xs)
+                queries += 1
+        return queries, entries
+
+    @staticmethod
     def sweep_every_node(graphs):
         """Each node of each graph as the one intervention; returns the
         numbers of queries and of parent sets compared."""
@@ -196,6 +209,16 @@ class TestParentSetOracle:
                 compared += 1
         assert compared == 600
 
+    def test_joint_rule_on_random_mpdags(self):
+        rng = np.random.default_rng(83)
+        graphs = [random_mpdag(rng, 7, p_min=4)[0] for _ in range(300)]
+        assert self.sweep_joint(graphs, rng) == (1200, 5868)
+
+    def test_joint_rule_on_dense_mpdags(self):
+        rng = np.random.default_rng(89)
+        graphs = [sem_mpdag(rng, int(rng.integers(4, 8)))[0] for _ in range(150)]
+        assert self.sweep_joint(graphs, rng) == (600, 2714)
+
     def test_local_rule_on_random_mpdags(self):
         rng = np.random.default_rng(71)
         graphs = [random_mpdag(rng, 11, p_min=4)[0] for _ in range(600)]
@@ -212,6 +235,8 @@ class TestParentSetOracle:
             # every sibling subset of every node in K_n is a possible parent set
             assert self.sweep_every_node([g]) == (n, n << n - 1)
             self.assert_matches(g, [g.nodes[-1], g.nodes[0]])
+            if n < 7:
+                self.assert_matches(g, [g.nodes[-1], g.nodes[0], g.nodes[1]])
 
     def test_star_and_paired_hub(self):
         leaves = [f"L{i}" for i in range(1, 11)]
@@ -227,6 +252,8 @@ class TestParentSetOracle:
             self.assert_matches(g, ["L1"])
             self.assert_matches(g, ["H", "L2"])
             self.assert_matches(g, ["L3", "H"])
+            self.assert_matches(g, ["L3", "H", "L4"])
+            self.assert_matches(g, ["L5", "L6", "H"])
 
 
 class TestIdaEffects:
@@ -283,6 +310,10 @@ class TestIdaEffects:
             ida_effects(FOUR_CYCLE, "A", "C", data)
         with pytest.raises(ValueError, match="no consistent DAG extension"):
             joint_ida_effects(FOUR_CYCLE, ["A", "B"], "C", data)
+
+    def test_rejects_data_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="data must be a 2-d matrix with 2 columns"):
+            ida_effects(parse_graph("X -> Y"), "X", "Y", np.arange(10.0))
 
     def test_singular_design_reported_as_nan(self):
         g = parse_graph("X -> Y")
@@ -384,6 +415,41 @@ class TestJointEffects:
         for vec in effects.values:
             assert abs(vec[0]) < 0.025
 
+    def test_effects_equal_fits_over_the_oracle_graphs(self):
+        """Every joint effect is bit-identical to path tracing through the
+        fitted extension of the graph the merge oracle built for its entry."""
+        rng = np.random.default_rng(97)
+        compared = 0
+        for _ in range(300):
+            p = int(rng.integers(4, 9))
+            g, model = sem_mpdag(rng, p, edge_prob=float(rng.uniform(0.3, 0.9)))
+            data = sample_data(model, 60, rng)
+            columns = model.dag.nodes
+            col = {name: j for j, name in enumerate(columns)}
+            picked = rng.choice(g.nodes, size=int(rng.integers(3, 5)), replace=False)
+            *xs, y = (str(v) for v in picked)
+            expected = []
+            for _, merged in global_merge_combinations(g, xs):
+                B = _fit_coefficient_matrix(consistent_extension(merged), data, col)
+                totals = np.linalg.inv(np.eye(p) - B)
+                expected.append(tuple(float(totals[g.node_index(x), g.node_index(y)]) for x in xs))
+            effects = joint_ida_effects(g, xs, y, data, columns=columns)
+            assert list(effects.family) == global_merge_parent_sets(g, xs)
+            assert len(effects.values) == len(expected)
+            for got, want in zip(effects.values, expected):
+                assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
+            compared += len(expected)
+        assert compared >= 1000
+
+    def test_rank_deficient_fits_are_nan_tuples(self):
+        g = parse_graph("X1 -- X2\nX1 -> Y\nX2 -> Y")
+        data = np.random.default_rng(29).standard_normal((40, 3))
+        data[:, 0] = 0.0
+        effects = joint_ida_effects(g, ["X1", "X2"], "Y", data)
+        assert len(effects) == 2
+        assert all(len(vec) == 2 and all(map(math.isnan, vec)) for vec in effects.values)
+        assert effects.unique_count() == 1
+
     def test_bare_string_is_one_node(self):
         g = complete_graph(4)
         data = np.random.default_rng(19).standard_normal((30, 4))
@@ -402,9 +468,9 @@ class TestJointEffects:
 class TestDedup:
     def test_tolerance_groups_close_values(self):
         family = possible_parent_sets(parse_graph("X -> Y"), ["X"])
-        ms = EffectMultiset(family, (1.0,), tolerance=1e-8)
+        ms = EffectMultiset(family, (1.0,))
         assert ms.unique_count() == 1
-        ms3 = EffectMultiset(family, (1.0, 1.0 + 5e-9, 2.0), tolerance=1e-8)
+        ms3 = EffectMultiset(family, (1.0, 1.0 + 5e-9, 2.0))
         assert ms3.unique_count() == 2
         assert ms3.unique_values() == [1.0, 2.0]
 

@@ -108,6 +108,19 @@ class TestGraphValue:
         with pytest.raises(ValueError, match="not a declared node"):
             PdagGraph(["A"], directed=[("A", "B")])
 
+    @pytest.mark.parametrize(
+        "nodes, directed, undirected, message",
+        [
+            (["A", "1B"], [], [], "invalid node name: '1B'"),
+            (["A"], [("A", "A")], [], "self-loop on 'A'"),
+            (["A", "B"], [("B", "A")], [("A", "B")], "duplicate edge between 'A' and 'B'"),
+        ],
+        ids=["invalid_name", "self_loop", "duplicate_edge"],
+    )
+    def test_constructor_rejects(self, nodes, directed, undirected, message):
+        with pytest.raises(ValueError, match=message):
+            PdagGraph(nodes, directed=directed, undirected=undirected)
+
     def test_edge_queries(self, fig1_mpdag):
         assert fig1_mpdag.edge("D", "B") == "->"
         assert fig1_mpdag.edge("B", "D") == "<-"

@@ -1,7 +1,7 @@
 """Properties over arbitrary PDAGs whose directed part is acyclic: closed
 under the orientation rules or not, with a DAG extension or not."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -132,3 +132,15 @@ def test_one_node_parent_sets_match_the_merge_oracle(g):
         return
     for x in g.nodes:
         assert list(possible_parent_sets(g, [x])) == global_merge_parent_sets(g, [x])
+
+
+@SEEDED
+@given(pdags())
+def test_two_node_parent_sets_match_the_merge_oracle(g):
+    """Deciding the second node on the graph the first node's picks were
+    merged into gives the merge oracle's family, for every ordered pair."""
+    report = validate_maximal_pdag(g)
+    if not (report.acyclic and report.closed and report.extendable):
+        return
+    for xs in permutations(g.nodes, 2):
+        assert list(possible_parent_sets(g, xs)) == global_merge_parent_sets(g, xs)

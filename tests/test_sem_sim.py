@@ -72,6 +72,8 @@ class TestSemModel:
             SemModel(g, {("A", "B"): 0.5}, {"A": 1.0})
         with pytest.raises(ValueError, match="DAG"):
             SemModel(parse_graph("A -- B"), {}, {"A": 1.0, "B": 1.0})
+        with pytest.raises(ValueError, match="noise scales must be positive"):
+            SemModel(g, {("A", "B"): 0.5}, {"A": 1.0, "B": 0.0})
 
     def test_model_text_round_trip(self):
         model = random_dag(6, 2.5, np.random.default_rng(5))
@@ -85,7 +87,11 @@ class TestSemModel:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("A -> B 0.5\nB -> A 0.3", "line 2: duplicate edge"), ("A -> A 0.5", "line 1: self-loop")],
+        [
+            ("A -> B 0.5\nB -> A 0.3", "line 2: duplicate edge"),
+            ("A -> A 0.5", "line 1: self-loop"),
+            ("A -> B 0.5\nB -- C", "line 2: SEM models allow only directed edges"),
+        ],
     )
     def test_load_reports_bad_pairs_with_line(self, text, message):
         with pytest.raises(GraphParseError, match=message):
@@ -112,6 +118,12 @@ class TestSampling:
         a = sample_data(model, 50, np.random.default_rng(11))
         b = sample_data(model, 50, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+
+    def test_needs_a_sample(self):
+        model = random_dag(4, 2.0, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="need at least one sample"):
+            sample_data(model, 0, np.random.default_rng(9))
 
 
 class TestTrueEffect:
@@ -259,6 +271,55 @@ class TestSimulation:
         with pytest.raises(ValueError, match="need at least one fraction"):
             SimConfig(fractions=())
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"fractions": (0.0, 1.5)}, r"fractions must lie in \[0, 1\]"),
+            ({"neighborhood_sizes": ()}, "need at least one neighbourhood size"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+        ids=["fraction_above_one", "no_neighbourhood_sizes", "negative_seed"],
+    )
+    def test_config_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**changes)
+
+    def test_replicates_redraw_models_with_no_edge(self):
+        # About one DAG in thirteen has no edge at p = 10, en = 0.5; such a
+        # replicate takes the next draw with an edge from its model stream.
+        cfg = SimConfig(
+            node_counts=(10,),
+            neighborhood_sizes=(0.5,),
+            graphs_per_setting=20,
+            sample_size=20,
+            fractions=(0.0, 1.0),
+            seed=3,
+        )
+        rows = run_simulation(cfg)
+        assert len(rows) == 40
+        redrawn = 0
+        for row in rows[::2]:
+            rng = np.random.default_rng([row.seed, 0])
+            model = random_dag(10, 0.5, rng)
+            redrawn += not model.coefficients
+            while not model.coefficients:
+                model = random_dag(10, 0.5, rng)
+            x, y = choose_xy(model.dag, np.random.default_rng([row.seed, 2]))
+            assert row.true_effect == float(true_total_effect(model, x, y)[0])
+        assert redrawn >= 1
+
+    def test_edgeless_grid_fails_after_bounded_draws(self):
+        cfg = SimConfig(
+            node_counts=(2,),
+            neighborhood_sizes=(1e-12,),
+            graphs_per_setting=1,
+            sample_size=5,
+            fractions=(0.0,),
+            seed=1,
+        )
+        with pytest.raises(ValueError, match="no DAG with an edge in 1000 draws at p=2, en=1e-12"):
+            run_simulation(cfg)
+
     def test_smoke_run_shape_and_determinism(self):
         def content(row):
             return (
@@ -304,10 +365,9 @@ class TestSimulation:
             counts = [r.n_unique for r in sorted(rep_rows, key=lambda r: r.fraction)]
             assert counts == sorted(counts, reverse=True)
 
-    def test_csv_schema(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        rows = run_simulation(SMOKE_CFG, csv_path=str(path))
-        text = path.read_text()
+    def test_csv_schema(self):
+        rows = run_simulation(SMOKE_CFG)
+        text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_unique,ms"
@@ -316,7 +376,6 @@ class TestSimulation:
         first = lines[1].split(",")
         assert first[1] == "5"
         assert first[4] in ("true", "false")
-        assert text == rows_to_csv(rows)
 
 
 # Rows of DIGEST_CFG rendered by rows_to_csv with ms set to 0, as the
