@@ -29,7 +29,6 @@ from .causal_paths import (
     classify_path,
     node_set,
 )
-from .extension import consistent_extension
 from .pdag_core import (
     COLLIDER,
     DEFINITE_NON_COLLIDER,
@@ -38,6 +37,7 @@ from .pdag_core import (
     _bits,
     _closure,
     classify_definite_status,
+    consistent_extension,
 )
 
 

@@ -10,12 +10,12 @@ required or names a node twice exits 2.  So does an ``ida`` data
 file whose header is not the graph's node set or whose rows do not
 outnumber the nodes, and so do ``simulate`` settings, from --config or the
 flags, that are malformed or outside the grid's ranges (an empty --p,
---en or --fractions among them), or a grid flag given together with
---config (the message names the key or flag), a ``simulate --out``
-that cannot be opened for writing (a directory, a missing or
-non-directory parent, a name that is too long, no permission; checked
-before the study runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that is not a
-non-negative integer.
+--en or --fractions among them), a --config key that is not a grid
+setting, or a grid flag given together with --config (the message names
+the key or flag), a ``simulate --out`` that cannot be opened for writing
+(a directory, a missing or non-directory parent, a name that is too
+long, no permission; checked before the study runs) and an
+``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative integer.
 All output is deterministic for fixed arguments and seeds, and graph
 output re-parses through the graph reader.
 """
@@ -229,8 +229,8 @@ _SIM_SETTINGS = (
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     """The study grid from --config or from the flags, whose defaults are
-    SimConfig's; a malformed or invalid setting, or a grid flag given
-    with --config, is a usage error naming its key or flag."""
+    SimConfig's; an unknown key, a malformed or invalid setting, or a grid
+    flag given with --config, is a usage error naming its key or flag."""
     if args.config:
         for _, flag, _, _ in _SIM_SETTINGS:
             if getattr(args, flag[2:]) is not None:
@@ -242,6 +242,9 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
                 raise UsageError(f"--config is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise UsageError("--config must hold a JSON object")
+        for key in raw:
+            if key not in SimConfig.__dataclass_fields__:
+                raise UsageError(f"--config key {key!r} is unknown")
     elif args.seed is None:
         raise UsageError("simulate requires --seed (or a --config with one)")
     values, names = {}, {}

@@ -1,10 +1,11 @@
 """DAG extensions of a partially directed graph.
 
-``consistent_extension`` finds one DAG with the same skeleton and
-unshielded colliders that keeps every directed edge (the sink-peeling
-algorithm), ``enumerate_dags`` lists the whole class by backtracking
-over undirected edges with rule closure after every choice, and
-``represents`` is the membership predicate both are measured against.
+``consistent_extension`` (defined in :mod:`.pdag_core`, re-exported here)
+finds one DAG with the same skeleton and unshielded colliders that keeps
+every directed edge (the sink-peeling algorithm), ``enumerate_dags`` lists
+the whole class by backtracking over undirected edges with rule closure
+after every choice, and ``represents`` is the membership predicate both
+are measured against.
 The enumeration checks its input once and then trusts the closure: by
 Meek (1995) every branch of a closed, extendable graph is consistent.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .meek import _close, _closed, _low
-from .pdag_core import PdagGraph, _adjacency, _bits, has_directed_cycle, unshielded_collider_triples
+from .meek import _close, _closed
+from .pdag_core import PdagGraph, has_directed_cycle, unshielded_collider_triples
+from .pdag_core import consistent_extension  # re-exported: part of this module's API
 
 DEFAULT_DAG_LIMIT = 100_000
 
@@ -45,44 +47,6 @@ def represents(g: PdagGraph, h: PdagGraph) -> bool:
     if unshielded_collider_triples(g) != unshielded_collider_triples(h):
         return False
     return all(h.is_directed(tail, head) for tail, head in g.directed_edges())
-
-
-def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
-    """One DAG represented by ``g``, or None when no extension exists.
-
-    Repeatedly peels a node with no outgoing directed edge whose
-    undirected neighbours are adjacent to all of its other neighbours,
-    orienting the undirected edges into it.  Ties break on the lowest
-    node index, so the result is deterministic.  A cyclic ``g`` gives
-    None: a node on a directed cycle always keeps a child left.
-
-    Eligible nodes are kept in a mask (Dor and Tarsi 1992): peeling
-    ``x`` only removes nodes from its neighbours' tests, so eligible
-    nodes stay eligible and only the other neighbours are re-tested.
-    """
-    dag = g._copy()
-    und, ch = dag._und, dag._ch
-    adjacent = _adjacency(g)
-    remaining = (1 << len(und)) - 1
-
-    def eligible(x: int) -> bool:
-        near = adjacent[x] & remaining
-        return not ch[x] & remaining and all(
-            not near & ~(1 << u | adjacent[u]) for u in _bits(und[x])
-        )
-
-    ready = sum(1 << x for x in range(len(und)) if eligible(x))
-    while ready:
-        x = _low(ready)
-        # Never a cycle: every descendant of x has been peeled already.
-        for u in _bits(und[x]):
-            dag._orient(u, x)
-        remaining ^= 1 << x
-        ready ^= 1 << x
-        for y in _bits(adjacent[x] & remaining & ~ready):
-            if eligible(y):
-                ready |= 1 << y
-    return dag if not remaining else None
 
 
 def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:

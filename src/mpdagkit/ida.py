@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .extension import consistent_extension
 from .meek import _merge_one, _require_maximal
-from .pdag_core import PdagGraph, _bits
+from .pdag_core import PdagGraph, _bits, consistent_extension
 
 DEDUP_TOLERANCE = 1e-8
 

@@ -27,6 +27,8 @@ from .pdag_core import (
     GraphParseError,
     PdagGraph,
     _bits,
+    _low,
+    consistent_extension,
     has_directed_cycle,
     parse_statements,
 )
@@ -102,11 +104,6 @@ class ValidationReport:
     acyclic: bool
     closed: bool
     extendable: bool
-
-
-def _low(mask: int) -> int:
-    """Index of the lowest set bit of a non-zero ``mask``."""
-    return (mask & -mask).bit_length() - 1
 
 
 def _first_target(g: PdagGraph, a: int, b: int) -> Optional[tuple[int, int]]:
@@ -195,8 +192,6 @@ def close_orientations(g: PdagGraph) -> PdagGraph:
     :class:`OrientationConflictError` when it has no consistent DAG
     extension, both checked before any rule is applied.
     """
-    from .extension import consistent_extension
-
     if has_directed_cycle(g):
         raise ValueError("input graph has a directed cycle")
     if consistent_extension(g) is None:
@@ -294,8 +289,6 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
 
 def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:
     """Report whether ``g`` is acyclic, rule-closed and DAG-extendable."""
-    from .extension import consistent_extension
-
     # consistent_extension returns None on a cyclic graph.
     return ValidationReport(
         not has_directed_cycle(g), is_closed(g), consistent_extension(g) is not None

@@ -9,6 +9,10 @@ graph derived from another (closure, merge, extension, reversal) is
 built by the private ``PdagGraph._from_masks`` or ``_copy``, which share
 the source's nodes and index and re-check nothing.  Graphs are immutable
 once returned, as derived graphs may share mask lists with their source.
+
+The module also owns peeling: acyclicity, the topological order the SEM
+sampler walks (:func:`_topological_order`) and the one DAG extension
+(:func:`consistent_extension`), which the orientation rules build on.
 """
 
 from __future__ import annotations
@@ -390,22 +394,68 @@ def is_definite_status_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> bool
     return NOT_DEFINITE not in classify_definite_status(g, p)
 
 
-def has_directed_cycle(g: PdagGraph) -> bool:
-    """True iff the directed sub-relation of ``g`` contains a cycle.
+def _topological_order(g: PdagGraph) -> Optional[list[int]]:
+    """Node indices in Kahn's (1962) order, or None on a directed cycle.
+    A first-in first-out queue starts with the parentless nodes and takes
+    children as they run out of parents, each in index order; undirected
+    edges are ignored."""
+    pa, ch = g._pa, g._ch
+    waiting = [m.bit_count() for m in pa]
+    order = [v for v, count in enumerate(waiting) if not count]
+    for v in order:  # the list is the queue: appended nodes are visited in turn
+        for c in _bits(ch[v]):
+            waiting[c] -= 1
+            if not waiting[c]:
+                order.append(c)
+    return order if len(order) == len(pa) else None
 
-    Peels nodes with no parent left among the remaining ones; a round
-    that peels nothing leaves only nodes on or behind a cycle.
+
+def has_directed_cycle(g: PdagGraph) -> bool:
+    """True iff the directed sub-relation of ``g`` contains a cycle."""
+    return _topological_order(g) is None
+
+
+def _low(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
+    """One DAG represented by ``g``, or None when no extension exists.
+
+    Repeatedly peels a node with no outgoing directed edge whose
+    undirected neighbours are adjacent to all of its other neighbours,
+    orienting the undirected edges into it.  Ties break on the lowest
+    node index, so the result is deterministic.  A cyclic ``g`` gives
+    None: a node on a directed cycle always keeps a child left.
+
+    Eligible nodes are kept in a mask (Dor and Tarsi 1992): peeling
+    ``x`` only removes nodes from its neighbours' tests, so eligible
+    nodes stay eligible and only the other neighbours are re-tested.
     """
-    pa = g._pa
-    remaining = (1 << len(pa)) - 1
-    while remaining:
-        before = remaining
-        for v in _bits(remaining):
-            if not pa[v] & remaining:
-                remaining ^= 1 << v
-        if remaining == before:
-            return True
-    return False
+    dag = g._copy()
+    und, ch = dag._und, dag._ch
+    adjacent = _adjacency(g)
+    remaining = (1 << len(und)) - 1
+
+    def eligible(x: int) -> bool:
+        near = adjacent[x] & remaining
+        return not ch[x] & remaining and all(
+            not near & ~(1 << u | adjacent[u]) for u in _bits(und[x])
+        )
+
+    ready = sum(1 << x for x in range(len(und)) if eligible(x))
+    while ready:
+        x = _low(ready)
+        # Never a cycle: every descendant of x has been peeled already.
+        for u in _bits(und[x]):
+            dag._orient(u, x)
+        remaining ^= 1 << x
+        ready ^= 1 << x
+        for y in _bits(adjacent[x] & remaining & ~ready):
+            if eligible(y):
+                ready |= 1 << y
+    return dag if not remaining else None
 
 
 def unshielded_collider_triples(g: PdagGraph) -> frozenset[tuple[str, str, str]]:

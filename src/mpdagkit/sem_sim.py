@@ -28,7 +28,15 @@ import numpy as np
 from .adjustment import adjust_set, is_amenable
 from .ida import ida_effects
 from .meek import construct_max_pdag, cpdag_of
-from .pdag_core import GraphParseError, PdagGraph, _adjacency, _bits, _closure, _edge_statements
+from .pdag_core import (
+    GraphParseError,
+    PdagGraph,
+    _adjacency,
+    _bits,
+    _closure,
+    _edge_statements,
+    _topological_order,
+)
 
 CSV_HEADER = "seed,p,en,fraction,amenable,identifiable,true_effect,n_tuples,n_unique,ms"
 
@@ -61,19 +69,6 @@ class SemModel:
             raise ValueError("every node needs a noise scale")
         if any(s <= 0 for s in self.noise_scales.values()):
             raise ValueError("noise scales must be positive")
-
-    def topological_order(self) -> list[str]:
-        indegree = {v: len(self.dag.parents(v)) for v in self.dag.nodes}
-        ready = [v for v in self.dag.nodes if indegree[v] == 0]
-        order: list[str] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for c in sorted(self.dag.children(v), key=self.dag.node_index):
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    ready.append(c)
-        return order
 
     def coefficient_matrix(self) -> np.ndarray:
         idx = self.dag._index
@@ -111,19 +106,18 @@ def random_dag(p: int, en: float, rng: np.random.Generator) -> SemModel:
 def sample_data(m: SemModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` rows; columns follow the model's node order.
 
-    Parent contributions are summed in node order, so the result
-    depends only on the model, ``n`` and the generator state.
+    Nodes follow the graph core's topological order and parents are summed
+    in node order, so the result depends only on the model, ``n`` and ``rng``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    idx = m.dag._index
-    data = np.empty((n, len(idx)))
-    for v in m.topological_order():
-        noise = rng.standard_normal(n) * m.noise_scales[v]
-        total = noise
-        for parent in sorted(m.dag.parents(v), key=idx.__getitem__):
-            total = total + m.coefficients[(parent, v)] * data[:, idx[parent]]
-        data[:, idx[v]] = total
+    names = m.dag.nodes
+    data = np.empty((n, len(names)))
+    for v in _topological_order(m.dag):
+        total = rng.standard_normal(n) * m.noise_scales[names[v]]
+        for u in _bits(m.dag._pa[v]):
+            total = total + m.coefficients[(names[u], names[v])] * data[:, u]
+        data[:, v] = total
     return data
 
 
@@ -146,11 +140,7 @@ def _background_requirements(
 ) -> list[tuple[str, str]]:
     """Every undirected edge of ``cpdag`` oriented as in ``true_dag``, in
     the order of one permutation drawn from ``rng``."""
-    if cpdag.nodes == true_dag.nodes:  # always so for graphs from cpdag_of
-        same = _adjacency(cpdag) == _adjacency(true_dag)
-    else:
-        same = cpdag.skeleton() == true_dag.skeleton()
-    if not same:
+    if cpdag.skeleton() != true_dag.skeleton():
         raise ValueError("graph and true DAG must share a skeleton")
     undirected = cpdag.undirected_edges()
     chosen = [undirected[i] for i in rng.permutation(len(undirected))]

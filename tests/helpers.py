@@ -7,7 +7,8 @@ DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the extension oracle restarts its sink scan after every peel,
 the DAG-class oracle tries every orientation of the undirected
-edges, and the data-file oracle parses each cell with ``float``.
+edges, the data-file oracle parses each cell with ``float``, and the
+topological-order and sampler oracles work by node names.
 """
 
 from itertools import permutations, product
@@ -332,6 +333,40 @@ def scan_extension(g: PdagGraph):
             dag._orient(u, x)
         remaining ^= 1 << x
     return dag
+
+
+def name_topological_order(g: PdagGraph):
+    """Reference for ``pdag_core._topological_order``, by node names:
+    Kahn's rule with a first-in first-out list seeded with the
+    parentless nodes in node order, each node's children taken in node
+    order, and undirected edges ignored.  None when nodes are left over,
+    that is, on a directed cycle."""
+    indegree = {v: len(g.parents(v)) for v in g.nodes}
+    ready = [v for v in g.nodes if indegree[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for c in sorted(g.children(v), key=g.node_index):
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                ready.append(c)
+    return order if len(order) == len(g.nodes) else None
+
+
+def name_sample_data(m, n: int, rng) -> np.ndarray:
+    """Reference for ``sem_sim.sample_data``: nodes in
+    :func:`name_topological_order`, each parent's contribution added in
+    node order, every value looked up by name."""
+    idx = m.dag._index
+    data = np.empty((n, len(idx)))
+    for v in name_topological_order(m.dag):
+        noise = rng.standard_normal(n) * m.noise_scales[v]
+        total = noise
+        for parent in sorted(m.dag.parents(v), key=idx.__getitem__):
+            total = total + m.coefficients[(parent, v)] * data[:, idx[parent]]
+        data[:, idx[v]] = total
+    return data
 
 
 def read_csv_rows(path: str):

@@ -737,6 +737,10 @@ class TestSimulateCli:
                 json.dumps({**CONFIG, "seed": -3}),
                 "--config key 'seed': seed must be non-negative",
             ),
+            (
+                json.dumps({"graphs": 500, **CONFIG, "sample_sizes": 9999}),
+                "--config key 'graphs' is unknown",
+            ),
         ],
         ids=[
             "malformed_json",
@@ -745,6 +749,7 @@ class TestSimulateCli:
             "fractions_empty",
             "json_array",
             "seed_negative",
+            "unknown_key",
         ],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, capsys, text, message):

@@ -1,5 +1,6 @@
 """Properties over arbitrary PDAGs whose directed part is acyclic: closed
-under the orientation rules or not, with a DAG extension or not."""
+under the orientation rules or not, with a DAG extension or not.  The
+topological-order property also takes PDAGs with a directed cycle."""
 
 from itertools import combinations, permutations
 
@@ -8,6 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpdagkit.adjustment import adjust_set
+from mpdagkit.causal_paths import (
+    ANCESTORS,
+    b_possible_ancestors,
+    b_possible_descendants,
+    oracle_reach,
+)
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import ida_effects, joint_ida_effects, possible_parent_sets
 from mpdagkit.meek import (
@@ -17,12 +25,20 @@ from mpdagkit.meek import (
     is_closed,
     validate_maximal_pdag,
 )
-from mpdagkit.pdag_core import PdagGraph, has_directed_cycle, parse_graph, serialize_graph
+from mpdagkit.pdag_core import (
+    PdagGraph,
+    _topological_order,
+    has_directed_cycle,
+    parse_graph,
+    serialize_graph,
+)
 
 from helpers import (
     all_rule_orders,
     brute_force_dags,
+    dag_adjustment_criterion,
     global_merge_parent_sets,
+    name_topological_order,
     scan_close,
     scan_extension,
 )
@@ -47,6 +63,40 @@ def pdags(draw) -> PdagGraph:
         elif state == "--":
             undirected.append((a, b))
     return PdagGraph(names, directed=directed, undirected=undirected)
+
+
+@st.composite
+def any_pdags(draw) -> PdagGraph:
+    """One to six nodes; each pair is non-adjacent, undirected or directed
+    either way, so the directed part may hold a cycle."""
+    names = draw(st.permutations("ABCDEF"[: draw(st.integers(1, 6))]))
+    directed, undirected = [], []
+    for a, b in combinations(names, 2):
+        state = draw(st.sampled_from((None, "->", "<-", "--")))
+        if state == "--":
+            undirected.append((a, b))
+        elif state is not None:
+            directed.append((a, b) if state == "->" else (b, a))
+    return PdagGraph(names, directed=directed, undirected=undirected)
+
+
+def is_maximal(g: PdagGraph) -> bool:
+    report = validate_maximal_pdag(g)
+    return report.acyclic and report.closed and report.extendable
+
+
+@SEEDED
+@given(any_pdags())
+def test_topological_order_matches_the_name_based_sort(g):
+    """Kahn's order by masks equals the name-based sort, both None on a
+    directed cycle, and every directed edge points forward in it."""
+    order, reference = _topological_order(g), name_topological_order(g)
+    assert (order is None) == (reference is None) == has_directed_cycle(g)
+    if order is None:
+        return
+    assert [g.nodes[v] for v in order] == reference
+    position = {g.nodes[v]: i for i, v in enumerate(order)}
+    assert all(position[tail] < position[head] for tail, head in g.directed_edges())
 
 
 @SEEDED
@@ -127,8 +177,7 @@ def test_inputs_with_no_extension_are_rejected_at_every_boundary(g):
 def test_one_node_parent_sets_match_the_merge_oracle(g):
     """The local rule for one intervention node gives the merge
     oracle's family entry for entry, on every node of a maximal input."""
-    report = validate_maximal_pdag(g)
-    if not (report.acyclic and report.closed and report.extendable):
+    if not is_maximal(g):
         return
     for x in g.nodes:
         assert list(possible_parent_sets(g, [x])) == global_merge_parent_sets(g, [x])
@@ -139,8 +188,37 @@ def test_one_node_parent_sets_match_the_merge_oracle(g):
 def test_two_node_parent_sets_match_the_merge_oracle(g):
     """Deciding the second node on the graph the first node's picks were
     merged into gives the merge oracle's family, for every ordered pair."""
-    report = validate_maximal_pdag(g)
-    if not (report.acyclic and report.closed and report.extendable):
+    if not is_maximal(g):
         return
     for xs in permutations(g.nodes, 2):
         assert list(possible_parent_sets(g, xs)) == global_merge_parent_sets(g, xs)
+
+
+@SEEDED
+@given(pdags())
+def test_possible_reach_matches_the_path_oracle(g):
+    """The state search gives the path-enumeration oracle's b-possible
+    descendants and ancestors of every node of a maximal input."""
+    if not is_maximal(g):
+        return
+    for v in g.nodes:
+        assert b_possible_descendants(g, v) == oracle_reach(g, v)
+        assert b_possible_ancestors(g, v) == oracle_reach(g, v, ANCESTORS)
+
+
+@SEEDED
+@given(pdags())
+def test_adjust_set_exists_exactly_when_some_set_adjusts_in_every_dag(g):
+    """On a maximal input, ``adjust_set`` finds a set for (x, y) exactly
+    when some subset of the other nodes passes the DAG criterion in
+    every DAG of the brute-force class."""
+    if not is_maximal(g):
+        return
+    dags = brute_force_dags(g)
+    for x, y in permutations(g.nodes, 2):
+        others = [v for v in g.nodes if v not in (x, y)]
+        subsets = (zs for k in range(len(others) + 1) for zs in combinations(others, k))
+        exists = any(
+            all(dag_adjustment_criterion(d, {x}, {y}, zs) for d in dags) for zs in subsets
+        )
+        assert (adjust_set(g, x, y) is not None) == exists

@@ -26,6 +26,8 @@ from mpdagkit.sem_sim import (
     true_total_effect,
 )
 
+from helpers import name_sample_data
+
 
 class TestRandomDag:
     def test_two_nodes_always_connected(self):
@@ -119,6 +121,29 @@ class TestSampling:
         b = sample_data(model, 50, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
+
+    def test_random_models_match_the_name_based_sampler(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            p = int(rng.integers(2, 13))
+            model = random_dag(p, float(rng.uniform(0.2, 1.0)) * (p - 1), rng)
+            n, seed = int(rng.integers(1, 40)), int(rng.integers(2**32))
+            got = sample_data(model, n, np.random.default_rng(seed))
+            assert np.array_equal(got, name_sample_data(model, n, np.random.default_rng(seed)))
+
+    def test_shuffled_declarations_match_the_name_based_sampler(self):
+        # Declaring a head before its tail puts node order against the
+        # topological order the sampler walks.
+        models = [load_sem_model("node B\nnode A\nA -> B 0.5")]
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            model = random_dag(int(rng.integers(3, 10)), 2.0, rng)
+            nodes = "".join(f"node {model.dag.nodes[i]}\n" for i in rng.permutation(len(model.dag)))
+            edges = "".join(f"{t} -> {h} {w!r}\n" for (t, h), w in model.coefficients.items())
+            models.append(load_sem_model(nodes + edges))
+        for seed, model in enumerate(models):
+            got = sample_data(model, 30, np.random.default_rng(seed))
+            assert np.array_equal(got, name_sample_data(model, 30, np.random.default_rng(seed)))
 
     def test_needs_a_sample(self):
         model = random_dag(4, 2.0, np.random.default_rng(8))
