@@ -497,10 +497,25 @@ def list_adjustment_sets(
 ) -> list[frozenset[str]]:
     """All (or all minimal) valid adjustment sets at desk scale.
 
-    Candidates are subsets of the nodes outside ``xs``, ``ys`` and the
-    forbidden set, enumerated by size and node order.  The candidate
-    universe is capped (override with ``universe_cap`` or the
-    MPDAGKIT_UNIVERSE_CAP environment variable via the CLI).
+    A valid set is a subset Z of the candidate universe U, the nodes
+    outside ``xs``, ``ys`` and the forbidden set, that d-separates
+    ``xs`` and ``ys`` in the proper back-door DAG D.  Subsets are listed
+    by size, then in ``combinations`` order over node indices.  The
+    universe is capped before any search (override with
+    ``universe_cap`` or the MPDAGKIT_UNIVERSE_CAP environment variable
+    via the CLI).  The full listing tests every subset of U; the
+    minimal listing searches only the ancestors of ``xs | ys`` in D
+    and tests no superset of a set already found.
+
+    Proof sketch for the minimal listing.  (1) If Z separates, so does
+    Z' = Z & An(xs | ys): separation in D is separation in the moral
+    graph of An(xs | ys | Z) without Z (Lauritzen et al. 1990), and the
+    moral graph of An(xs | ys | Z') = An(xs | ys) is a subgraph of that
+    one holding no node of Z - Z', so every minimal set lies in the
+    ancestors (Tian, Paz and Pearl 1998).  (2) Subsets come by size, so
+    when Z comes up every strict subset has been decided, and a valid Z
+    is minimal exactly when it contains no minimal set found before it
+    (van der Zander, Liskiewicz and Textor, AIJ 2019).
     """
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be non-negative")
@@ -516,12 +531,19 @@ def list_adjustment_sets(
             f"{universe_cap}"
         )
     pruned = _backdoor_dag(g, x_mask, y_mask)
+    bit = {name: 1 << g._index[name] for name in universe}
+    if minimal_only:
+        ancestors = _closure(pruned._pa, x_mask | y_mask)
+        universe = [name for name in universe if bit[name] & ancestors]
     top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
+    found: list[int] = []  # the masks of the valid sets
     for size in range(top + 1):
         for combo in combinations(universe, size):
-            if _d_separated(pruned, x_mask, y_mask, g._mask(combo)):
+            z = sum(map(bit.__getitem__, combo))
+            if minimal_only and any(z & m == m for m in found):
+                continue
+            if _d_separated(pruned, x_mask, y_mask, z):
+                found.append(z)
                 valid.append(frozenset(combo))
-    if minimal_only:
-        valid = [z for z in valid if not any(other < z for other in valid)]
     return valid

@@ -192,9 +192,10 @@ def close_orientations(g: PdagGraph) -> PdagGraph:
     :class:`OrientationConflictError` when it has no consistent DAG
     extension, both checked before any rule is applied.
     """
-    if has_directed_cycle(g):
-        raise ValueError("input graph has a directed cycle")
     if consistent_extension(g) is None:
+        # A cyclic graph has no extension, so only then is a second peel needed.
+        if has_directed_cycle(g):
+            raise ValueError("input graph has a directed cycle")
         raise OrientationConflictError("graph has no consistent DAG extension")
     return _closed(g)
 
@@ -289,7 +290,7 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
 
 def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:
     """Report whether ``g`` is acyclic, rule-closed and DAG-extendable."""
-    # consistent_extension returns None on a cyclic graph.
-    return ValidationReport(
-        not has_directed_cycle(g), is_closed(g), consistent_extension(g) is not None
-    )
+    # consistent_extension returns None on a cyclic graph, so an extension
+    # answers acyclicity too; only a graph without one is peeled again.
+    extendable = consistent_extension(g) is not None
+    return ValidationReport(extendable or not has_directed_cycle(g), is_closed(g), extendable)

@@ -5,16 +5,18 @@ restart-scan closure re-derives the orientation rules from scratch, the
 parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
-deepening, the extension oracle restarts its sink scan after every peel,
-the DAG-class oracle tries every orientation of the undirected
+deepening, the listing oracle tests every candidate subset and then
+filters the minimal ones, the extension oracle restarts its sink scan
+after every peel, the DAG-class oracle tries every orientation of the undirected
 edges, the data-file oracle parses each cell with ``float``, and the
 topological-order and sampler oracles work by node names.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
+from mpdagkit import adjustment
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
@@ -253,6 +255,29 @@ def dag_adjustment_criterion(d: PdagGraph, xs, ys, zs) -> bool:
         if not _is_causal(d, path) and not _path_blocked(d, path, zs):
             return False
     return True
+
+
+def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> list:
+    """Reference adjustment-set listing: one d-separation test in the
+    proper back-door DAG per subset of the candidate universe (the nodes
+    outside xs, ys and the forbidden set), by size and node order; for
+    the minimal sets, every valid set with a valid strict subset is then
+    dropped."""
+    x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+    if not adjustment._amenability(g, x_mask, y_mask).ok:
+        return []
+    taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+    universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
+    pruned = adjustment._backdoor_dag(g, x_mask, y_mask)
+    top = len(universe) if max_size is None else min(max_size, len(universe))
+    valid = []
+    for size in range(top + 1):
+        for combo in combinations(universe, size):
+            if adjustment._d_separated(pruned, x_mask, y_mask, g._mask(combo)):
+                valid.append(frozenset(combo))
+    if minimal_only:
+        valid = [z for z in valid if not any(other < z for other in valid)]
+    return valid
 
 
 def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):

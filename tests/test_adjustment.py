@@ -16,7 +16,7 @@ from mpdagkit.adjustment import (
 )
 from mpdagkit.causal_paths import b_possible_descendants
 from mpdagkit.extension import enumerate_dags
-from mpdagkit.meek import construct_max_pdag
+from mpdagkit.meek import construct_max_pdag, cpdag_of
 from mpdagkit.pdag_core import PdagGraph, parse_graph
 
 from conftest import random_mpdag
@@ -26,6 +26,7 @@ from helpers import (
     dag_adjustment_criterion,
     deepening_connecting_path,
     name_adjacency,
+    subset_listing,
 )
 
 
@@ -325,6 +326,30 @@ class TestListing:
                         checked.add(frozenset(zs))
             assert listed == checked
 
+    def test_listing_matches_the_subset_oracle(self):
+        """Entry for entry, order included, on the CPDAG and a partially
+        merged graph of each of 300 random DAGs of 5-10 nodes, with one
+        and two treatment and outcome nodes, both modes and four sizes."""
+        rng = np.random.default_rng(2028)
+        calls = sets = minimal_sets = 0
+        for _ in range(300):
+            merged, dag = random_mpdag(rng, 10, p_min=5)
+            for g in (cpdag_of(dag), merged):
+                nodes = list(g.nodes)
+                for kx, ky in ((1, 1), (2, 1), (1, 2), (2, 2)):
+                    rng.shuffle(nodes)
+                    xs, ys = nodes[:kx], nodes[kx : kx + ky]
+                    for minimal in (False, True):
+                        for k in (None, 0, 1, 2):
+                            got = list_adjustment_sets(
+                                g, xs, ys, minimal_only=minimal, max_size=k
+                            )
+                            assert got == subset_listing(g, xs, ys, minimal, k), (g, xs, ys)
+                            calls += 1
+                            sets += len(got)
+                            minimal_sets += len(got) if minimal else 0
+        assert (calls, sets, minimal_sets) == (19200, 31234, 2708)
+
 
 class TestReachabilityRoutes:
     @staticmethod
@@ -458,6 +483,36 @@ class TestOnePassPerQuery:
         calls.clear()
         assert len(list_adjustment_sets(g, "X", "Y")) == 16
         assert len(calls) == one_candidate
+
+    @pytest.fixture()
+    def dsep_calls(self, monkeypatch):
+        """The candidate sets the listing tests, as node masks."""
+        calls = []
+        real = adjustment._d_separated
+
+        def counting(d, xs, ys, zs):
+            calls.append(zs)
+            return real(d, xs, ys, zs)
+
+        monkeypatch.setattr(adjustment, "_d_separated", counting)
+        return calls
+
+    def test_minimal_listing_tests_no_superset_of_a_found_set(self, dsep_calls):
+        text = "\n".join(f"A{i} -> X" for i in range(1, 11)) + "\nX -> Y"
+        g = parse_graph(text)
+        assert list_adjustment_sets(g, "X", "Y", minimal_only=True) == [frozenset()]
+        assert dsep_calls == [0]
+
+    def test_minimal_listing_searches_only_ancestors(self, dsep_calls):
+        g = parse_graph("A -> X\nA -> B\nB -> Y\nX -> Y\nnode C")
+        full = list_adjustment_sets(g, "X", "Y")
+        assert len(dsep_calls) == 8 and len(full) == 6
+        assert frozenset({"A", "C"}) in full
+        dsep_calls.clear()
+        minimal = list_adjustment_sets(g, "X", "Y", minimal_only=True)
+        assert minimal == [frozenset({"A"}), frozenset({"B"})]
+        # {}, {A} and {B}: C is no ancestor of X or Y, and {A, B} holds {A}.
+        assert [g._names(z) for z in dsep_calls] == [frozenset(), *minimal]
 
 
 class TestTheoremLevelAgreement:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpdagkit import meek
 from mpdagkit.extension import represents
 from mpdagkit.meek import (
     BackgroundKnowledge,
@@ -327,6 +328,27 @@ class TestValidation:
         report = validate_maximal_pdag(g)
         assert not report.acyclic
         assert not report.extendable
+
+    @pytest.mark.parametrize(
+        "g, acyclic, extendable, cycle_checks",
+        [
+            (parse_graph("A -> B\nB -- C"), True, True, 0),
+            (FOUR_CYCLE, True, False, 1),
+            (PdagGraph("ABC", directed=[("A", "B"), ("B", "C"), ("C", "A")]), False, False, 1),
+        ],
+        ids=["extendable", "four-cycle", "cyclic"],
+    )
+    def test_cycle_search_only_without_extension(
+        self, monkeypatch, g, acyclic, extendable, cycle_checks
+    ):
+        # The extension answers acyclicity when it exists, so only a
+        # graph without one is peeled a second time.
+        calls = []
+        real = meek.has_directed_cycle
+        monkeypatch.setattr(meek, "has_directed_cycle", lambda h: calls.append(h) or real(h))
+        report = validate_maximal_pdag(g)
+        assert (report.acyclic, report.extendable) == (acyclic, extendable)
+        assert len(calls) == cycle_checks
 
 
 class TestBackgroundParsing:

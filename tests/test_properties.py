@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdagkit.adjustment import adjust_set
+from mpdagkit.adjustment import adjust_set, list_adjustment_sets
 from mpdagkit.causal_paths import (
     ANCESTORS,
     b_possible_ancestors,
@@ -41,6 +41,7 @@ from helpers import (
     name_topological_order,
     scan_close,
     scan_extension,
+    subset_listing,
 )
 
 # Seeded and stateless, so every tier-1 run checks the same examples.
@@ -192,6 +193,20 @@ def test_two_node_parent_sets_match_the_merge_oracle(g):
         return
     for xs in permutations(g.nodes, 2):
         assert list(possible_parent_sets(g, xs)) == global_merge_parent_sets(g, xs)
+
+
+@SEEDED
+@given(pdags())
+def test_adjustment_listing_matches_the_subset_oracle(g):
+    """Both listings give the subset oracle's sets in its order, for
+    every ordered pair of nodes of a maximal input."""
+    if not is_maximal(g):
+        return
+    for x, y in permutations(g.nodes, 2):
+        for minimal in (False, True):
+            assert list_adjustment_sets(g, x, y, minimal_only=minimal) == subset_listing(
+                g, x, y, minimal
+            )
 
 
 @SEEDED
