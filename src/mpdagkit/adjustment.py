@@ -11,9 +11,10 @@ test sound and complete.  Every public entry point checks its query in
 one place, :func:`_query`, which validates the node names in argument
 order, rejects overlapping sets and returns node masks; everything
 behind it works on masks and re-checks nothing.
-``max_nodes`` is accepted everywhere but bounds only the simple-path
-enumerations left: :func:`forbidden_set`, whose ``on_path`` field needs
-them, and the reference :func:`b_blocking_by_enumeration`.
+The simple-path enumerations left, :func:`forbidden_set` (whose
+``on_path`` field needs them) and the reference
+:func:`b_blocking_by_enumeration`, stop at the enumerator's step budget
+with a ValueError; no query is bounded by the graph's node count.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .causal_paths import (
-    DEFAULT_ENUMERATION_GUARD,
-    _forward_reach,
-    _simple_paths,
-    classify_path,
-    node_set,
-)
+from .causal_paths import _forward_reach, _simple_paths, classify_path, node_set
 from .pdag_core import (
     COLLIDER,
     DEFINITE_NON_COLLIDER,
@@ -108,7 +103,7 @@ def _nonempty(xs: int, ys: int) -> None:
 
 
 def _proper_possibly_causal_paths(
-    g: PdagGraph, x_mask: int, y_mask: int, max_nodes: int
+    g: PdagGraph, x_mask: int, y_mask: int
 ) -> list[tuple[int, ...]]:
     """All proper b-possibly-causal simple paths from ``xs`` to ``ys``, as
     node-index tuples.
@@ -124,7 +119,7 @@ def _proper_possibly_causal_paths(
     step = [(c | u) & viable & ~x_mask for c, u in zip(ch, und)]
 
     paths: list[tuple[int, ...]] = []
-    _simple_paths(g, max_nodes, x_mask, step, ch, y_mask, paths.append)
+    _simple_paths(x_mask, step, ch, y_mask, paths.append)
     return paths
 
 
@@ -227,19 +222,20 @@ def forbidden_set(
     g: PdagGraph,
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
+    max_nodes: Optional[int] = None,
 ) -> ForbiddenSet:
     """Nodes that no adjustment set for (``xs``, ``ys``) may contain.
 
     Collects every non-treatment node on a proper b-possibly-causal path
     from ``xs`` to ``ys`` and closes the collection under b-possible
-    descent.  The paths are enumerated, so the graph may have at most
-    ``max_nodes`` nodes.
+    descent.  The paths are enumerated, so a query past the enumerator's
+    step budget raises a ValueError.  ``max_nodes`` is accepted and
+    ignored; it no longer bounds anything.
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
     _nonempty(x_mask, y_mask)
     on_path = 0
-    for path in _proper_possibly_causal_paths(g, x_mask, y_mask, max_nodes):
+    for path in _proper_possibly_causal_paths(g, x_mask, y_mask):
         for v in path[1:]:
             on_path |= 1 << v
     return ForbiddenSet(g._names(_forward_reach(g, on_path, g._ch)), g._names(on_path))
@@ -249,7 +245,6 @@ def is_amenable(
     g: PdagGraph,
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
 ) -> ConditionCheck:
     """Check that every proper possibly-causal path leaves ``xs`` with a
     directed edge; a shortest offending path is the witness otherwise."""
@@ -349,7 +344,6 @@ def check_b_blocking(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
 ) -> ConditionCheck:
     """Check the blocking condition by delegating to one DAG extension.
 
@@ -385,13 +379,13 @@ def b_blocking_by_enumeration(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
 ) -> ConditionCheck:
     """Reference blocking semantics: every proper non-causal
     definite-status path from ``xs`` to ``ys`` must be blocked by ``zs``.
 
-    Walks all proper simple paths, so it is guarded and only meant for
-    small graphs and cross-checks of the fast route.
+    Walks all proper simple paths, so it is meant for small graphs and
+    cross-checks of the fast route; a query past the enumerator's step
+    budget (K11 between two nodes) raises a ValueError.
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
     zs = g._names(z_mask)
@@ -421,7 +415,7 @@ def b_blocking_by_enumeration(
         if not classify_path(g, named).is_b_possibly_causal and d_connecting(named):
             violations.append(named)
 
-    _simple_paths(g, max_nodes, x_mask, step, (0,) * len(g), y_mask, check)
+    _simple_paths(x_mask, step, (0,) * len(g), y_mask, check)
     return ConditionCheck(not violations, _first_witness(violations))
 
 
@@ -430,7 +424,6 @@ def satisfies_b_adjustment(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
 ) -> AdjustmentVerdict:
     """Evaluate the three-condition adjustment criterion for ``zs``.
 
@@ -467,7 +460,6 @@ def adjust_set(
     g: PdagGraph,
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
 ) -> Optional[frozenset[str]]:
     """The canonical candidate adjustment set, or None when nothing works.
 
@@ -493,7 +485,7 @@ def list_adjustment_sets(
     minimal_only: bool = False,
     max_size: Optional[int] = None,
     universe_cap: int = 20,
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
+    max_nodes: Optional[int] = None,
 ) -> list[frozenset[str]]:
     """All (or all minimal) valid adjustment sets at desk scale.
 
@@ -505,7 +497,8 @@ def list_adjustment_sets(
     ``universe_cap`` or the MPDAGKIT_UNIVERSE_CAP environment variable
     via the CLI).  The full listing tests every subset of U; the
     minimal listing searches only the ancestors of ``xs | ys`` in D
-    and tests no superset of a set already found.
+    and tests no superset of a set already found.  ``max_nodes`` is
+    accepted and ignored; no path is enumerated.
 
     Proof sketch for the minimal listing.  (1) If Z separates, so does
     Z' = Z & An(xs | ys): separation in D is separation in the moral

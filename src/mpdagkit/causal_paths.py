@@ -6,9 +6,10 @@ already rules the path out as possibly causal.  Reachability uses a
 depth-first search over (previous, current) states that only follows
 forward or undirected edges and skips shielded continuations; an
 exhaustive path-enumeration oracle with the same semantics is provided
-for cross-checking on small graphs.  Its ``_simple_paths`` is the one
-simple-path enumerator, also behind ``forbidden_set`` and
-``b_blocking_by_enumeration``.
+for cross-checking.  Its ``_simple_paths`` is the one simple-path
+enumerator, also behind ``forbidden_set`` and
+``b_blocking_by_enumeration``; it is bounded by a step budget, not by
+the graph's size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ B_NON_CAUSAL = "b-non-causal"
 DESCENDANTS = "descendants"
 ANCESTORS = "ancestors"
 
-DEFAULT_ENUMERATION_GUARD = 12
+PATH_STEP_BUDGET = 1_000_000  # path extensions per enumeration
 
 
 def node_set(g: PdagGraph, names: "str | Iterable[str]") -> frozenset[str]:
@@ -129,17 +130,7 @@ def b_possible_ancestors(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     return ReachSet(g._names(_forward_reach(g, g._mask(roots), g._pa)), roots, ANCESTORS)
 
 
-def _guard(g: PdagGraph, max_nodes: int) -> None:
-    if len(g) > max_nodes:
-        raise ValueError(
-            f"graph has {len(g)} nodes, above the path-enumeration guard of "
-            f"{max_nodes}; raise max_nodes to override"
-        )
-
-
 def _simple_paths(
-    g: PdagGraph,
-    max_nodes: int,
     starts: int,
     step: Sequence[int],
     back: Sequence[int],
@@ -152,38 +143,49 @@ def _simple_paths(
 
     A path at ``v`` grows by each node ``w`` of ``step[v]`` off the path
     whose ``back[w]`` misses it, since no extension repairs a backward
-    pair.  No path is kept.  This is the one simple-path enumerator; it
-    walks every viable path, so ``g`` may have at most ``max_nodes`` nodes.
+    pair.  No path is kept.  This is the one simple-path enumerator.  An
+    explicit stack of per-depth candidate masks keeps long paths clear
+    of Python's recursion limit, and every extension counts against
+    ``PATH_STEP_BUDGET``; past it the walk stops with a ValueError.
     """
-    _guard(g, max_nodes)
-
-    def extend(path: list[int], on_path: int) -> None:
-        for w in _bits(step[path[-1]] & ~on_path):
+    budget = PATH_STEP_BUDGET
+    for s in _bits(starts):
+        path = [s]
+        on_path = 1 << s
+        stack = [step[s] & ~on_path]  # the candidates left at each depth
+        while stack:
+            left = stack[-1]
+            if not left:
+                stack.pop()
+                on_path ^= 1 << path.pop()
+                continue
+            low = left & -left
+            stack[-1] = left ^ low
+            w = low.bit_length() - 1
             if back[w] & on_path:
                 continue
+            budget -= 1
+            if budget < 0:
+                raise ValueError(
+                    f"path enumeration passed its budget of {PATH_STEP_BUDGET:,} steps"
+                )
             path.append(w)
-            if targets >> w & 1:
+            if targets & low:
                 found(tuple(path))
-            extend(path, on_path | 1 << w)
-            path.pop()
-
-    for s in _bits(starts):
-        extend([s], 1 << s)
+            on_path |= low
+            stack.append(step[w] & ~on_path)
 
 
 def oracle_reach(
-    g: PdagGraph,
-    xs: "str | Iterable[str]",
-    direction: str = DESCENDANTS,
-    max_nodes: int = DEFAULT_ENUMERATION_GUARD,
+    g: PdagGraph, xs: "str | Iterable[str]", direction: str = DESCENDANTS
 ) -> ReachSet:
     """Reference reachability semantics via simple-path enumeration.
 
-    Guarded by ``max_nodes`` (default 12) since the search walks every
-    viable simple path.  Agrees with the state-search implementation;
-    the state search is the production route.
+    Walks every viable simple path, so it shares the enumerator's step
+    budget: a query past ``PATH_STEP_BUDGET`` extensions (K11 from one
+    node) raises a ValueError.  Agrees with the state-search
+    implementation; the state search is the production route.
     """
-    _guard(g, max_nodes)  # ahead of the query checks, not only in the enumerator
     roots = node_set(g, xs)
     if direction not in (DESCENDANTS, ANCESTORS):
         raise ValueError(f"unknown direction {direction!r}")
@@ -191,5 +193,5 @@ def oracle_reach(
     out = g._ch if direction == DESCENDANTS else g._pa
     step = [o | u for o, u in zip(out, g._und)]
     ends: set[int] = set()
-    _simple_paths(g, max_nodes, g._mask(roots), step, out, ~0, lambda p: ends.add(p[-1]))
+    _simple_paths(g._mask(roots), step, out, ~0, lambda p: ends.add(p[-1]))
     return ReachSet(roots | {g.nodes[v] for v in ends}, roots, direction)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -67,8 +68,12 @@ class SemModel:
             raise ValueError("coefficient support must equal the edge set")
         if set(self.noise_scales) != set(self.dag.nodes):
             raise ValueError("every node needs a noise scale")
-        if any(s <= 0 for s in self.noise_scales.values()):
-            raise ValueError("noise scales must be positive")
+        for (tail, head), weight in self.coefficients.items():
+            if not math.isfinite(weight):
+                raise ValueError(f"edge {tail} -> {head} has non-finite weight {weight}")
+        for node, scale in self.noise_scales.items():
+            if not 0 < scale < math.inf:  # False for NaN as well
+                raise ValueError(f"noise scales must be positive and finite: {node} has {scale}")
 
     def coefficient_matrix(self) -> np.ndarray:
         idx = self.dag._index

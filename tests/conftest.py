@@ -77,6 +77,12 @@ def same_graph(g: PdagGraph, h: PdagGraph) -> bool:
     return set(g.nodes) == set(h.nodes) and edge_states(g) == edge_states(h)
 
 
+def complete_graph(n: int) -> PdagGraph:
+    """Fully undirected K_n on V0..V(n-1)."""
+    names = [f"V{i}" for i in range(n)]
+    return PdagGraph(names, undirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
+
+
 def random_mpdag(rng: np.random.Generator, p_max: int, p_min: int = 3):
     """A random maximal PDAG with consistent extra orientations.
 

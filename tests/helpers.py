@@ -6,10 +6,12 @@ parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the listing oracle tests every candidate subset and then
-filters the minimal ones, the extension oracle restarts its sink scan
-after every peel, the DAG-class oracle tries every orientation of the undirected
-edges, the data-file oracle parses each cell with ``float``, and the
-topological-order and sampler oracles work by node names.
+filters the minimal ones, the simple-path oracle is the recursive
+enumerator that the library's explicit-stack walk replaced, the
+extension oracle restarts its sink scan after every peel, the DAG-class
+oracle tries every orientation of the undirected edges, the data-file
+oracle parses each cell with ``float``, and the topological-order and
+sampler oracles work by node names.
 """
 
 from itertools import combinations, permutations, product
@@ -194,6 +196,26 @@ def name_adjacency(d: PdagGraph) -> dict:
         adjacent[a].append(b)
         adjacent[b].append(a)
     return {v: sorted(ws) for v, ws in adjacent.items()}
+
+
+def recursive_simple_paths(starts: int, step, back, targets: int) -> list:
+    """The paths ``causal_paths._simple_paths`` reports, in its order,
+    from the recursive enumerator it replaced (no step budget)."""
+    paths = []
+
+    def extend(path, on_path):
+        for w in _bits(step[path[-1]] & ~on_path):
+            if back[w] & on_path:
+                continue
+            path.append(w)
+            if targets >> w & 1:
+                paths.append(tuple(path))
+            extend(path, on_path | 1 << w)
+            path.pop()
+
+    for s in _bits(starts):
+        extend([s], 1 << s)
+    return paths
 
 
 def _proper_paths(adjacent: dict, xs: frozenset, ys: frozenset):

@@ -252,7 +252,7 @@ def test_criterion_09_adjusted_regression_coverage():
             continue
         cpdag = cpdag_of(model.dag)
         graph = add_background_fraction(cpdag, model.dag, float(rng.uniform(0, 1)), rng)
-        zs = adjust_set(graph, x, y, max_nodes=p)
+        zs = adjust_set(graph, x, y)
         if zs is None:
             continue
         trials += 1

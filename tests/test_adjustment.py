@@ -1,3 +1,4 @@
+import inspect
 from itertools import combinations
 
 import numpy as np
@@ -14,12 +15,12 @@ from mpdagkit.adjustment import (
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
-from mpdagkit.causal_paths import b_possible_descendants
+from mpdagkit.causal_paths import b_possible_descendants, oracle_reach
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.meek import construct_max_pdag, cpdag_of
 from mpdagkit.pdag_core import PdagGraph, parse_graph
 
-from conftest import random_mpdag
+from conftest import complete_graph, random_mpdag
 from helpers import (
     _path_blocked,
     _proper_paths,
@@ -28,11 +29,6 @@ from helpers import (
     name_adjacency,
     subset_listing,
 )
-
-
-def complete_graph(n):
-    names = [f"V{i}" for i in range(n)]
-    return PdagGraph(names, undirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1 :]])
 
 
 def strip(n):
@@ -45,7 +41,7 @@ def strip(n):
 def enumerated_conditions(g, xs, ys):
     """Amenability witness (None when amenable) and forbidden set, read
     off the enumeration of proper possibly-causal paths."""
-    paths = adjustment._proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys), len(g))
+    paths = adjustment._proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys))
     named = [tuple(g.nodes[v] for v in path) for path in paths]
     undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
     witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
@@ -77,11 +73,27 @@ class TestForbiddenSet:
         with pytest.raises(ValueError, match="non-empty"):
             forbidden_set(fig3_g1, {"X"}, ())
 
-    def test_size_guard(self):
+    def test_step_budget_not_node_count(self):
+        """A cheap 13-node query answers, and ``max_nodes`` bounds nothing;
+        K11 between two nodes passes the enumerator's step budget."""
         g = PdagGraph([f"N{i}" for i in range(13)], directed=[("N0", "N1")])
-        with pytest.raises(ValueError, match="guard"):
-            forbidden_set(g, "N0", "N1")
-        assert forbidden_set(g, "N0", "N1", max_nodes=13).nodes == {"N1"}
+        assert forbidden_set(g, "N0", "N1").nodes == {"N1"}
+        assert forbidden_set(g, "N0", "N1", max_nodes=2).nodes == {"N1"}
+        assert list_adjustment_sets(g, "N0", "N1", max_size=0, max_nodes=2) == [frozenset()]
+        for query in (forbidden_set, b_blocking_by_enumeration):
+            with pytest.raises(ValueError, match="budget of 1,000,000 steps"):
+                query(complete_graph(11), "V0", "V10")
+
+    def test_max_nodes_is_gone_where_nothing_passes_it(self):
+        for query in (
+            is_amenable,
+            check_b_blocking,
+            satisfies_b_adjustment,
+            adjust_set,
+            b_blocking_by_enumeration,
+            oracle_reach,
+        ):
+            assert "max_nodes" not in inspect.signature(query).parameters
 
     def test_closed_under_possible_descent(self):
         rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpdagkit import causal_paths
 from mpdagkit.causal_paths import (
     ANCESTORS,
     B_NON_CAUSAL,
@@ -13,7 +14,8 @@ from mpdagkit.causal_paths import (
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.pdag_core import PdagGraph, is_definite_status_path, parse_graph
 
-from conftest import random_mpdag
+from conftest import complete_graph, random_mpdag
+from helpers import recursive_simple_paths
 
 
 class TestClassifyPath:
@@ -115,11 +117,34 @@ class TestOracleAgreement:
                     == oracle_reach(g, node, ANCESTORS).nodes
                 )
 
-    def test_size_guard(self):
+    def test_step_budget_not_node_count(self):
+        """A cheap 13-node query and a 3,000-node chain answer; K11 from
+        one node passes the enumerator's step budget."""
         g = PdagGraph([f"N{i}" for i in range(13)])
-        with pytest.raises(ValueError, match="guard"):
-            oracle_reach(g, "N0")
-        assert oracle_reach(g, "N0", max_nodes=13).nodes == {"N0"}
+        assert oracle_reach(g, "N0").nodes == {"N0"}
+        chain = [f"N{i}" for i in range(3000)]
+        g = PdagGraph(chain, directed=list(zip(chain, chain[1:])))
+        assert oracle_reach(g, "N0").nodes == set(chain)
+        assert oracle_reach(g, "N2999", ANCESTORS).nodes == set(chain)
+        with pytest.raises(ValueError, match="budget of 1,000,000 steps"):
+            oracle_reach(complete_graph(11), "V0")
+
+    def test_budget_counts_path_extensions(self, monkeypatch):
+        """K5 has 64 simple paths out of V0: a budget of 64 answers and
+        one of 63 stops the walk."""
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 64)
+        assert len(oracle_reach(complete_graph(5), "V0").nodes) == 5
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 63)
+        with pytest.raises(ValueError, match="budget of 63 steps"):
+            oracle_reach(complete_graph(5), "V0")
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_simple_paths_match_the_recursive_oracle_on_complete_graphs(self, n):
+        g = complete_graph(n)
+        step = [c | u for c, u in zip(g._ch, g._und)]
+        found = []
+        causal_paths._simple_paths(1, step, g._ch, ~0, found.append)
+        assert found == recursive_simple_paths(1, step, g._ch, ~0)
 
     def test_unknown_direction(self, fig1_cpdag):
         with pytest.raises(ValueError, match="direction"):

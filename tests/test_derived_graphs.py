@@ -110,7 +110,7 @@ def test_derived_graphs_check_no_names(monkeypatch):
         close_orientations(g)
         assert construct_max_pdag(g, true_requirements(rng, g, dag)).ok
         consistent_extension(g)
-        adjust_set(g, g.nodes[0], g.nodes[-1], max_nodes=len(g))
+        adjust_set(g, g.nodes[0], g.nodes[-1])
     assert counter.calls == 0
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpdagkit import causal_paths
 from mpdagkit.adjustment import adjust_set, list_adjustment_sets
 from mpdagkit.causal_paths import (
     ANCESTORS,
@@ -39,6 +40,7 @@ from helpers import (
     dag_adjustment_criterion,
     global_merge_parent_sets,
     name_topological_order,
+    recursive_simple_paths,
     scan_close,
     scan_extension,
     subset_listing,
@@ -219,6 +221,28 @@ def test_possible_reach_matches_the_path_oracle(g):
     for v in g.nodes:
         assert b_possible_descendants(g, v) == oracle_reach(g, v)
         assert b_possible_ancestors(g, v) == oracle_reach(g, v, ANCESTORS)
+
+
+@SEEDED
+@given(any_pdags())
+def test_simple_paths_match_the_recursive_oracle(g):
+    """The explicit-stack enumerator reports the recursive oracle's paths
+    in the same order, under the step and back masks of each caller
+    (reachability both ways, and blocking, which prunes nothing), from
+    every node and from all nodes at once, into any node or the last."""
+    pa, ch, und = g._pa, g._ch, g._und
+    walks = [
+        ([c | u for c, u in zip(ch, und)], ch),
+        ([p | u for p, u in zip(pa, und)], pa),
+        ([p | c | u for p, c, u in zip(pa, ch, und)], (0,) * len(g)),
+    ]
+    everyone = (1 << len(g)) - 1
+    for step, back in walks:
+        for starts in [1 << v for v in range(len(g))] + [everyone]:
+            for targets in (~0, 1 << len(g) - 1):
+                found = []
+                causal_paths._simple_paths(starts, step, back, targets, found.append)
+                assert found == recursive_simple_paths(starts, step, back, targets)
 
 
 @SEEDED

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -76,6 +77,26 @@ class TestSemModel:
             SemModel(parse_graph("A -- B"), {}, {"A": 1.0, "B": 1.0})
         with pytest.raises(ValueError, match="noise scales must be positive"):
             SemModel(g, {("A", "B"): 0.5}, {"A": 1.0, "B": 0.0})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A -> B nan\nB -> C 0.5", "edge A -> B has non-finite weight nan"),
+            ("A -> B 0.5\nB -> C inf", "edge B -> C has non-finite weight inf"),
+            ("A -> B -inf", "edge A -> B has non-finite weight -inf"),
+        ],
+    )
+    def test_load_rejects_non_finite_weights(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_sem_model(text)
+
+    def test_constructor_rejects_non_finite_weights_and_noise(self):
+        g = parse_graph("A -> B")
+        with pytest.raises(ValueError, match="edge A -> B has non-finite weight nan"):
+            SemModel(g, {("A", "B"): math.nan}, {"A": 1.0, "B": 1.0})
+        for scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"B has {scale!r}"):
+                SemModel(g, {("A", "B"): 0.5}, {"A": 1.0, "B": scale})
 
     def test_model_text_round_trip(self):
         model = random_dag(6, 2.5, np.random.default_rng(5))
