@@ -23,17 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .causal_paths import _forward_reach, _simple_paths, classify_path, node_set
-from .pdag_core import (
-    COLLIDER,
-    DEFINITE_NON_COLLIDER,
-    NOT_DEFINITE,
-    PdagGraph,
-    _bits,
-    _closure,
-    classify_definite_status,
-    consistent_extension,
-)
+from .causal_paths import _forward_reach, _simple_paths, node_set
+from .pdag_core import PdagGraph, _bits, _closure, consistent_extension
 
 
 @dataclass(frozen=True)
@@ -385,36 +376,40 @@ def b_blocking_by_enumeration(
 
     Walks all proper simple paths, so it is meant for small graphs and
     cross-checks of the fast route; a query past the enumerator's step
-    budget (K11 between two nodes) raises a ValueError.
+    budget (K11 between two nodes) raises a ValueError.  Each path that
+    reaches ``ys`` is judged on node masks in one pass along it: a
+    backward directed pair makes it non-causal, and each interior triple
+    must be a collider that is or has a descendant in ``zs``, or a
+    definite non-collider outside ``zs``.  No path is pruned, so the walk
+    and its step count do not depend on ``zs``.
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
-    zs = g._names(z_mask)
-    step = [(p | c | u) & ~x_mask for p, c, u in zip(g._pa, g._ch, g._und)]
+    pa, ch, und = g._pa, g._ch, g._und
+    adjacent = [p | c | u for p, c, u in zip(pa, ch, und)]
+    opened = _closure(pa, z_mask)  # colliders that do not block
     violations: list[tuple[str, ...]] = []
 
-    def descendants(node: str) -> set[str]:
-        out: set[str] = set()
-        grown = {node}
-        while grown != out:
-            out, grown = grown, grown.union(*map(g.children, grown))
-        return out
-
-    def d_connecting(path: tuple[str, ...]) -> bool:
-        labels = classify_definite_status(g, path)
-        if NOT_DEFINITE in labels:
-            return False  # not a definite-status path
-        for node, label in zip(path, labels):
-            if label == DEFINITE_NON_COLLIDER and node in zs:
-                return False
-            if label == COLLIDER and not (descendants(node) & zs):
-                return False
-        return True
-
     def check(path: tuple[int, ...]) -> None:
-        named = tuple(g.nodes[v] for v in path)
-        if not classify_path(g, named).is_b_possibly_causal and d_connecting(named):
-            violations.append(named)
+        earlier = 0
+        for v in path:
+            if ch[v] & earlier:
+                break  # v -> an earlier node: not possibly causal
+            earlier |= 1 << v
+        else:
+            return
+        for left, mid, right in zip(path, path[1:], path[2:]):
+            ends = 1 << left | 1 << right
+            if pa[mid] & ends == ends:  # a collider
+                if not opened >> mid & 1:
+                    return
+            elif ch[mid] & ends or (und[mid] & ends == ends and not adjacent[left] & 1 << right):
+                if z_mask >> mid & 1:  # a definite non-collider
+                    return
+            else:
+                return  # not a definite-status path
+        violations.append(tuple(g.nodes[v] for v in path))
 
+    step = [m & ~x_mask for m in adjacent]
     _simple_paths(x_mask, step, (0,) * len(g), y_mask, check)
     return ConditionCheck(not violations, _first_witness(violations))
 

@@ -9,7 +9,8 @@ into; one node needs no copy and no merge.  Sibling subsets that are
 not cliques are never tried: two non-adjacent parents would form an
 unshielded collider the class lacks.  Effects are one linear regression
 per surviving parent set, or path tracing through a fitted extension
-DAG of each merged graph for joint interventions.
+DAG of each merged graph for joint interventions, where each distinct
+(node, parent set) regression is fitted once per query.
 """
 
 from __future__ import annotations
@@ -205,10 +206,24 @@ def _effect_data(
 
 
 def _least_squares(
-    data: np.ndarray, col: dict[str, int], target: str, regressors: list[str]
+    data: np.ndarray,
+    col: dict[str, int],
+    target: str,
+    regressors: list[str],
+    fits: Optional[dict] = None,
 ) -> np.ndarray:
     """Least-squares coefficients of ``regressors`` (after an intercept)
-    for ``target``; all NaN when the design matrix is rank deficient."""
+    for ``target``; all NaN when the design matrix is rank deficient.
+
+    ``fits``, when given, is one query's table of earlier results for
+    this ``data``, keyed by ``(target, regressor tuple)``: a key it holds
+    is not fitted again, and a new fit is stored in it.  Callers only
+    read the arrays it returns."""
+    if fits is not None:
+        key = (target, tuple(regressors))
+        if key not in fits:
+            fits[key] = _least_squares(data, col, target, regressors)
+        return fits[key]
     n = data.shape[0]
     design = np.column_stack(
         [np.ones(n)] + [data[:, col[name]] for name in regressors]
@@ -247,17 +262,19 @@ def ida_effects(
 
 
 def _fit_coefficient_matrix(
-    dag: PdagGraph, data: np.ndarray, col: dict[str, int]
+    dag: PdagGraph, data: np.ndarray, col: dict[str, int], fits: Optional[dict] = None
 ) -> np.ndarray:
     """Node-wise least squares on DAG parents; B[i, j] is the fitted
-    direct effect of node i on node j (node order of the graph)."""
+    direct effect of node i on node j (node order of the graph).  The
+    regressors are each node's parents in ascending index order, and
+    ``fits`` is :func:`_least_squares`'s table, if any."""
     names = dag.nodes
     B = np.zeros((len(names), len(names)))
     for v, mask in enumerate(dag._pa):
         parents = list(_bits(mask))
         if not parents:
             continue
-        B[parents, v] = _least_squares(data, col, names[v], [names[u] for u in parents])
+        B[parents, v] = _least_squares(data, col, names[v], [names[u] for u in parents], fits)
     return B
 
 
@@ -274,7 +291,10 @@ def joint_ida_effects(
     the combination's required edges, one DAG extension is fitted node
     by node, and the effect vector is read from the inverse of
     (I - B) at the treatment rows and outcome column (the sum over
-    directed paths of fitted coefficient products).
+    directed paths of fitted coefficient products).  The extensions
+    share most nodes' parent sets, so each distinct (node, parent set)
+    regression is fitted once per query and its coefficients are reused
+    by every extension that has it.
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     data, col = _effect_data(g, xs, y, data, columns)
@@ -284,10 +304,11 @@ def joint_ida_effects(
     family = ParentSetFamily(xs, tuple(_accepted(g, xs, graphs, g)))
 
     values = []
+    fits: dict = {}
     for merged in graphs:
         dag = consistent_extension(merged)
         assert dag is not None, "merged graph of an accepted combination extends"
-        B = _fit_coefficient_matrix(dag, data, col)
+        B = _fit_coefficient_matrix(dag, data, col, fits)
         if np.isnan(B).any():
             values.append((float("nan"),) * len(xs))
             continue

@@ -6,7 +6,8 @@ parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the listing oracle tests every candidate subset and then
-filters the minimal ones, the simple-path oracle is the recursive
+filters the minimal ones, the blocking-enumeration oracle re-classifies
+every path it walks by node names, the simple-path oracle is the recursive
 enumerator that the library's explicit-stack walk replaced, the
 extension oracle restarts its sink scan after every peel, the DAG-class
 oracle tries every orientation of the undirected edges, the data-file
@@ -19,15 +20,20 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from mpdagkit import adjustment
+from mpdagkit.causal_paths import _simple_paths, classify_path
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
 from mpdagkit.pdag_core import (
+    COLLIDER,
+    DEFINITE_NON_COLLIDER,
+    NOT_DEFINITE,
     GraphParseError,
     PdagGraph,
     _adjacency,
     _bits,
     _closure,
+    classify_definite_status,
     has_directed_cycle,
 )
 
@@ -300,6 +306,43 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> l
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
     return valid
+
+
+def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.ConditionCheck:
+    """Reference for ``adjustment.b_blocking_by_enumeration``: the same
+    walk, with every path that reaches ``ys`` turned into names and
+    judged by ``classify_path``, ``classify_definite_status`` and a
+    per-collider descendant search over ``g.children``."""
+    x_mask, y_mask, z_mask = adjustment._query(g, xs, ys, zs)
+    zs = g._names(z_mask)
+    step = [(p | c | u) & ~x_mask for p, c, u in zip(g._pa, g._ch, g._und)]
+    violations = []
+
+    def descendants(node: str) -> set:
+        out = set()
+        grown = {node}
+        while grown != out:
+            out, grown = grown, grown.union(*map(g.children, grown))
+        return out
+
+    def d_connecting(path) -> bool:
+        labels = classify_definite_status(g, path)
+        if NOT_DEFINITE in labels:
+            return False
+        for node, label in zip(path, labels):
+            if label == DEFINITE_NON_COLLIDER and node in zs:
+                return False
+            if label == COLLIDER and not (descendants(node) & zs):
+                return False
+        return True
+
+    def check(path) -> None:
+        named = tuple(g.nodes[v] for v in path)
+        if not classify_path(g, named).is_b_possibly_causal and d_connecting(named):
+            violations.append(named)
+
+    _simple_paths(x_mask, step, (0,) * len(g), y_mask, check)
+    return adjustment.ConditionCheck(not violations, adjustment._first_witness(violations))
 
 
 def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):

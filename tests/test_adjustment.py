@@ -27,6 +27,7 @@ from helpers import (
     dag_adjustment_criterion,
     deepening_connecting_path,
     name_adjacency,
+    name_b_blocking_by_enumeration,
     subset_listing,
 )
 
@@ -244,6 +245,32 @@ class TestBlocking:
             slow = b_blocking_by_enumeration(g, x, y, zs)
             assert fast.ok == slow.ok
             checked += 1
+
+    def test_enumeration_matches_the_name_oracle(self):
+        """The mask checks give the name-based oracle's verdict and witness
+        on every query: maximal PDAGs, their true DAGs, and graphs with any
+        mix of edges on the same nodes."""
+        rng = np.random.default_rng(41)
+        verdicts = []
+        for _ in range(300):
+            g, dag = random_mpdag(rng, 7)
+            pairs = list(combinations(g.nodes, 2))
+            kinds = rng.integers(0, 4, size=len(pairs))  # none, --, ->, <-
+            mixed = PdagGraph(
+                g.nodes,
+                directed=[(a, b) if k == 2 else (b, a) for (a, b), k in zip(pairs, kinds) if k > 1],
+                undirected=[p for p, k in zip(pairs, kinds) if k == 1],
+            )
+            for h in (g, dag, mixed):
+                nodes = list(h.nodes)
+                rng.shuffle(nodes)
+                nx, ny = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+                xs, ys, rest = nodes[:nx], nodes[nx : nx + ny], nodes[nx + ny :]
+                zs = [v for v in rest if rng.random() < 0.4]
+                got = b_blocking_by_enumeration(h, xs, ys, zs)
+                assert got == name_b_blocking_by_enumeration(h, xs, ys, zs)
+                verdicts.append(got.ok)
+        assert len(verdicts) == 900 and verdicts.count(False) >= 150
 
 
 class TestVerdicts:

@@ -6,7 +6,10 @@ CPDAG), an optional background file, a data file of a drawn size, and runs one s
 through ``cli.main`` in process.  It checks the exit-code contract: the
 code is 0, 1 or 2 and no exception escapes, and exit 2 prints nothing
 on stdout and an ``error: `` message on stderr.  An ``orient`` that
-succeeds must print a graph with the input's skeleton.
+succeeds must print a graph with the input's skeleton.  An ``ida`` that
+succeeds on at most six nodes must print one line per distinct parent
+tuple over the DAGs of the class, with the effect of an unshared
+least-squares fit on the file's data, compared as the printed text.
 
 The check that a non-maximal graph exits 1 on every query subcommand
 waits for the maximality gate at the query entry points (ROADMAP item
@@ -16,6 +19,7 @@ waits for the maximality gate at the query entry points (ROADMAP item
 
 import contextlib
 import io
+import math
 from itertools import combinations
 
 import numpy as np
@@ -24,8 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli
+from mpdagkit.extension import consistent_extension, enumerate_dags
+from mpdagkit.ida import _fit_coefficient_matrix
 from mpdagkit.meek import cpdag_of
 from mpdagkit.pdag_core import parse_graph, serialize_graph
+
+from helpers import global_merge_combinations, read_csv_rows
 
 POOL = "ABCDEFG"
 UNKNOWN = "Z"
@@ -101,6 +109,44 @@ def cli_calls(draw):
     return command, graph, flags, background, data
 
 
+def ida_lines(g, xs, y, data, columns) -> set:
+    """The lines ``ida`` prints before ``unique=``, one per distinct
+    parent tuple of ``xs`` over the DAGs of ``g``'s class.  A single
+    effect is the coefficient of ``x`` in one least-squares fit of ``y``
+    on ``x`` and the parents; a joint vector is read off the unshared
+    fit of the extension of the graph the merge oracle built for it."""
+    col = {name: j for j, name in enumerate(columns)}
+    tuples = {tuple(frozenset(d.parents(x)) for x in xs) for d in enumerate_dags(g)}
+
+    def text(parents):
+        return "{" + ", ".join(sorted(parents, key=g.node_index)) + "}"
+
+    if len(xs) == 1:
+        lines = set()
+        for (parents,) in tuples:
+            value = 0.0
+            if y not in parents:
+                names = [xs[0]] + sorted(parents, key=g.node_index)
+                design = np.column_stack([np.ones(len(data))] + [data[:, col[v]] for v in names])
+                solution, _, rank, _ = np.linalg.lstsq(design, data[:, col[y]], rcond=None)
+                value = solution[1] if rank == design.shape[1] else math.nan
+            lines.add(f"parents={text(parents)} effect={value:.10g}")
+        return lines
+    merged = {entry.parents: m for entry, m in global_merge_combinations(g, xs)}
+    assert set(merged) == tuples
+    lines = set()
+    for parents in tuples:
+        B = _fit_coefficient_matrix(consistent_extension(merged[parents]), data, col)
+        if np.isnan(B).any():
+            values = [math.nan] * len(xs)
+        else:
+            totals = np.linalg.inv(np.eye(len(g)) - B)
+            values = [totals[g.node_index(x), g.node_index(y)] for x in xs]
+        effects = ", ".join(format(v, ".10g") for v in values)
+        lines.add(f"parents=({', '.join(map(text, parents))}) effects=({effects})")
+    return lines
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -130,3 +176,10 @@ def test_every_call_keeps_the_exit_code_contract(workdir, call):
         assert "error: " in err.getvalue()
     if code == 0 and command == "orient":
         assert parse_graph(out.getvalue()).skeleton() == parse_graph(graph).skeleton()
+    if code == 0 and command == "ida" and len(parse_graph(graph)) <= 6:
+        *printed, unique = out.getvalue().splitlines()
+        assert unique.startswith("unique=")
+        xs, y = flags[1].split(","), flags[3]
+        data, columns = read_csv_rows(str(paths["data.csv"]))
+        expected = ida_lines(parse_graph(graph), xs, y, data, columns)
+        assert len(printed) == len(expected) and set(printed) == expected

@@ -441,6 +441,22 @@ class TestJointEffects:
             compared += len(expected)
         assert compared >= 1000
 
+    def test_each_distinct_regression_is_fitted_once(self, monkeypatch):
+        """A joint query on K5 calls lstsq once per distinct (node, parent
+        set) pair among the extensions of the oracle's merged graphs."""
+        g = complete_graph(5)
+        xs, y = ["V2", "V4"], "V1"
+        data = np.random.default_rng(11).standard_normal((40, 5))
+        extensions = [consistent_extension(m) for _, m in global_merge_combinations(g, xs)]
+        distinct = {(v, mask) for d in extensions for v, mask in enumerate(d._pa) if mask}
+        per_extension = sum(1 for d in extensions for mask in d._pa if mask)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        effects = joint_ida_effects(g, xs, y, data)
+        assert len(effects) == len(extensions)
+        assert len(calls) == len(distinct) < per_extension
+
     def test_rank_deficient_fits_are_nan_tuples(self):
         g = parse_graph("X1 -- X2\nX1 -> Y\nX2 -> Y")
         data = np.random.default_rng(29).standard_normal((40, 3))
