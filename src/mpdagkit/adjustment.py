@@ -12,9 +12,10 @@ one place, :func:`_query`, which validates the node names in argument
 order, rejects overlapping sets and returns node masks; everything
 behind it works on masks and re-checks nothing.
 The simple-path enumerations left, :func:`forbidden_set` (whose
-``on_path`` field needs them) and the reference
-:func:`b_blocking_by_enumeration`, stop at the enumerator's step budget
-with a ValueError; no query is bounded by the graph's node count.
+``on_path`` field needs them, walked only until they cover every node
+they could) and the reference :func:`b_blocking_by_enumeration`, stop
+at the enumerator's step budget with a ValueError; no query is bounded
+by the graph's node count.
 """
 
 from __future__ import annotations
@@ -91,27 +92,6 @@ def _query(
 def _nonempty(xs: int, ys: int) -> None:
     if not xs or not ys:
         raise ValueError("treatment and outcome sets must be non-empty")
-
-
-def _proper_possibly_causal_paths(
-    g: PdagGraph, x_mask: int, y_mask: int
-) -> list[tuple[int, ...]]:
-    """All proper b-possibly-causal simple paths from ``xs`` to ``ys``, as
-    node-index tuples.
-
-    Properness means only the first node lies in ``xs``.  Prefixes with a
-    backward pair are pruned, as are nodes from which ``ys`` is no longer
-    reachable along forward or undirected edges avoiding ``xs``.
-    """
-    ch, und = g._ch, g._und
-
-    # Static viability prune: reverse reachability to ys over usable edges.
-    viable = _closure([(p | u) & ~x_mask for p, u in zip(g._pa, und)], y_mask)
-    step = [(c | u) & viable & ~x_mask for c, u in zip(ch, und)]
-
-    paths: list[tuple[int, ...]] = []
-    _simple_paths(x_mask, step, ch, y_mask, paths.append)
-    return paths
 
 
 def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
@@ -219,16 +199,34 @@ def forbidden_set(
 
     Collects every non-treatment node on a proper b-possibly-causal path
     from ``xs`` to ``ys`` and closes the collection under b-possible
-    descent.  The paths are enumerated, so a query past the enumerator's
-    step budget raises a ValueError.  ``max_nodes`` is accepted and
-    ignored; it no longer bounds anything.
+    descent.  The paths are walked only until they cover ``bound``, the
+    nodes the walk's steps reach from ``xs``: a path grows only into
+    nodes that lead on to a target, and past a target only into nodes
+    that lead on to another one, so ``bound`` holds every on-path node.
+    Where it is loose the walk runs to its end, and a query past the
+    enumerator's step budget raises a ValueError.  ``max_nodes`` is
+    accepted and ignored; it no longer bounds anything.
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
     _nonempty(x_mask, y_mask)
+    # Back-closures to the targets over usable edges, avoiding xs.
+    into = [(p | u) & ~x_mask for p, u in zip(g._pa, g._und)]
+    viable = _closure(into, y_mask)
+    step = [(c | u) & viable & ~x_mask for c, u in zip(g._ch, g._und)]
+    for y in _bits(y_mask):
+        # A path goes on past y only if it reaches another target.
+        others = y_mask & ~(1 << y)
+        step[y] &= _closure([m & ~(1 << y) for m in into], others) if others else 0
+    bound = _closure(step, x_mask) & ~x_mask
     on_path = 0
-    for path in _proper_possibly_causal_paths(g, x_mask, y_mask):
+
+    def cover(path: tuple[int, ...]) -> bool:
+        nonlocal on_path
         for v in path[1:]:
             on_path |= 1 << v
+        return on_path == bound
+
+    _simple_paths(x_mask, step, g._ch, y_mask, cover)
     return ForbiddenSet(g._names(_forward_reach(g, on_path, g._ch)), g._names(on_path))
 
 

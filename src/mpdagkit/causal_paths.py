@@ -9,7 +9,7 @@ exhaustive path-enumeration oracle with the same semantics is provided
 for cross-checking.  Its ``_simple_paths`` is the one simple-path
 enumerator, also behind ``forbidden_set`` and
 ``b_blocking_by_enumeration``; it is bounded by a step budget, not by
-the graph's size.
+the graph's size, and its caller may end it early.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def _simple_paths(
 ) -> None:
     """Call ``found`` with each simple path, as a node-index tuple, that
     leaves a node of ``starts`` and ends in ``targets`` (``~0``: any
-    node), in depth-first order by index; paths go on past targets.
+    node), in depth-first order by index; paths go on past targets.  A
+    true value returned by ``found`` ends the walk.
 
     A path at ``v`` grows by each node ``w`` of ``step[v]`` off the path
     whose ``back[w]`` misses it, since no extension repairs a backward
@@ -170,8 +171,8 @@ def _simple_paths(
                     f"path enumeration passed its budget of {PATH_STEP_BUDGET:,} steps"
                 )
             path.append(w)
-            if targets & low:
-                found(tuple(path))
+            if targets & low and found(tuple(path)):
+                return
             on_path |= low
             stack.append(step[w] & ~on_path)
 

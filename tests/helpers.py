@@ -7,7 +7,8 @@ DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the listing oracle tests every candidate subset and then
 filters the minimal ones, the blocking-enumeration oracle re-classifies
-every path it walks by node names, the simple-path oracle is the recursive
+every path it walks by node names, the forbidden-set oracle walks every
+proper possibly-causal path to its end, the simple-path oracle is the recursive
 enumerator that the library's explicit-stack walk replaced, the
 extension oracle restarts its sink scan after every peel, the DAG-class
 oracle tries every orientation of the undirected edges, the data-file
@@ -20,7 +21,12 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from mpdagkit import adjustment
-from mpdagkit.causal_paths import _simple_paths, classify_path
+from mpdagkit.causal_paths import (
+    _forward_reach,
+    _simple_paths,
+    b_possible_descendants,
+    classify_path,
+)
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
@@ -222,6 +228,48 @@ def recursive_simple_paths(starts: int, step, back, targets: int) -> list:
     for s in _bits(starts):
         extend([s], 1 << s)
     return paths
+
+
+def proper_possibly_causal_paths(g: PdagGraph, x_mask: int, y_mask: int) -> list:
+    """All proper b-possibly-causal simple paths from ``xs`` to ``ys``, as
+    node-index tuples.
+
+    Properness means only the first node lies in ``xs``.  Prefixes with a
+    backward pair are pruned, as are nodes from which ``ys`` is no longer
+    reachable along forward or undirected edges avoiding ``xs``.
+    """
+    und = g._und
+    viable = _closure([(p | u) & ~x_mask for p, u in zip(g._pa, und)], y_mask)
+    step = [(c | u) & viable & ~x_mask for c, u in zip(g._ch, und)]
+    paths = []
+    _simple_paths(x_mask, step, g._ch, y_mask, paths.append)
+    return paths
+
+
+def enumerated_forbidden_set(g: PdagGraph, xs, ys) -> adjustment.ForbiddenSet:
+    """Reference for ``adjustment.forbidden_set``: the non-treatment
+    nodes of every proper possibly-causal path, each path walked to its
+    end, closed under b-possible descent."""
+    x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+    on_path = 0
+    for path in proper_possibly_causal_paths(g, x_mask, y_mask):
+        for v in path[1:]:
+            on_path |= 1 << v
+    return adjustment.ForbiddenSet(
+        g._names(_forward_reach(g, on_path, g._ch)), g._names(on_path)
+    )
+
+
+def enumerated_conditions(g: PdagGraph, xs, ys):
+    """Amenability witness (None when amenable) and forbidden set, read
+    off the enumeration of proper possibly-causal paths."""
+    paths = proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys))
+    named = [tuple(g.nodes[v] for v in path) for path in paths]
+    undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
+    witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
+    on_path = frozenset(v for p in named for v in p[1:])
+    forbidden = b_possible_descendants(g, on_path).nodes if on_path else on_path
+    return witness, forbidden
 
 
 def _proper_paths(adjacent: dict, xs: frozenset, ys: frozenset):

@@ -6,6 +6,7 @@ import pytest
 
 from mpdagkit import adjustment, causal_paths
 from mpdagkit.adjustment import (
+    ForbiddenSet,
     adjust_set,
     b_blocking_by_enumeration,
     check_b_blocking,
@@ -17,7 +18,7 @@ from mpdagkit.adjustment import (
 )
 from mpdagkit.causal_paths import b_possible_descendants, oracle_reach
 from mpdagkit.extension import enumerate_dags
-from mpdagkit.meek import construct_max_pdag, cpdag_of
+from mpdagkit.meek import construct_max_pdag, cpdag_of, is_closed, validate_maximal_pdag
 from mpdagkit.pdag_core import PdagGraph, parse_graph
 
 from conftest import complete_graph, random_mpdag
@@ -26,6 +27,8 @@ from helpers import (
     _proper_paths,
     dag_adjustment_criterion,
     deepening_connecting_path,
+    enumerated_conditions,
+    enumerated_forbidden_set,
     name_adjacency,
     name_b_blocking_by_enumeration,
     subset_listing,
@@ -37,18 +40,6 @@ def strip(n):
     names = [f"V{i}" for i in range(n)]
     pairs = [(names[i], names[j]) for i in range(n) for j in (i + 1, i + 2) if j < n]
     return PdagGraph(names, undirected=pairs)
-
-
-def enumerated_conditions(g, xs, ys):
-    """Amenability witness (None when amenable) and forbidden set, read
-    off the enumeration of proper possibly-causal paths."""
-    paths = adjustment._proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys))
-    named = [tuple(g.nodes[v] for v in path) for path in paths]
-    undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
-    witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
-    on_path = frozenset(v for p in named for v in p[1:])
-    forbidden = b_possible_descendants(g, on_path).nodes if on_path else on_path
-    return witness, forbidden
 
 
 class TestForbiddenSet:
@@ -76,14 +67,34 @@ class TestForbiddenSet:
 
     def test_step_budget_not_node_count(self):
         """A cheap 13-node query answers, and ``max_nodes`` bounds nothing;
-        K11 between two nodes passes the enumerator's step budget."""
+        on K11 the forbidden set answers with its first path, which covers
+        every node, while the blocking enumeration between the same two
+        nodes passes the enumerator's step budget."""
         g = PdagGraph([f"N{i}" for i in range(13)], directed=[("N0", "N1")])
         assert forbidden_set(g, "N0", "N1").nodes == {"N1"}
         assert forbidden_set(g, "N0", "N1", max_nodes=2).nodes == {"N1"}
         assert list_adjustment_sets(g, "N0", "N1", max_size=0, max_nodes=2) == [frozenset()]
-        for query in (forbidden_set, b_blocking_by_enumeration):
-            with pytest.raises(ValueError, match="budget of 1,000,000 steps"):
-                query(complete_graph(11), "V0", "V10")
+        k11 = complete_graph(11)
+        forb = forbidden_set(k11, "V0", "V10")
+        assert forb.nodes == set(k11.nodes)
+        assert forb.on_path == {f"V{i}" for i in range(1, 11)}
+        with pytest.raises(ValueError, match="budget of 1,000,000 steps"):
+            b_blocking_by_enumeration(k11, "V0", "V10")
+
+    def test_budget_binds_where_the_bound_is_loose(self, monkeypatch):
+        """K6 with ``V5 -> V0`` is maximal, and every path from V0 into V5
+        has a backward pair, so no path covers the nodes the steps reach
+        and the walk runs to the end: the 64 simple paths out of V0 over
+        V1..V4.  A budget of 64 answers and one of 63 stops the walk."""
+        names = [f"V{i}" for i in range(6)]
+        pairs = [(a, b) for a, b in combinations(names, 2) if (a, b) != ("V0", "V5")]
+        g = PdagGraph(names, directed=[("V5", "V0")], undirected=pairs)
+        assert validate_maximal_pdag(g).extendable and is_closed(g)
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 64)
+        assert forbidden_set(g, "V0", "V5") == ForbiddenSet(frozenset(), frozenset())
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 63)
+        with pytest.raises(ValueError, match="budget of 63 steps"):
+            forbidden_set(g, "V0", "V5")
 
     def test_max_nodes_is_gone_where_nothing_passes_it(self):
         for query in (
@@ -423,6 +434,16 @@ class TestReachabilityRoutes:
                 not_amenable += 1
         assert amenable > 200 and not_amenable > 200
 
+    def test_forbidden_set_matches_the_enumeration(self):
+        """Entry for entry, ``nodes`` and ``on_path``, against the walk of
+        every proper possibly-causal path to its end."""
+        covered = 0
+        for g, xs, ys in self.queries():
+            forb = forbidden_set(g, xs, ys)
+            assert forb == enumerated_forbidden_set(g, xs, ys), (g, xs, ys)
+            covered += bool(forb.on_path)
+        assert covered > 300
+
     def test_blocking_witness_matches_iterative_deepening(self):
         rng = np.random.default_rng(2027)
         connected = 0
@@ -457,6 +478,8 @@ class TestReachabilityRoutes:
         verdict = satisfies_b_adjustment(g, "V0", last, ())
         assert not verdict.amenable and verdict.witness == check.witness
         assert list_adjustment_sets(g, "V0", last) == []
+        forb = forbidden_set(g, "V0", last)
+        assert forb.nodes == set(g.nodes) and forb.on_path == set(g.nodes) - {"V0"}
 
     def test_large_amenable_graph_answers_without_max_nodes(self):
         g = construct_max_pdag(strip(40), [("V0", "V1"), ("V0", "V2")]).graph

@@ -138,6 +138,19 @@ class TestOracleAgreement:
         with pytest.raises(ValueError, match="budget of 63 steps"):
             oracle_reach(complete_graph(5), "V0")
 
+    def test_a_true_value_from_found_ends_the_walk(self, monkeypatch):
+        """The first path out of V0 in K5 takes one step: a ``found`` that
+        returns True there ends the walk inside a budget of 1, and one
+        that returns None walks on past it."""
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 1)
+        g = complete_graph(5)
+        step = [c | u for c, u in zip(g._ch, g._und)]
+        found = []
+        causal_paths._simple_paths(1, step, g._ch, ~0, lambda p: found.append(p) or True)
+        assert found == [(0, 1)]
+        with pytest.raises(ValueError, match="budget of 1 steps"):
+            causal_paths._simple_paths(1, step, g._ch, ~0, found.append)
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_simple_paths_match_the_recursive_oracle_on_complete_graphs(self, n):
         g = complete_graph(n)

@@ -1,15 +1,22 @@
 """A CLI fuzz that reaches the query paths.
 
 Each example writes a random graph file of one to seven nodes (any mix
-of edges, so cyclic and non-closed graphs are included, or a DAG or its
-CPDAG), an optional background file, a data file of a drawn size, and runs one subcommand
-through ``cli.main`` in process.  It checks the exit-code contract: the
-code is 0, 1 or 2 and no exception escapes, and exit 2 prints nothing
-on stdout and an ``error: `` message on stderr.  An ``orient`` that
-succeeds must print a graph with the input's skeleton.  An ``ida`` that
-succeeds on at most six nodes must print one line per distinct parent
-tuple over the DAGs of the class, with the effect of an unshared
-least-squares fit on the file's data, compared as the printed text.
+of edges, so cyclic and non-closed graphs are included, a DAG, its
+CPDAG, or a maximal PDAG: the CPDAG of a dense DAG with one of the
+DAG's orientations merged), an optional background file, a data file
+of a drawn size, and runs one subcommand through ``cli.main`` in
+process.  It checks the exit-code contract: the code is 0, 1 or 2 and
+no exception escapes, and exit 2 prints nothing on stdout and an
+``error: `` message on stderr.  An ``orient`` that succeeds must print
+a graph with the input's skeleton.  A ``possde`` or ``possan`` that
+succeeds on a maximal graph of at most six nodes must print the
+``oracle_reach`` set.  An ``ida`` that succeeds on at most six nodes
+must print one line per distinct parent tuple over the DAGs of the
+class, with the effect of an unshared least-squares fit on the file's
+data, compared as the printed text; the draws are weighted so that
+about 70 of the 400 examples reach this check, many on maximal PDAGs
+whose background orientation makes the parent-set rule reject a
+sibling clique.
 
 The check that a non-maximal graph exits 1 on every query subcommand
 waits for the maximality gate at the query entry points (ROADMAP item
@@ -28,32 +35,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli
+from mpdagkit.causal_paths import ANCESTORS, DESCENDANTS, oracle_reach
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import _fit_coefficient_matrix
-from mpdagkit.meek import cpdag_of
+from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import parse_graph, serialize_graph
 
 from helpers import global_merge_combinations, read_csv_rows
 
 POOL = "ABCDEFG"
 UNKNOWN = "Z"
+# Repeats weight the draws: ``ida`` is four of nine commands and
+# ``mpdag`` three of six shapes, so that many ``ida`` draws reach its
+# parent-set rule on graphs with a background orientation.
+COMMANDS = ("ida", "validate", "orient", "possde", "possan", "adjust", "ida", "ida", "ida")
+SHAPES = ("mpdag", "any", "dag", "cpdag", "mpdag", "mpdag")
 
 
 @st.composite
 def cli_calls(draw):
     """(subcommand, graph text, flag arguments, background text or None,
-    data text).  The graph is any mix of edges, a DAG, or the CPDAG of
-    one, so that the query routes see maximal inputs too.  Node lists
-    take disjoint runs of a shuffle of the graph's names.  About one
-    draw in eight makes a mistake: a node declared by no statement, a
-    list that is empty, repeats a name or names an unknown node, a wrong
-    mix of ``adjust`` modes, a missing data column or too few rows."""
+    data text).  The graph is any mix of edges, a DAG, the CPDAG of
+    one, or that CPDAG with one of the DAG's orientations merged (on a
+    DAG drawn with two edges in three), so that the query routes see
+    maximal inputs too.  Node lists take disjoint runs of a shuffle of
+    the graph's names.  About one draw in eight makes a mistake: a node
+    declared by no statement, a list that is empty, repeats a name or
+    names an unknown node, a wrong mix of ``adjust`` modes, a missing
+    data column or too few rows."""
 
     def mistake():
         return draw(st.integers(0, 7)) == 7
 
     names = list(POOL[: 7 - draw(st.integers(0, 6))])  # drawn small values favour 7 nodes
-    shape = draw(st.sampled_from(("any", "dag", "cpdag")))
+    shape = draw(st.sampled_from(SHAPES))
     lines = [f"node {v}" for v in names if not mistake()]
     rank = draw(st.permutations(range(len(names))))  # the DAG's topological order
     for i, j in combinations(range(len(names)), 2):
@@ -61,14 +76,20 @@ def cli_calls(draw):
         if shape == "any":
             op = draw(st.sampled_from((None, "->", "<-", "--")))
         else:
-            op = draw(st.sampled_from((None, "->" if rank[i] < rank[j] else "<-")))
+            forward = "->" if rank[i] < rank[j] else "<-"
+            op = draw(st.sampled_from((forward, forward, None) if shape == "mpdag" else (None, forward)))
         if op == "<-":
             lines.append(f"{b} -> {a}")
         elif op is not None:
             lines.append(f"{a} {op} {b}")
     graph = "\n".join(lines) + "\n"
-    if shape == "cpdag":
-        graph = serialize_graph(cpdag_of(parse_graph(graph)))
+    if shape in ("cpdag", "mpdag"):
+        dag = parse_graph(graph)
+        g = cpdag_of(dag)
+        if shape == "mpdag" and g.undirected_edges():
+            a, b = draw(st.sampled_from(g.undirected_edges()))
+            g = construct_max_pdag(g, [(a, b) if dag.is_directed(a, b) else (b, a)]).graph
+        graph = serialize_graph(g)
 
     shuffled = draw(st.permutations(names))
 
@@ -79,7 +100,7 @@ def cli_calls(draw):
             taken = draw(st.sampled_from(([], taken + taken[:1], taken + [UNKNOWN])))
         return ",".join(taken)
 
-    command = draw(st.sampled_from(("validate", "orient", "possde", "possan", "adjust", "ida")))
+    command = draw(st.sampled_from(COMMANDS))
     flags, background = [], None
     if command == "orient":
         if not mistake():
@@ -147,6 +168,11 @@ def ida_lines(g, xs, y, data, columns) -> set:
     return lines
 
 
+def is_maximal(g) -> bool:
+    report = validate_maximal_pdag(g)
+    return report.acyclic and report.closed and report.extendable
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -176,6 +202,12 @@ def test_every_call_keeps_the_exit_code_contract(workdir, call):
         assert "error: " in err.getvalue()
     if code == 0 and command == "orient":
         assert parse_graph(out.getvalue()).skeleton() == parse_graph(graph).skeleton()
+    if code == 0 and command in ("possde", "possan"):
+        g = parse_graph(graph)
+        if len(g) <= 6 and is_maximal(g):
+            direction = DESCENDANTS if command == "possde" else ANCESTORS
+            reached = oracle_reach(g, flags[1].split(","), direction).nodes
+            assert out.getvalue() == "{" + ", ".join(sorted(reached, key=g.node_index)) + "}\n"
     if code == 0 and command == "ida" and len(parse_graph(graph)) <= 6:
         *printed, unique = out.getvalue().splitlines()
         assert unique.startswith("unique=")

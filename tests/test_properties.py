@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import causal_paths
-from mpdagkit.adjustment import adjust_set, list_adjustment_sets
+from mpdagkit.adjustment import adjust_set, forbidden_set, list_adjustment_sets
 from mpdagkit.causal_paths import (
     ANCESTORS,
     b_possible_ancestors,
@@ -38,6 +38,7 @@ from helpers import (
     all_rule_orders,
     brute_force_dags,
     dag_adjustment_criterion,
+    enumerated_forbidden_set,
     global_merge_parent_sets,
     name_topological_order,
     recursive_simple_paths,
@@ -243,6 +244,19 @@ def test_simple_paths_match_the_recursive_oracle(g):
                 found = []
                 causal_paths._simple_paths(starts, step, back, targets, found.append)
                 assert found == recursive_simple_paths(starts, step, back, targets)
+
+
+@SEEDED
+@given(any_pdags())
+def test_forbidden_set_matches_the_enumeration(g):
+    """Covering the reachable nodes early gives the full enumeration's
+    ``nodes`` and ``on_path``, cyclic and non-closed inputs included,
+    for every one- and two-node treatment and outcome set."""
+    for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for xs in combinations(g.nodes, kx):
+            rest = [v for v in g.nodes if v not in xs]
+            for ys in combinations(rest, ky):
+                assert forbidden_set(g, xs, ys) == enumerated_forbidden_set(g, xs, ys)
 
 
 @SEEDED
