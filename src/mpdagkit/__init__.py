@@ -47,6 +47,7 @@ from .pdag_core import (
     NodePath,
     Neighborhood,
     PdagGraph,
+    QueryError,
     classify_definite_status,
     has_directed_cycle,
     neighborhood,

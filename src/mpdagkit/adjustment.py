@@ -8,9 +8,9 @@ three are decided by reachability: a shortest-walk search per treatment,
 two possible-descent walks, and d-separation in a single DAG extension,
 where removing the first edge of every proper causal path makes the
 test sound and complete.  Every public entry point checks its query in
-one place, :func:`_query`, which validates the node names in argument
-order, rejects overlapping sets and returns node masks; everything
-behind it works on masks and re-checks nothing.
+one place, :func:`_query`, which runs the library's one node-list rule
+on ``xs``, ``ys`` and ``zs`` and returns node masks; everything behind
+it works on masks and re-checks nothing.
 The simple-path enumerations left, :func:`forbidden_set` (whose
 ``on_path`` field needs them, walked only until they cover every node
 they could) and the reference :func:`b_blocking_by_enumeration`, stop
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
-from .causal_paths import _forward_reach, _simple_paths, node_set
-from .pdag_core import PdagGraph, _bits, _closure, consistent_extension
+from .causal_paths import _forward_reach, _simple_paths
+from .pdag_core import PdagGraph, _bits, _closure, _query_masks, consistent_extension
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,11 @@ def _query(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
-) -> tuple[int, int, int]:
-    """The node masks of a query's sets, after the one boundary check:
-    every name is known (the first unknown one, in argument order, is
-    the KeyError) and the sets are pairwise disjoint (ValueError)."""
-    x, y, z = (g._mask(node_set(g, names)) for names in (xs, ys, zs))
-    for name_a, a, name_b, b in (("xs", x, "ys", y), ("xs", x, "zs", z), ("ys", y, "zs", z)):
-        if a & b:
-            raise ValueError(f"{name_a} and {name_b} overlap: {sorted(g._names(a & b))}")
-    return x, y, z
-
-
-def _nonempty(xs: int, ys: int) -> None:
-    if not xs or not ys:
-        raise ValueError("treatment and outcome sets must be non-empty")
+    optional: tuple[str, ...] = ("zs",),
+) -> list[int]:
+    """The masks of ``xs``, ``ys`` and ``zs`` after the one node-list
+    rule, under those labels; only the lists in ``optional`` may be empty."""
+    return _query_masks(g, {"xs": xs, "ys": ys, "zs": zs}, optional)
 
 
 def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
@@ -208,7 +199,6 @@ def forbidden_set(
     accepted and ignored; it no longer bounds anything.
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
-    _nonempty(x_mask, y_mask)
     # Back-closures to the targets over usable edges, avoiding xs.
     into = [(p | u) & ~x_mask for p, u in zip(g._pa, g._und)]
     viable = _closure(into, y_mask)
@@ -238,7 +228,6 @@ def is_amenable(
     """Check that every proper possibly-causal path leaves ``xs`` with a
     directed edge; a shortest offending path is the witness otherwise."""
     x_mask, y_mask, _ = _query(g, xs, ys)
-    _nonempty(x_mask, y_mask)
     return _amenability(g, x_mask, y_mask)
 
 
@@ -260,7 +249,7 @@ def d_separated(
     """
     if not d.is_dag():
         raise ValueError("d-separation needs a fully directed acyclic graph")
-    return _d_separated(d, *_query(d, xs, ys, zs))
+    return _d_separated(d, *_query(d, xs, ys, zs, optional=("xs", "ys", "zs")))
 
 
 def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
@@ -381,7 +370,7 @@ def b_blocking_by_enumeration(
     definite non-collider outside ``zs``.  No path is pruned, so the walk
     and its step count do not depend on ``zs``.
     """
-    x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
+    x_mask, y_mask, z_mask = _query(g, xs, ys, zs, optional=("xs", "ys", "zs"))
     pa, ch, und = g._pa, g._ch, g._und
     adjacent = [p | c | u for p, c, u in zip(pa, ch, und)]
     opened = _closure(pa, z_mask)  # colliders that do not block
@@ -425,7 +414,6 @@ def satisfies_b_adjustment(
     the possible descendants of the treatments).
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
-    _nonempty(x_mask, y_mask)
 
     zero_effect = not y_mask & _forward_reach(g, x_mask, g._ch)
     amenable = _amenability(g, x_mask, y_mask)
@@ -461,7 +449,6 @@ def adjust_set(
     no other set can pass when this one fails.
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
-    _nonempty(x_mask, y_mask)
     if not _amenability(g, x_mask, y_mask).ok:
         return None
     taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
@@ -506,7 +493,6 @@ def list_adjustment_sets(
     if max_size is not None and max_size < 0:
         raise ValueError("max_size must be non-negative")
     x_mask, y_mask, _ = _query(g, xs, ys)
-    _nonempty(x_mask, y_mask)
     if not _amenability(g, x_mask, y_mask).ok:
         return []
     taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)

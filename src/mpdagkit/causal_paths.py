@@ -9,7 +9,8 @@ exhaustive path-enumeration oracle with the same semantics is provided
 for cross-checking.  Its ``_simple_paths`` is the one simple-path
 enumerator, also behind ``forbidden_set`` and
 ``b_blocking_by_enumeration``; it is bounded by a step budget, not by
-the graph's size, and its caller may end it early.
+the graph's size, and its caller may end it early.  The reach queries
+run the library's one node-list rule on ``xs``, which may be empty.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .pdag_core import NodePath, PdagGraph, _bits, as_path
+from .pdag_core import NodePath, PdagGraph, _bits, _query_masks, as_path
 
 B_POSSIBLY_CAUSAL = "b-possibly-causal"
 B_NON_CAUSAL = "b-non-causal"
@@ -26,15 +27,6 @@ DESCENDANTS = "descendants"
 ANCESTORS = "ancestors"
 
 PATH_STEP_BUDGET = 1_000_000  # path extensions per enumeration
-
-
-def node_set(g: PdagGraph, names: "str | Iterable[str]") -> frozenset[str]:
-    """Coerce a name or iterable of names into a validated node set; the
-    names are checked in the caller's order, so the first unknown one is
-    the one reported."""
-    names = (names,) if isinstance(names, str) else tuple(names)
-    g.check_nodes(names)
-    return frozenset(names)
 
 
 @dataclass(frozen=True)
@@ -120,14 +112,14 @@ def _forward_reach(g: PdagGraph, roots: int, out: tuple, removed: int = 0) -> in
 def b_possible_descendants(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """All nodes with a b-possibly-causal path from some node of ``xs``
     (plus ``xs`` itself)."""
-    roots = node_set(g, xs)
-    return ReachSet(g._names(_forward_reach(g, g._mask(roots), g._ch)), roots, DESCENDANTS)
+    (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
+    return ReachSet(g._names(_forward_reach(g, roots, g._ch)), g._names(roots), DESCENDANTS)
 
 
 def b_possible_ancestors(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """Mirror image of :func:`b_possible_descendants` on the edge-reversed graph."""
-    roots = node_set(g, xs)
-    return ReachSet(g._names(_forward_reach(g, g._mask(roots), g._pa)), roots, ANCESTORS)
+    (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
+    return ReachSet(g._names(_forward_reach(g, roots, g._pa)), g._names(roots), ANCESTORS)
 
 
 def _simple_paths(
@@ -187,12 +179,13 @@ def oracle_reach(
     node) raises a ValueError.  Agrees with the state-search
     implementation; the state search is the production route.
     """
-    roots = node_set(g, xs)
+    (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
     if direction not in (DESCENDANTS, ANCESTORS):
         raise ValueError(f"unknown direction {direction!r}")
     # Ancestors are descendants along reversed edges.
     out = g._ch if direction == DESCENDANTS else g._pa
     step = [o | u for o, u in zip(out, g._und)]
     ends: set[int] = set()
-    _simple_paths(g._mask(roots), step, out, ~0, lambda p: ends.add(p[-1]))
-    return ReachSet(roots | {g.nodes[v] for v in ends}, roots, direction)
+    _simple_paths(roots, step, out, ~0, lambda p: ends.add(p[-1]))
+    query = g._names(roots)
+    return ReachSet(query | {g.nodes[v] for v in ends}, query, direction)

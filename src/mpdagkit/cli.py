@@ -3,19 +3,21 @@
 Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
 Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
 adjustment set with --find, candidate cap exceeded), 2 usage or parse
-errors.  Every subcommand's node lists pass one rule
-(:func:`_check_node_lists`): a list that names an unknown node,
-overlaps another (--x with --y or --z), is empty where a node is
-required or names a node twice exits 2.  So does an ``ida`` data
-file whose header is not the graph's node set or whose rows do not
-outnumber the nodes, and so do ``simulate`` settings, from --config or the
-flags, that are malformed or outside the grid's ranges (an empty --p,
---en or --fractions among them), a --config key that is not a grid
-setting, or a grid flag given together with --config (the message names
-the key or flag), a ``simulate --out`` that cannot be opened for writing
-(a directory, a missing or non-directory parent, a name that is too
-long, no permission; checked before the study runs) and an
-``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative integer.
+errors.  Every subcommand's node lists pass the library's one node-list
+rule (:func:`~mpdagkit.pdag_core._query_masks`) with their flags as
+labels: a list that names an unknown node, overlaps another (--x with
+--y or --z), is empty where a node is required or names a node twice
+exits 2.  So does an ``ida`` data file whose header is not the graph's
+node set or whose rows do not outnumber the nodes, which the library's
+data checks report as the same QueryError; and so do ``simulate``
+settings, from --config or the flags, that are malformed or outside the
+grid's ranges (an empty --p, --en or --fractions among them), a --config
+key that is not a grid setting, or a grid flag given together with
+--config (the message names the key or flag), a ``simulate --out`` that
+cannot be opened for writing (a directory, a missing or non-directory
+parent, a name that is too long, no permission; checked before the study
+runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative
+integer.
 All output is deterministic for fixed arguments and seeds, and graph
 output re-parses through the graph reader.
 """
@@ -28,7 +30,6 @@ import functools
 import json
 import os
 import sys
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,14 +38,23 @@ from .adjustment import adjust_set, list_adjustment_sets, satisfies_b_adjustment
 from .causal_paths import b_possible_ancestors, b_possible_descendants
 from .ida import ida_effects, joint_ida_effects
 from .meek import construct_max_pdag, parse_background, validate_maximal_pdag
-from .pdag_core import GraphParseError, PdagGraph, parse_graph, serialize_graph
+from .pdag_core import (
+    GraphParseError,
+    PdagGraph,
+    QueryError,
+    _query_masks,
+    parse_graph,
+    serialize_graph,
+)
 from .sem_sim import SimConfig, _grid_problem, rows_to_csv, run_simulation
 
 UNIVERSE_CAP_ENV = "MPDAGKIT_UNIVERSE_CAP"
 
 
 class UsageError(Exception):
-    """Raised for malformed settings outside the argument list (exit 2)."""
+    """Raised for a malformed CLI-only setting (exit 2): the --z, --find
+    and --list modes, --minimal, the universe cap variable, a background
+    file or --config.  Node lists and data are the library's to check."""
 
 
 def _load_graph(path: str) -> PdagGraph:
@@ -70,25 +80,6 @@ def _split_nodes(arg: str) -> list[str]:
 def _format_set(g: PdagGraph, names) -> str:
     ordered = sorted(names, key=g.node_index)
     return "{" + ", ".join(ordered) + "}"
-
-
-def _check_node_lists(g: PdagGraph, lists: dict, may_be_empty: str = "") -> None:
-    """The CLI's one node-list rule, run before any query.  Four checks,
-    each over all lists in flag order: an unknown name (KeyError), two
-    lists sharing a node, an empty list other than the one named
-    ``may_be_empty``, and a node named twice in one list."""
-    for names in lists.values():
-        g.check_nodes(names)
-    for (flag_a, a), (flag_b, b) in combinations(lists.items(), 2):
-        shared = set(a) & set(b)
-        if shared:
-            raise UsageError(f"{flag_a} and {flag_b} overlap: {_format_set(g, shared)}")
-    for flag, names in lists.items():
-        if not names and flag != may_be_empty:
-            raise UsageError(f"{flag} must name at least one node")
-    for flag, names in lists.items():
-        if len(set(names)) != len(names):
-            raise UsageError(f"{flag} names a node more than once")
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
@@ -119,7 +110,7 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
             rows.append([float(cell) for cell in cells])
         except ValueError:
             raise GraphParseError("non-numeric cell", lineno) from None
-    data = np.array(rows)
+    data = np.array(rows).reshape(len(rows), len(header))  # (0, k) for a header alone
     if not np.isfinite(data).all():
         bad = next(n for (n, _), row in zip(lines[1:], rows) if not np.isfinite(row).all())
         raise GraphParseError("non-finite cell", bad)
@@ -148,7 +139,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 def _cmd_reach(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     xs = _split_nodes(args.x)
-    _check_node_lists(g, {"--x": xs})
+    _query_masks(g, {"--x": xs})
     reach = b_possible_descendants if args.command == "possde" else b_possible_ancestors
     print(_format_set(g, reach(g, xs).nodes))
     return 0
@@ -164,7 +155,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     if args.minimal and not args.list:
         raise UsageError("--minimal needs --list")
     zs = _split_nodes(args.z or "")
-    _check_node_lists(g, {"--x": xs, "--y": ys, "--z": zs}, may_be_empty="--z")
+    _query_masks(g, {"--x": xs, "--y": ys, "--z": zs}, optional=("--z",))
     if args.z is not None:
         print(json.dumps(dataclasses.asdict(satisfies_b_adjustment(g, xs, ys, zs))))
         return 0
@@ -195,12 +186,8 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 def _cmd_ida(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     xs = _split_nodes(args.x)
-    _check_node_lists(g, {"--x": xs, "--y": [args.y]})
+    _query_masks(g, {"--x": xs, "--y": args.y})
     data, columns = _read_csv_matrix(args.data)
-    if sorted(columns) != sorted(g.nodes):
-        raise UsageError("data columns do not match the graph's nodes")
-    if len(data) <= len(g.nodes):
-        raise UsageError("need more samples than variables")
     if len(xs) == 1:
         effects = ida_effects(g, xs[0], args.y, data, columns)
         for entry, value in zip(effects.family, effects.values):
@@ -362,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # from argparse: 2 on a usage error, 0 after --help
         return exc.code
-    except (GraphParseError, UnicodeDecodeError, UsageError, OSError) as exc:
+    except (GraphParseError, QueryError, UnicodeDecodeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -2,15 +2,16 @@
 
 Instead of listing every DAG in the class, each clique of a node's
 undirected neighbours is tried as the node's extra parents (the other
-neighbours becoming its children).  The graph is validated once.  The
-intervention nodes are decided in order, each by one local rule on the
-masks of the maximal PDAG that the earlier nodes' picks were merged
-into; one node needs no copy and no merge.  Sibling subsets that are
-not cliques are never tried: two non-adjacent parents would form an
-unshielded collider the class lacks.  Effects are one linear regression
-per surviving parent set, or path tracing through a fitted extension
-DAG of each merged graph for joint interventions, where each distinct
-(node, parent set) regression is fitted once per query.
+neighbours becoming its children).  A query is checked once: its node
+lists by the library's one node-list rule, then its data, then the graph
+for maximality.  The intervention nodes are decided in order, each by
+one local rule on the masks of the maximal PDAG that the earlier nodes'
+picks were merged into; one node needs no copy and no merge.  Sibling
+subsets that are not cliques are never tried: two non-adjacent parents
+would form an unshielded collider the class lacks.  Effects are one
+linear regression per surviving parent set, or path tracing through a
+fitted extension DAG of each merged graph for joint interventions, where
+each distinct (node, parent set) regression is fitted once per query.
 """
 
 from __future__ import annotations
@@ -22,18 +23,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .meek import _merge_one, _require_maximal
-from .pdag_core import PdagGraph, _bits, consistent_extension
+from .pdag_core import PdagGraph, QueryError, _bits, _query_masks, consistent_extension
 
 DEDUP_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class PossibleParents:
-    """One accepted combination: parent set per intervention node, plus
-    the sibling subset that was promoted to parents for each."""
+    """One accepted combination: the parent set of each intervention node."""
 
     parents: tuple[frozenset[str], ...]
-    chosen_siblings: tuple[frozenset[str], ...]
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,6 @@ class EffectMultiset:
         return len(self.unique_values())
 
 
-def _check_interventions(g: PdagGraph, xs: tuple[str, ...]) -> None:
-    """Raise unless ``xs`` are distinct nodes of ``g``, at least one,
-    and ``g`` is a maximal PDAG (checked in that order)."""
-    if not xs:
-        raise ValueError("need at least one intervention node")
-    if len(set(xs)) != len(xs):
-        raise ValueError("intervention nodes must be distinct")
-    g.check_nodes(xs)
-    _require_maximal(g)
-
-
 def _cliques(g: PdagGraph, pool: int) -> list[int]:
     """The cliques of ``g`` inside node mask ``pool``, in binary-counter
     order over its nodes: extending every clique found so far by the
@@ -112,37 +100,31 @@ def _cliques(g: PdagGraph, pool: int) -> list[int]:
 
 
 def _accepted(
-    g: PdagGraph, xs: tuple[str, ...], graphs: Optional[list], m: PdagGraph, parents=(), chosen=()
+    g: PdagGraph, xs: tuple[str, ...], graphs: Optional[list], m: PdagGraph, parents=()
 ) -> list[PossibleParents]:
-    """The entries for ``xs`` that extend the picks ``parents`` and
-    ``chosen`` of its first nodes, the next node decided on ``m``: ``g``
-    with those picks merged in.  When ``graphs`` is a list, the graph
-    each entry merges into is appended to it."""
+    """The entries for ``xs`` that extend the parent sets ``parents`` of
+    its first nodes, the next node decided on ``m``: ``g`` with those
+    picks merged in.  When ``graphs`` is a list, the graph each entry
+    merges into is appended to it."""
     i = len(parents)
     x = g._index[xs[i]]
     sib, pa = m._und[x], m._pa[x]
-    kept = pa & g._und[x]  # x's parents in its pool, which holds no earlier node
-    for earlier in xs[:i]:
-        kept &= ~(1 << g._index[earlier])
     picks = [t for t in _cliques(m, sib) if not any(m._pa[s] & sib & ~t for s in _bits(t))]
     last = i + 1 == len(xs)
     if last and graphs is None:
-        return [
-            PossibleParents(parents + (g._names(pa | t),), chosen + (g._names(kept | t),))
-            for t in picks
-        ]
+        return [PossibleParents(parents + (g._names(pa | t),)) for t in picks]
     entries = []
     for t in picks:
         merged = m._copy()
         for v in _bits(sib):
             reason = _merge_one(merged, *((v, x) if t >> v & 1 else (x, v)))
             assert reason is None, reason
-        step = (parents + (g._names(pa | t),), chosen + (g._names(kept | t),))
+        step = parents + (g._names(pa | t),)
         if last:
-            entries.append(PossibleParents(*step))
+            entries.append(PossibleParents(step))
             graphs.append(merged)
         else:
-            entries += _accepted(g, xs, graphs, merged, *step)
+            entries += _accepted(g, xs, graphs, merged, step)
     return entries
 
 
@@ -173,35 +155,36 @@ def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFa
     adds no unshielded collider to ``g``, so the accepted ``S`` are they
     plus each clique of ``sib_m(x)`` that passes the test.
 
-    Raises ValueError when ``xs`` is empty or repeats a node, KeyError
-    on an unknown node, and ValueError when ``g`` is not a maximal PDAG
-    (acyclic, rule-closed and extendable).
+    Raises KeyError on an unknown node, QueryError when ``xs`` is empty
+    or repeats a node, and then ValueError when ``g`` is not a maximal
+    PDAG (acyclic, rule-closed and extendable).
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
-    _check_interventions(g, xs)
+    _query_masks(g, {"xs": xs})
+    _require_maximal(g)
     return ParentSetFamily(xs, tuple(_accepted(g, xs, None, g)))
 
 
 def _effect_data(
-    g: PdagGraph, xs: tuple[str, ...], y: str, data, columns: Optional[Sequence[str]]
+    g: PdagGraph, lists: dict, data, columns: Optional[Sequence[str]]
 ) -> tuple[np.ndarray, dict[str, int]]:
-    """The data as a float matrix and each node's column, once the query
-    names nodes of ``g`` (a KeyError otherwise) with ``y`` outside ``xs``,
-    the columns are its nodes, the samples outnumber them and every
-    value is finite."""
-    if y in xs:
-        raise ValueError("outcome must not be an intervention node")
-    g.check_nodes(xs + (y,))
+    """The data as a float matrix and each node's column, once the
+    query's node ``lists`` (treatments, then the outcome, by their
+    labels) pass the one node-list rule and the data its checks, in
+    order: the columns are the graph's nodes, the matrix is 2-d, the
+    samples outnumber the nodes and every value is finite.  A failed
+    data check is a QueryError, like a broken list."""
+    _query_masks(g, lists)
     data = np.asarray(data, dtype=float)
     names = tuple(columns) if columns is not None else g.nodes
     if set(names) != set(g.nodes) or len(names) != len(g.nodes):
-        raise ValueError("data columns do not match the graph's nodes")
+        raise QueryError("data columns do not match the graph's nodes")
     if data.ndim != 2 or data.shape[1] != len(names):
-        raise ValueError(f"data must be a 2-d matrix with {len(names)} columns, got {data.shape}")
+        raise QueryError(f"data must be a 2-d matrix with {len(names)} columns, got {data.shape}")
     if data.shape[0] <= len(g.nodes):
-        raise ValueError("need more samples than variables")
+        raise QueryError("need more samples than variables")
     if not np.isfinite(data).all():
-        raise ValueError("data must be finite (no nan or inf)")
+        raise QueryError("data must be finite (no nan or inf)")
     return data, {name: i for i, name in enumerate(names)}
 
 
@@ -246,10 +229,11 @@ def ida_effects(
 
     One value per possible parent set ``P`` of ``x``: zero when ``y`` is
     in ``P``, otherwise the coefficient of ``x`` when ``y`` is regressed
-    on ``x`` and ``P``.
+    on ``x`` and ``P``.  The lists are labelled ``x`` and ``y``.
     """
-    data, col = _effect_data(g, (x,), y, data, columns)
-    family = possible_parent_sets(g, (x,))
+    data, col = _effect_data(g, {"x": x, "y": y}, data, columns)
+    _require_maximal(g)
+    family = ParentSetFamily((x,), tuple(_accepted(g, (x,), None, g)))
     values = []
     for entry in family:
         parents = entry.parents[0]
@@ -294,11 +278,12 @@ def joint_ida_effects(
     directed paths of fitted coefficient products).  The extensions
     share most nodes' parent sets, so each distinct (node, parent set)
     regression is fitted once per query and its coefficients are reused
-    by every extension that has it.
+    by every extension that has it.  The lists are labelled ``xs`` and
+    ``y``.
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
-    data, col = _effect_data(g, xs, y, data, columns)
-    _check_interventions(g, xs)
+    data, col = _effect_data(g, {"xs": xs, "y": y}, data, columns)
+    _require_maximal(g)
     idx = g._index
     graphs: list[PdagGraph] = []
     family = ParentSetFamily(xs, tuple(_accepted(g, xs, graphs, g)))

@@ -12,13 +12,16 @@ once returned, as derived graphs may share mask lists with their source.
 
 The module also owns peeling: acyclicity, the topological order the SEM
 sampler walks (:func:`_topological_order`) and the one DAG extension
-(:func:`consistent_extension`), which the orientation rules build on.
+(:func:`consistent_extension`), which the orientation rules build on;
+and the one node-list rule (:func:`_query_masks`) that every public
+query and the command line run on a query's node lists.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -40,6 +43,11 @@ class GraphParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class QueryError(ValueError):
+    """Raised when a query's node lists break the node-list rule; the
+    message names each list by the label its caller gave it."""
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -184,14 +192,6 @@ class PdagGraph:
             if name not in self._index:
                 raise KeyError(f"unknown node: {name!r}")
 
-    def _mask(self, names: Iterable[str]) -> int:
-        """Bitmask of already validated node names."""
-        index = self._index
-        out = 0
-        for name in names:
-            out |= 1 << index[name]
-        return out
-
     def _names(self, mask: int) -> frozenset[str]:
         return frozenset(self._nodes[i] for i in _bits(mask))
 
@@ -303,6 +303,39 @@ class PdagGraph:
 
     def serialize(self) -> str:
         return serialize_graph(self)
+
+
+def _query_masks(g: PdagGraph, lists: dict, optional: tuple[str, ...] = ()) -> list[int]:
+    """The node masks of a query's lists, in order, after the one
+    node-list rule.  ``lists`` maps each list's label to its names (a
+    bare string is one name).  Each check runs over all lists, in order:
+    every name is known (the first unknown one is the KeyError), no two
+    lists share a node, no list is empty unless its label is in
+    ``optional``, and no list names a node twice; the last three raise
+    :class:`QueryError` naming the lists by their labels."""
+    index = g._index
+    masks, sizes = [], []
+    for names in lists.values():
+        names = (names,) if isinstance(names, str) else tuple(names)
+        mask = 0
+        for name in names:
+            if name not in index:
+                raise KeyError(f"unknown node: {name!r}")
+            mask |= 1 << index[name]
+        masks.append(mask)
+        sizes.append(len(names))
+    labels = tuple(lists)
+    for (a, mask_a), (b, mask_b) in combinations(zip(labels, masks), 2):
+        if mask_a & mask_b:
+            shared = ", ".join(g._nodes[v] for v in _bits(mask_a & mask_b))
+            raise QueryError(f"{a} and {b} overlap: {{{shared}}}")
+    for label, mask in zip(labels, masks):
+        if not mask and label not in optional:
+            raise QueryError(f"{label} must name at least one node")
+    for label, mask, size in zip(labels, masks, sizes):
+        if mask.bit_count() != size:
+            raise QueryError(f"{label} names a node more than once")
+    return masks
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .pdag_core import (
     _bits,
     _closure,
     _edge_statements,
+    _query_masks,
     _topological_order,
 )
 
@@ -129,12 +130,10 @@ def sample_data(m: SemModel, n: int, rng: np.random.Generator) -> np.ndarray:
 def true_total_effect(m: SemModel, xs: "str | Sequence[str]", y: str) -> np.ndarray:
     """Population total effects of each of ``xs`` on ``y``: entries of the
     inverse of (I - B), i.e. sums of coefficient products over directed
-    paths; zero when ``y`` is not a descendant."""
-    if isinstance(xs, str):
-        xs = (xs,)
-    if y in xs:
-        raise ValueError("outcome must not be an intervention node")
-    m.dag.check_nodes(tuple(xs) + (y,))
+    paths; zero when ``y`` is not a descendant.  ``xs`` (which may be
+    empty) and ``y`` pass the one node-list rule under those labels."""
+    xs = (xs,) if isinstance(xs, str) else tuple(xs)
+    _query_masks(m.dag, {"xs": xs, "y": y}, optional=("xs",))
     idx = m.dag._index
     totals = np.linalg.inv(np.eye(len(idx)) - m.coefficient_matrix())
     return np.array([totals[idx[x], idx[y]] for x in xs])

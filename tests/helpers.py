@@ -182,7 +182,7 @@ def global_merge_combinations(g: PdagGraph, xs) -> list:
         outcome = construct_max_pdag(g, reqs)
         if outcome.ok:
             parents = tuple(frozenset(outcome.graph.parents(x)) for x in xs)
-            entries.append((PossibleParents(parents, chosen), outcome.graph))
+            entries.append((PossibleParents(parents), outcome.graph))
     return entries
 
 
@@ -263,7 +263,8 @@ def enumerated_forbidden_set(g: PdagGraph, xs, ys) -> adjustment.ForbiddenSet:
 def enumerated_conditions(g: PdagGraph, xs, ys):
     """Amenability witness (None when amenable) and forbidden set, read
     off the enumeration of proper possibly-causal paths."""
-    paths = proper_possibly_causal_paths(g, g._mask(xs), g._mask(ys))
+    x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+    paths = proper_possibly_causal_paths(g, x_mask, y_mask)
     named = [tuple(g.nodes[v] for v in path) for path in paths]
     undirected_start = [p for p in named if g.is_undirected(p[0], p[1])]
     witness = min(undirected_start, key=lambda p: (len(p), p), default=None)
@@ -349,7 +350,8 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> l
     valid = []
     for size in range(top + 1):
         for combo in combinations(universe, size):
-            if adjustment._d_separated(pruned, x_mask, y_mask, g._mask(combo)):
+            z_mask = sum(1 << g.node_index(v) for v in combo)
+            if adjustment._d_separated(pruned, x_mask, y_mask, z_mask):
                 valid.append(frozenset(combo))
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
@@ -525,7 +527,7 @@ def read_csv_rows(path: str):
             rows.append([float(cell) for cell in cells])
         except ValueError:
             raise GraphParseError("non-numeric cell", lineno) from None
-    data = np.array(rows)
+    data = np.array(rows).reshape(len(rows), len(header))
     if not np.isfinite(data).all():
         bad = next(n for (n, _), row in zip(lines[1:], rows) if not np.isfinite(row).all())
         raise GraphParseError("non-finite cell", bad)

@@ -19,7 +19,7 @@ from mpdagkit.adjustment import (
 from mpdagkit.causal_paths import b_possible_descendants, oracle_reach
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.meek import construct_max_pdag, cpdag_of, is_closed, validate_maximal_pdag
-from mpdagkit.pdag_core import PdagGraph, parse_graph
+from mpdagkit.pdag_core import PdagGraph, QueryError, parse_graph
 
 from conftest import complete_graph, random_mpdag
 from helpers import (
@@ -60,9 +60,9 @@ class TestForbiddenSet:
         assert forbidden_set(g, "X", "Y").nodes == {"W", "Y"}
 
     def test_requires_disjoint_nonempty_sets(self, fig3_g1):
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(QueryError, match=r"^xs and ys overlap: \{X\}$"):
             forbidden_set(fig3_g1, {"X"}, {"X", "Y"})
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(QueryError, match="^ys must name at least one node$"):
             forbidden_set(fig3_g1, {"X"}, ())
 
     def test_step_budget_not_node_count(self):
@@ -150,7 +150,8 @@ class TestForbiddenSet:
 @pytest.mark.parametrize("xs, ys", [([], "Y"), ("X", [])])
 def test_every_entry_point_rejects_an_empty_set(entry, xs, ys):
     g = parse_graph("X -> Y\nY -- Z")
-    with pytest.raises(ValueError, match="treatment and outcome sets must be non-empty"):
+    label = "ys" if xs else "xs"
+    with pytest.raises(QueryError, match=f"^{label} must name at least one node$"):
         entry(g, xs, ys)
 
 
@@ -427,7 +428,7 @@ class TestReachabilityRoutes:
             check = is_amenable(g, xs, ys)
             assert (check.ok, check.witness) == (witness is None, witness), (g, xs, ys)
             if check.ok:
-                nodes = adjustment._forbidden_nodes(g, g._mask(xs), g._mask(ys))
+                nodes = adjustment._forbidden_nodes(g, *adjustment._query(g, xs, ys)[:2])
                 assert g._names(nodes) == forbidden
                 amenable += 1
             else:
@@ -457,7 +458,7 @@ class TestReachabilityRoutes:
             forb = forbidden_set(g, xs, ys).nodes
             zs = frozenset(v for v in nodes[2:] if v not in forb and rng.random() < 0.3)
             check = check_b_blocking(g, xs, ys, zs)
-            masks = [g._mask(s) for s in (xs, ys, zs)]
+            masks = adjustment._query(g, xs, ys, zs)
             pruned = adjustment._backdoor_dag(g, *masks[:2])
             want = deepening_connecting_path(pruned, *masks)
             assert check.witness == want

@@ -2,21 +2,30 @@
 
 Each example writes a random graph file of one to seven nodes (any mix
 of edges, so cyclic and non-closed graphs are included, a DAG, its
-CPDAG, or a maximal PDAG: the CPDAG of a dense DAG with one of the
-DAG's orientations merged), an optional background file, a data file
-of a drawn size, and runs one subcommand through ``cli.main`` in
-process.  It checks the exit-code contract: the code is 0, 1 or 2 and
-no exception escapes, and exit 2 prints nothing on stdout and an
-``error: `` message on stderr.  An ``orient`` that succeeds must print
-a graph with the input's skeleton.  A ``possde`` or ``possan`` that
-succeeds on a maximal graph of at most six nodes must print the
-``oracle_reach`` set.  An ``ida`` that succeeds on at most six nodes
-must print one line per distinct parent tuple over the DAGs of the
-class, with the effect of an unshared least-squares fit on the file's
-data, compared as the printed text; the draws are weighted so that
-about 70 of the 400 examples reach this check, many on maximal PDAGs
-whose background orientation makes the parent-set rule reject a
-sibling clique.
+CPDAG, or a maximal PDAG: the CPDAG of a dense DAG with one of the DAG's
+orientations merged), an optional background file, a data file of a
+drawn size, and runs one subcommand through ``cli.main`` in process.  It
+checks the exit-code contract: the code is 0, 1 or 2 and no exception
+escapes, and exit 2 prints nothing on stdout and an ``error: `` message
+on stderr.  A drawn node-list mistake (a list that is empty, repeats a
+name, names an unknown node or one of an earlier list) or ``adjust``
+mode mistake must exit 2, with an ``error: --`` line naming the flag
+unless a mode mistake or an unknown name is reported first.  An
+``orient`` that succeeds must print a graph with the input's skeleton.
+On a maximal graph of at most six nodes, a ``possde`` or ``possan`` that
+succeeds must print the ``oracle_reach`` set, and a valid ``adjust``
+query is run in all four modes against the DAG-level criterion over
+every DAG of the class: ``--z``'s verdict for each set of the other
+nodes, ``--find``'s set (exit 1 only when no set is valid), and the
+``--list`` and ``--list --minimal`` listings.  An ``ida`` that succeeds
+on at most six nodes must print one line per distinct parent tuple over
+the DAGs of the class, with the effect of an unshared least-squares fit
+on the file's data, compared as the printed text.  The draws are
+weighted so that about 55 of the 400 examples reach the ``ida`` check,
+many on maximal PDAGs whose background orientation makes the parent-set
+rule reject a sibling clique, and about 30 the ``adjust`` one; the
+statistics (``--hypothesis-show-statistics``) count them and the
+mistakes drawn.
 
 The check that a non-maximal graph exits 1 on every query subcommand
 waits for the maximality gate at the query entry points (ROADMAP item
@@ -26,12 +35,13 @@ waits for the maximality gate at the query entry points (ROADMAP item
 
 import contextlib
 import io
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli
@@ -41,28 +51,33 @@ from mpdagkit.ida import _fit_coefficient_matrix
 from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import parse_graph, serialize_graph
 
-from helpers import global_merge_combinations, read_csv_rows
+from helpers import dag_adjustment_criterion, global_merge_combinations, read_csv_rows
 
 POOL = "ABCDEFG"
 UNKNOWN = "Z"
-# Repeats weight the draws: ``ida`` is four of nine commands and
-# ``mpdag`` three of six shapes, so that many ``ida`` draws reach its
-# parent-set rule on graphs with a background orientation.
-COMMANDS = ("ida", "validate", "orient", "possde", "possan", "adjust", "ida", "ida", "ida")
+# Repeats weight the draws: ``ida`` is four of ten commands, ``adjust``
+# two, and ``mpdag`` three of six shapes, so that many ``ida`` draws reach
+# its parent-set rule on graphs with a background orientation and many
+# ``adjust`` draws reach the DAG-level oracle.
+COMMANDS = (
+    "ida", "validate", "orient", "possde", "possan", "adjust", "ida", "ida", "adjust", "ida"
+)
 SHAPES = ("mpdag", "any", "dag", "cpdag", "mpdag", "mpdag")
 
 
 @st.composite
 def cli_calls(draw):
     """(subcommand, graph text, flag arguments, background text or None,
-    data text).  The graph is any mix of edges, a DAG, the CPDAG of
-    one, or that CPDAG with one of the DAG's orientations merged (on a
-    DAG drawn with two edges in three), so that the query routes see
-    maximal inputs too.  Node lists take disjoint runs of a shuffle of
-    the graph's names.  About one draw in eight makes a mistake: a node
-    declared by no statement, a list that is empty, repeats a name or
-    names an unknown node, a wrong mix of ``adjust`` modes, a missing
-    data column or too few rows."""
+    data text, the node-list and mode mistakes drawn, and the start of
+    the error line they must give, or None).  The graph is any mix of
+    edges, a DAG, the CPDAG of one, or that CPDAG with one of the DAG's
+    orientations merged (on a DAG drawn with two edges in three), so
+    that the query routes see maximal inputs too.  Node lists take
+    disjoint runs of a shuffle of the graph's names.  About one draw in
+    eight makes a mistake: a node declared by no statement, a list that
+    is empty, repeats a name, names an unknown node or one of an earlier
+    list, a wrong mix of ``adjust`` modes, a missing data column or too
+    few rows."""
 
     def mistake():
         return draw(st.integers(0, 7)) == 7
@@ -92,12 +107,20 @@ def cli_calls(draw):
         graph = serialize_graph(g)
 
     shuffled = draw(st.permutations(names))
+    listed, mistakes = [], []  # the names of the lists so far; the mistakes drawn
 
     def node_list(min_size=1, max_size=2):
         size = draw(st.integers(min_size, max_size))
         taken = [shuffled.pop() for _ in range(min(size, len(shuffled)))]
-        if mistake():
-            taken = draw(st.sampled_from(([], taken + taken[:1], taken + [UNKNOWN])))
+        if listed and mistake():  # a name of an earlier list
+            taken.append(draw(st.sampled_from(listed)))
+            mistakes.append("overlap")
+        elif mistake():
+            kind = draw(st.sampled_from(("empty", "repeat", "unknown")))
+            taken = {"empty": [], "repeat": taken + taken[:1], "unknown": taken + [UNKNOWN]}[kind]
+            if taken or min_size:  # an empty --z is no mistake
+                mistakes.append(kind if taken else "empty")
+        listed.extend(taken)
         return ",".join(taken)
 
     command = draw(st.sampled_from(COMMANDS))
@@ -109,15 +132,17 @@ def cli_calls(draw):
     elif command in ("possde", "possan"):
         flags = ["--x", node_list()]
     elif command == "adjust":
-        flags = ["--x", node_list(), "--y", node_list()]
         mode = draw(st.sampled_from((["--find"], ["--list"], ["--list", "--minimal"], ["--z"])))
         if mistake():
             mode = draw(st.sampled_from(([], ["--find", "--list"], ["--find", "--minimal"])))
+            mistakes.append("modes")
+        flags = ["--x", node_list(), "--y", node_list()]
         for flag in mode:
             flags += [flag, node_list(0)] if flag == "--z" else [flag]
     elif command == "ida":
         y = node_list(max_size=1)  # drawn first: --y takes one node, --x may take two
         flags = ["--x", node_list(), "--y", y]
+        listed.append(y)  # --y is one name, so "A,A" or "" names no node
 
     columns = draw(st.permutations(names))
     if mistake():
@@ -127,7 +152,16 @@ def cli_calls(draw):
         size = draw(st.integers(0, len(names)))
     rows = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((size, len(columns)))
     data = ",".join(columns) + "\n" + "".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in rows)
-    return command, graph, flags, background, data
+    # Modes are checked first, then the node-list rule: unknown names
+    # before the rule's own errors, which name a flag.
+    error = None
+    if "modes" in mistakes:
+        error = ("error: choose exactly one", "error: --minimal needs --list")
+    elif mistakes:
+        known = set(parse_graph(graph).nodes)
+        unknown = any(name not in known for name in listed)
+        error = ("error: unknown node: ",) if unknown else ("error: --",)
+    return command, graph, flags, background, data, mistakes, error
 
 
 def ida_lines(g, xs, y, data, columns) -> set:
@@ -168,6 +202,44 @@ def ida_lines(g, xs, y, data, columns) -> set:
     return lines
 
 
+def set_text(g, names) -> str:
+    return "{" + ", ".join(sorted(names, key=g.node_index)) + "}"
+
+
+def run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_adjust_modes(g, query):
+    """Run ``query`` (``adjust graph --x .. --y ..``) in every mode and
+    compare with the DAG-level criterion over the DAGs of ``g``: the
+    ``--z`` verdict for each set of the other nodes, ``--find``'s set
+    or its exit 1 when no set is valid, and both listings."""
+    xs, ys = query[3].split(","), query[5].split(",")
+    dags = enumerate_dags(g)
+    rest = [v for v in g.nodes if v not in xs and v not in ys]
+    valid = []  # by size and node order, as listed
+    for size in range(len(rest) + 1):
+        for zs in combinations(rest, size):
+            code, out, _ = run(query + ["--z", ",".join(zs)])
+            assert code == 0
+            overall = all(dag_adjustment_criterion(d, xs, ys, zs) for d in dags)
+            assert json.loads(out)["overall"] == overall
+            if overall:
+                valid.append(frozenset(zs))
+    code, out, _ = run(query + ["--find"])
+    if valid:
+        assert code == 0 and out[:-1] in {set_text(g, s) for s in valid}
+    else:
+        assert code == 1
+    minimal = [s for s in valid if not any(other < s for other in valid)]
+    for mode, listed in ((["--list"], valid), (["--list", "--minimal"], minimal)):
+        assert run(query + mode)[:2] == (0, "".join(set_text(g, s) + "\n" for s in listed))
+
+
 def is_maximal(g) -> bool:
     report = validate_maximal_pdag(g)
     return report.acyclic and report.closed and report.extendable
@@ -181,7 +253,9 @@ def workdir(tmp_path_factory):
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(call=cli_calls())
 def test_every_call_keeps_the_exit_code_contract(workdir, call):
-    command, graph, flags, background, data = call
+    command, graph, flags, background, data, mistakes, error = call
+    for kind in mistakes:
+        event(f"mistake: {kind}")
     paths = {name: workdir / name for name in ("graph.g", "bg.g", "data.csv")}
     paths["graph.g"].write_text(graph)
     paths["data.csv"].write_text(data)
@@ -192,24 +266,31 @@ def test_every_call_keeps_the_exit_code_contract(workdir, call):
     if command == "ida":
         argv += ["--data", str(paths["data.csv"])]
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = run(argv)
 
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
-        assert "error: " in err.getvalue()
+        assert out == ""
+        assert "error: " in err
+    if error is not None:
+        assert code == 2
+        assert err.startswith(error)
     if code == 0 and command == "orient":
-        assert parse_graph(out.getvalue()).skeleton() == parse_graph(graph).skeleton()
+        assert parse_graph(out).skeleton() == parse_graph(graph).skeleton()
     if code == 0 and command in ("possde", "possan"):
         g = parse_graph(graph)
         if len(g) <= 6 and is_maximal(g):
             direction = DESCENDANTS if command == "possde" else ANCESTORS
             reached = oracle_reach(g, flags[1].split(","), direction).nodes
-            assert out.getvalue() == "{" + ", ".join(sorted(reached, key=g.node_index)) + "}\n"
+            assert out == set_text(g, reached) + "\n"
+    if code in (0, 1) and command == "adjust" and len(parse_graph(graph)) <= 6:
+        g = parse_graph(graph)
+        if is_maximal(g):
+            event("adjust oracle")
+            check_adjust_modes(g, argv[:6])
     if code == 0 and command == "ida" and len(parse_graph(graph)) <= 6:
-        *printed, unique = out.getvalue().splitlines()
+        event("ida oracle")
+        *printed, unique = out.splitlines()
         assert unique.startswith("unique=")
         xs, y = flags[1].split(","), flags[3]
         data, columns = read_csv_rows(str(paths["data.csv"]))

@@ -78,7 +78,7 @@ def test_derived_graphs_equal_their_public_rebuild():
         for member in enumerate_dags(g):
             assert_sound(member, g)
         x, y = g.nodes[0], g.nodes[-1]
-        assert_sound(proper_backdoor_graph(ext, g._mask([x]), g._mask([y])), g)
+        assert_sound(proper_backdoor_graph(ext, 1 << g.node_index(x), 1 << g.node_index(y)), g)
         # A later intervention node is decided on the graph that its prefix
         # query merges, so the prefixes cover every graph the route builds.
         xs = tuple(dict.fromkeys((x, y, g.nodes[len(g) // 2])))

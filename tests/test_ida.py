@@ -13,7 +13,7 @@ from mpdagkit.ida import (
     possible_parent_sets,
 )
 from mpdagkit.meek import construct_max_pdag, cpdag_of
-from mpdagkit.pdag_core import PdagGraph, parse_graph
+from mpdagkit.pdag_core import PdagGraph, QueryError, parse_graph
 from mpdagkit.sem_sim import SemModel, random_dag, sample_data, true_total_effect
 
 from conftest import random_mpdag
@@ -119,7 +119,7 @@ class TestPossibleParentSets:
             possible_parent_sets(parse_graph("A -- B\nB -- C"), "AB")
 
     def test_rejects_duplicates_and_unknowns(self, fig1_mpdag):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(QueryError, match="^xs names a node more than once$"):
             possible_parent_sets(fig1_mpdag, ["C", "C"])
         with pytest.raises(KeyError, match="unknown"):
             possible_parent_sets(fig1_mpdag, ["Q"])
@@ -131,9 +131,9 @@ class TestPossibleParentSets:
     def test_rejects_no_interventions(self):
         g = parse_graph("A -- B\nB -- C")
         data = np.random.default_rng(0).standard_normal((10, 3))
-        with pytest.raises(ValueError, match="need at least one intervention node"):
+        with pytest.raises(QueryError, match="^xs must name at least one node$"):
             possible_parent_sets(g, [])
-        with pytest.raises(ValueError, match="need at least one intervention node"):
+        with pytest.raises(QueryError, match="^xs must name at least one node$"):
             joint_ida_effects(g, [], "C", data)
 
     def test_rejects_input_with_no_extension(self):
@@ -474,10 +474,10 @@ class TestJointEffects:
         assert single.values == joint_ida_effects(g, ["V1"], "V3", data).values
 
     def test_outcome_among_interventions_rejected(self, fig1_mpdag):
-        with pytest.raises(ValueError, match="outcome"):
+        with pytest.raises(QueryError, match=r"^xs and y overlap: \{A\}$"):
             joint_ida_effects(fig1_mpdag, ["C", "A"], "A", np.zeros((10, 4)))
-        # The single-intervention route shares the check and its message.
-        with pytest.raises(ValueError, match="outcome must not be an intervention node"):
+        # The single-intervention route shares the rule, under its labels.
+        with pytest.raises(QueryError, match=r"^x and y overlap: \{A\}$"):
             ida_effects(fig1_mpdag, "A", "A", np.zeros((10, 4)))
 
 
