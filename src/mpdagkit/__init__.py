@@ -5,7 +5,6 @@ from .adjustment import (
     ConditionCheck,
     ForbiddenSet,
     adjust_set,
-    b_blocking_by_enumeration,
     check_b_blocking,
     d_separated,
     forbidden_set,
@@ -13,16 +12,7 @@ from .adjustment import (
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
-from .causal_paths import (
-    B_NON_CAUSAL,
-    B_POSSIBLY_CAUSAL,
-    PathClassification,
-    ReachSet,
-    b_possible_ancestors,
-    b_possible_descendants,
-    classify_path,
-    oracle_reach,
-)
+from .causal_paths import ReachSet, b_possible_ancestors, b_possible_descendants
 from .extension import DagList, consistent_extension, enumerate_dags, represents
 from .ida import (
     EffectMultiset,
@@ -44,15 +34,20 @@ from .meek import (
 )
 from .pdag_core import (
     GraphParseError,
-    NodePath,
-    Neighborhood,
     PdagGraph,
     QueryError,
-    classify_definite_status,
     has_directed_cycle,
-    neighborhood,
     parse_graph,
     serialize_graph,
+)
+from .reference import (
+    B_NON_CAUSAL,
+    B_POSSIBLY_CAUSAL,
+    PathClassification,
+    b_blocking_by_enumeration,
+    classify_definite_status,
+    classify_path,
+    oracle_reach,
 )
 from .sem_sim import (
     SemModel,

@@ -11,11 +11,12 @@ test sound and complete.  Every public entry point checks its query in
 one place, :func:`_query`, which runs the library's one node-list rule
 on ``xs``, ``ys`` and ``zs`` and returns node masks; everything behind
 it works on masks and re-checks nothing.
-The simple-path enumerations left, :func:`forbidden_set` (whose
-``on_path`` field needs them, walked only until they cover every node
-they could) and the reference :func:`b_blocking_by_enumeration`, stop
-at the enumerator's step budget with a ValueError; no query is bounded
-by the graph's node count.
+The one simple-path enumeration left is :func:`forbidden_set`'s, which
+its ``on_path`` field needs; it is walked only until the paths cover
+every node they could, and stops at the enumerator's step budget with a
+ValueError.  No query is bounded by the graph's node count.  The
+path-by-path blocking oracle, ``b_blocking_by_enumeration``, is in
+``mpdagkit.reference``.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _connecting_path(
     return None if walk is None else tuple(d.nodes[v] for v in walk)
 
 
-def proper_backdoor_graph(d: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
+def _proper_backdoor_graph(d: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
     """Copy of DAG ``d`` without the first edge of any proper causal path
     from the nodes of ``x_mask`` to those of ``y_mask``."""
     # Nodes with a directed path avoiding xs into ys, plus ys.
@@ -342,7 +343,7 @@ def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
     dag = consistent_extension(g)
     if dag is None:
         raise ValueError("graph has no consistent DAG extension")
-    return proper_backdoor_graph(dag, x_mask, y_mask)
+    return _proper_backdoor_graph(dag, x_mask, y_mask)
 
 
 def _blocking_fast(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> ConditionCheck:
@@ -350,55 +351,6 @@ def _blocking_fast(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> Condi
     if _d_separated(pruned, x_mask, y_mask, z_mask):
         return ConditionCheck(True)
     return ConditionCheck(False, _connecting_path(pruned, x_mask, y_mask, z_mask))
-
-
-def b_blocking_by_enumeration(
-    g: PdagGraph,
-    xs: "str | Iterable[str]",
-    ys: "str | Iterable[str]",
-    zs: "str | Iterable[str]" = (),
-) -> ConditionCheck:
-    """Reference blocking semantics: every proper non-causal
-    definite-status path from ``xs`` to ``ys`` must be blocked by ``zs``.
-
-    Walks all proper simple paths, so it is meant for small graphs and
-    cross-checks of the fast route; a query past the enumerator's step
-    budget (K11 between two nodes) raises a ValueError.  Each path that
-    reaches ``ys`` is judged on node masks in one pass along it: a
-    backward directed pair makes it non-causal, and each interior triple
-    must be a collider that is or has a descendant in ``zs``, or a
-    definite non-collider outside ``zs``.  No path is pruned, so the walk
-    and its step count do not depend on ``zs``.
-    """
-    x_mask, y_mask, z_mask = _query(g, xs, ys, zs, optional=("xs", "ys", "zs"))
-    pa, ch, und = g._pa, g._ch, g._und
-    adjacent = [p | c | u for p, c, u in zip(pa, ch, und)]
-    opened = _closure(pa, z_mask)  # colliders that do not block
-    violations: list[tuple[str, ...]] = []
-
-    def check(path: tuple[int, ...]) -> None:
-        earlier = 0
-        for v in path:
-            if ch[v] & earlier:
-                break  # v -> an earlier node: not possibly causal
-            earlier |= 1 << v
-        else:
-            return
-        for left, mid, right in zip(path, path[1:], path[2:]):
-            ends = 1 << left | 1 << right
-            if pa[mid] & ends == ends:  # a collider
-                if not opened >> mid & 1:
-                    return
-            elif ch[mid] & ends or (und[mid] & ends == ends and not adjacent[left] & 1 << right):
-                if z_mask >> mid & 1:  # a definite non-collider
-                    return
-            else:
-                return  # not a definite-status path
-        violations.append(tuple(g.nodes[v] for v in path))
-
-    step = [m & ~x_mask for m in adjacent]
-    _simple_paths(x_mask, step, (0,) * len(g), y_mask, check)
-    return ConditionCheck(not violations, _first_witness(violations))
 
 
 def satisfies_b_adjustment(
@@ -463,7 +415,6 @@ def list_adjustment_sets(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     minimal_only: bool = False,
-    max_size: Optional[int] = None,
     universe_cap: int = 20,
     max_nodes: Optional[int] = None,
 ) -> list[frozenset[str]]:
@@ -490,8 +441,8 @@ def list_adjustment_sets(
     is minimal exactly when it contains no minimal set found before it
     (van der Zander, Liskiewicz and Textor, AIJ 2019).
     """
-    if max_size is not None and max_size < 0:
-        raise ValueError("max_size must be non-negative")
+    if universe_cap < 0:
+        raise ValueError("universe_cap must be non-negative")
     x_mask, y_mask, _ = _query(g, xs, ys)
     if not _amenability(g, x_mask, y_mask).ok:
         return []
@@ -507,10 +458,9 @@ def list_adjustment_sets(
     if minimal_only:
         ancestors = _closure(pruned._pa, x_mask | y_mask)
         universe = [name for name in universe if bit[name] & ancestors]
-    top = len(universe) if max_size is None else min(max_size, len(universe))
     valid: list[frozenset[str]] = []
     found: list[int] = []  # the masks of the valid sets
-    for size in range(top + 1):
+    for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
             z = sum(map(bit.__getitem__, combo))
             if minimal_only and any(z & m == m for m in found):

@@ -1,14 +1,11 @@
 """Possible-ancestral-relation queries on maximal PDAGs.
 
-A path is classified against every ordered pair of its nodes, not just
-consecutive ones: one directed edge from a later to an earlier path node
-already rules the path out as possibly causal.  Reachability uses a
-depth-first search over (previous, current) states that only follows
-forward or undirected edges and skips shielded continuations; an
-exhaustive path-enumeration oracle with the same semantics is provided
-for cross-checking.  Its ``_simple_paths`` is the one simple-path
-enumerator, also behind ``forbidden_set`` and
-``b_blocking_by_enumeration``; it is bounded by a step budget, not by
+Reachability uses a depth-first search over (previous, current) states
+that only follows forward or undirected edges and skips shielded
+continuations; ``mpdagkit.reference.oracle_reach`` is the path-by-path
+oracle the tests sweep it against.  ``_simple_paths`` is the one
+simple-path enumerator, behind ``forbidden_set`` and the reference
+oracles; it is bounded by a step budget, ``PATH_STEP_BUDGET``, not by
 the graph's size, and its caller may end it early.  The reach queries
 run the library's one node-list rule on ``xs``, which may be empty.
 """
@@ -16,37 +13,14 @@ run the library's one node-list rule on ``xs``, which may be empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .pdag_core import NodePath, PdagGraph, _bits, _query_masks, as_path
-
-B_POSSIBLY_CAUSAL = "b-possibly-causal"
-B_NON_CAUSAL = "b-non-causal"
+from .pdag_core import PdagGraph, _bits, _query_masks
 
 DESCENDANTS = "descendants"
 ANCESTORS = "ancestors"
 
 PATH_STEP_BUDGET = 1_000_000  # path extensions per enumeration
-
-
-@dataclass(frozen=True)
-class PathClassification:
-    """Verdict for one path; a failing ordered index pair when non-causal."""
-
-    path: NodePath
-    verdict: str
-    witness: Optional[tuple[int, int]] = None
-
-    @property
-    def is_b_possibly_causal(self) -> bool:
-        return self.verdict == B_POSSIBLY_CAUSAL
-
-    @property
-    def witness_nodes(self) -> Optional[tuple[str, str]]:
-        if self.witness is None:
-            return None
-        i, j = self.witness
-        return (self.path.nodes[i], self.path.nodes[j])
 
 
 @dataclass(frozen=True)
@@ -62,22 +36,6 @@ class ReachSet:
 
     def __iter__(self):
         return iter(sorted(self.nodes))
-
-
-def classify_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> PathClassification:
-    """Decide whether ``p`` could be causal in some DAG completion of ``g``.
-
-    The path is possibly causal only when no ordered pair of its nodes
-    (in path order, consecutive or not) is joined by a directed edge
-    pointing backwards; the first offending pair is reported otherwise.
-    """
-    path = as_path(g, p)
-    nodes = path.nodes
-    for i in range(len(nodes) - 1):
-        for j in range(i + 1, len(nodes)):
-            if g.is_directed(nodes[j], nodes[i]):
-                return PathClassification(path, B_NON_CAUSAL, (i, j))
-    return PathClassification(path, B_POSSIBLY_CAUSAL)
 
 
 def _forward_reach(g: PdagGraph, roots: int, out: tuple, removed: int = 0) -> int:
@@ -168,24 +126,3 @@ def _simple_paths(
             on_path |= low
             stack.append(step[w] & ~on_path)
 
-
-def oracle_reach(
-    g: PdagGraph, xs: "str | Iterable[str]", direction: str = DESCENDANTS
-) -> ReachSet:
-    """Reference reachability semantics via simple-path enumeration.
-
-    Walks every viable simple path, so it shares the enumerator's step
-    budget: a query past ``PATH_STEP_BUDGET`` extensions (K11 from one
-    node) raises a ValueError.  Agrees with the state-search
-    implementation; the state search is the production route.
-    """
-    (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
-    if direction not in (DESCENDANTS, ANCESTORS):
-        raise ValueError(f"unknown direction {direction!r}")
-    # Ancestors are descendants along reversed edges.
-    out = g._ch if direction == DESCENDANTS else g._pa
-    step = [o | u for o, u in zip(out, g._und)]
-    ends: set[int] = set()
-    _simple_paths(roots, step, out, ~0, lambda p: ends.add(p[-1]))
-    query = g._names(roots)
-    return ReachSet(query | {g.nodes[v] for v in ends}, query, direction)

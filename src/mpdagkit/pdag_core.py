@@ -14,25 +14,20 @@ The module also owns peeling: acyclicity, the topological order the SEM
 sampler walks (:func:`_topological_order`) and the one DAG extension
 (:func:`consistent_extension`), which the orientation rules build on;
 and the one node-list rule (:func:`_query_masks`) that every public
-query and the command line run on a query's node lists.
+query and the command line run on a query's node lists.  Judging a
+single path by its nodes (definite status) is a reference oracle, in
+``mpdagkit.reference``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 UNDIRECTED = "--"
-
-# Definite-status labels for nodes on a path.
-COLLIDER = "collider"
-DEFINITE_NON_COLLIDER = "definite-non-collider"
-ENDPOINT = "endpoint"
-NOT_DEFINITE = "not-definite"
 
 
 class GraphParseError(ValueError):
@@ -187,11 +182,6 @@ class PdagGraph:
         except KeyError:
             raise KeyError(f"unknown node: {node!r}") from None
 
-    def check_nodes(self, names: Iterable[str]) -> None:
-        for name in names:
-            if name not in self._index:
-                raise KeyError(f"unknown node: {name!r}")
-
     def _names(self, mask: int) -> frozenset[str]:
         return frozenset(self._nodes[i] for i in _bits(mask))
 
@@ -301,9 +291,6 @@ class PdagGraph:
     def __repr__(self) -> str:
         return f"PdagGraph(nodes={len(self._nodes)}, edges={self.edge_count()})"
 
-    def serialize(self) -> str:
-        return serialize_graph(self)
-
 
 def _query_masks(g: PdagGraph, lists: dict, optional: tuple[str, ...] = ()) -> list[int]:
     """The node masks of a query's lists, in order, after the one
@@ -336,95 +323,6 @@ def _query_masks(g: PdagGraph, lists: dict, optional: tuple[str, ...] = ()) -> l
         if mask.bit_count() != size:
             raise QueryError(f"{label} names a node more than once")
     return masks
-
-
-@dataclass(frozen=True)
-class NodePath:
-    """A path: two or more distinct nodes, consecutively adjacent in a graph."""
-
-    graph: PdagGraph
-    nodes: tuple[str, ...]
-
-    def __init__(self, graph: PdagGraph, nodes: Sequence[str]):
-        nodes = tuple(nodes)
-        if len(nodes) < 2:
-            raise ValueError("a path needs at least two nodes")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"path repeats a node: {nodes}")
-        graph.check_nodes(nodes)
-        for u, v in zip(nodes, nodes[1:]):
-            if not graph.has_edge(u, v):
-                raise ValueError(f"consecutive path nodes not adjacent: {u}, {v}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes)
-
-    def reversed(self) -> "NodePath":
-        return NodePath(self.graph, self.nodes[::-1])
-
-
-def as_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> NodePath:
-    """Coerce a node sequence into a validated :class:`NodePath` in ``g``."""
-    if isinstance(p, NodePath):
-        if p.graph is not g and p.graph != g:
-            raise ValueError("path belongs to a different graph")
-        return p
-    return NodePath(g, p)
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    parents: frozenset[str]
-    children: frozenset[str]
-    siblings: frozenset[str]
-
-
-def neighborhood(g: PdagGraph, v: str) -> Neighborhood:
-    """Parents, children and siblings of ``v``; the sets are disjoint."""
-    return Neighborhood(g.parents(v), g.children(v), g.siblings(v))
-
-
-def classify_definite_status(
-    g: PdagGraph, p: "NodePath | Sequence[str]"
-) -> tuple[str, ...]:
-    """Label every node on ``p`` with its definite-status role.
-
-    Interior nodes become ``collider`` when both flanking edges point into
-    them, ``definite-non-collider`` when a flanking edge leaves them or when
-    both flanking edges are undirected and the flanking neighbours are
-    non-adjacent, and ``not-definite`` otherwise.  Endpoints are labelled
-    ``endpoint``.
-    """
-    path = as_path(g, p)
-    nodes = path.nodes
-    labels = [ENDPOINT]
-    for left, mid, right in zip(nodes, nodes[1:], nodes[2:]):
-        into_left = g.is_directed(left, mid)
-        into_right = g.is_directed(right, mid)
-        out_any = g.is_directed(mid, left) or g.is_directed(mid, right)
-        if into_left and into_right:
-            labels.append(COLLIDER)
-        elif out_any:
-            labels.append(DEFINITE_NON_COLLIDER)
-        elif (
-            g.is_undirected(left, mid)
-            and g.is_undirected(mid, right)
-            and not g.has_edge(left, right)
-        ):
-            labels.append(DEFINITE_NON_COLLIDER)
-        else:
-            labels.append(NOT_DEFINITE)
-    labels.append(ENDPOINT)
-    return tuple(labels)
-
-
-def is_definite_status_path(g: PdagGraph, p: "NodePath | Sequence[str]") -> bool:
-    return NOT_DEFINITE not in classify_definite_status(g, p)
 
 
 def _topological_order(g: PdagGraph) -> Optional[list[int]]:

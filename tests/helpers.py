@@ -21,26 +21,24 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from mpdagkit import adjustment
-from mpdagkit.causal_paths import (
-    _forward_reach,
-    _simple_paths,
-    b_possible_descendants,
-    classify_path,
-)
+from mpdagkit.causal_paths import _forward_reach, _simple_paths, b_possible_descendants
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
 from mpdagkit.meek import construct_max_pdag
 from mpdagkit.pdag_core import (
-    COLLIDER,
-    DEFINITE_NON_COLLIDER,
-    NOT_DEFINITE,
     GraphParseError,
     PdagGraph,
     _adjacency,
     _bits,
     _closure,
-    classify_definite_status,
     has_directed_cycle,
+)
+from mpdagkit.reference import (
+    COLLIDER,
+    DEFINITE_NON_COLLIDER,
+    NOT_DEFINITE,
+    classify_definite_status,
+    classify_path,
 )
 
 
@@ -334,7 +332,7 @@ def dag_adjustment_criterion(d: PdagGraph, xs, ys, zs) -> bool:
     return True
 
 
-def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> list:
+def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
     """Reference adjustment-set listing: one d-separation test in the
     proper back-door DAG per subset of the candidate universe (the nodes
     outside xs, ys and the forbidden set), by size and node order; for
@@ -346,9 +344,8 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> l
     taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     pruned = adjustment._backdoor_dag(g, x_mask, y_mask)
-    top = len(universe) if max_size is None else min(max_size, len(universe))
     valid = []
-    for size in range(top + 1):
+    for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
             z_mask = sum(1 << g.node_index(v) for v in combo)
             if adjustment._d_separated(pruned, x_mask, y_mask, z_mask):
@@ -359,7 +356,7 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False, max_size=None) -> l
 
 
 def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.ConditionCheck:
-    """Reference for ``adjustment.b_blocking_by_enumeration``: the same
+    """Reference for ``reference.b_blocking_by_enumeration``: the same
     walk, with every path that reaches ``ys`` turned into names and
     judged by ``classify_path``, ``classify_definite_status`` and a
     per-collider descendant search over ``g.children``."""

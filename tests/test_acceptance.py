@@ -11,15 +11,11 @@ import numpy as np
 import pytest
 
 from mpdagkit.adjustment import adjust_set, forbidden_set, is_amenable, satisfies_b_adjustment
-from mpdagkit.causal_paths import (
-    ANCESTORS,
-    b_possible_ancestors,
-    b_possible_descendants,
-    oracle_reach,
-)
+from mpdagkit.causal_paths import ANCESTORS, b_possible_ancestors, b_possible_descendants
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.ida import possible_parent_sets
 from mpdagkit.meek import construct_max_pdag, cpdag_of
+from mpdagkit.reference import oracle_reach
 from mpdagkit.sem_sim import (
     SimConfig,
     add_background_fraction,

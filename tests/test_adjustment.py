@@ -4,11 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mpdagkit import adjustment, causal_paths
+from mpdagkit import adjustment, causal_paths, reference
 from mpdagkit.adjustment import (
     ForbiddenSet,
     adjust_set,
-    b_blocking_by_enumeration,
     check_b_blocking,
     d_separated,
     forbidden_set,
@@ -16,10 +15,11 @@ from mpdagkit.adjustment import (
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
-from mpdagkit.causal_paths import b_possible_descendants, oracle_reach
+from mpdagkit.causal_paths import b_possible_descendants
 from mpdagkit.extension import enumerate_dags
 from mpdagkit.meek import construct_max_pdag, cpdag_of, is_closed, validate_maximal_pdag
 from mpdagkit.pdag_core import PdagGraph, QueryError, parse_graph
+from mpdagkit.reference import b_blocking_by_enumeration, oracle_reach
 
 from conftest import complete_graph, random_mpdag
 from helpers import (
@@ -73,7 +73,7 @@ class TestForbiddenSet:
         g = PdagGraph([f"N{i}" for i in range(13)], directed=[("N0", "N1")])
         assert forbidden_set(g, "N0", "N1").nodes == {"N1"}
         assert forbidden_set(g, "N0", "N1", max_nodes=2).nodes == {"N1"}
-        assert list_adjustment_sets(g, "N0", "N1", max_size=0, max_nodes=2) == [frozenset()]
+        assert list_adjustment_sets(g, "N0", "N1", minimal_only=True, max_nodes=2) == [frozenset()]
         k11 = complete_graph(11)
         forb = forbidden_set(k11, "V0", "V10")
         assert forb.nodes == set(k11.nodes)
@@ -349,18 +349,15 @@ class TestListing:
     def test_g2_empty(self, fig3_g2):
         assert list_adjustment_sets(fig3_g2, "X", "Y") == []
 
-    def test_max_size(self, fig3_g1):
-        assert list_adjustment_sets(fig3_g1, "X", "Y", max_size=0) == [frozenset()]
-
-    def test_negative_max_size_is_rejected(self):
-        g = parse_graph("X -> Y\nnode Z")
-        assert list_adjustment_sets(g, "X", "Y") == [frozenset(), frozenset({"Z"})]
-        with pytest.raises(ValueError, match="max_size must be non-negative"):
-            list_adjustment_sets(g, "X", "Y", max_size=-1)
-
     def test_universe_cap(self, fig3_g1):
         with pytest.raises(ValueError, match="cap of 0"):
             list_adjustment_sets(fig3_g1, "X", "Y", universe_cap=0)
+
+    def test_negative_universe_cap_is_rejected(self):
+        g = parse_graph("X -> Y")
+        assert list_adjustment_sets(g, "X", "Y", universe_cap=0) == [frozenset()]
+        with pytest.raises(ValueError, match="^universe_cap must be non-negative$"):
+            list_adjustment_sets(g, "X", "Y", universe_cap=-1)
 
     def test_listing_matches_per_set_verdicts(self):
         rng = np.random.default_rng(37)
@@ -380,7 +377,7 @@ class TestListing:
     def test_listing_matches_the_subset_oracle(self):
         """Entry for entry, order included, on the CPDAG and a partially
         merged graph of each of 300 random DAGs of 5-10 nodes, with one
-        and two treatment and outcome nodes, both modes and four sizes."""
+        and two treatment and outcome nodes, in both modes."""
         rng = np.random.default_rng(2028)
         calls = sets = minimal_sets = 0
         for _ in range(300):
@@ -391,15 +388,12 @@ class TestListing:
                     rng.shuffle(nodes)
                     xs, ys = nodes[:kx], nodes[kx : kx + ky]
                     for minimal in (False, True):
-                        for k in (None, 0, 1, 2):
-                            got = list_adjustment_sets(
-                                g, xs, ys, minimal_only=minimal, max_size=k
-                            )
-                            assert got == subset_listing(g, xs, ys, minimal, k), (g, xs, ys)
-                            calls += 1
-                            sets += len(got)
-                            minimal_sets += len(got) if minimal else 0
-        assert (calls, sets, minimal_sets) == (19200, 31234, 2708)
+                        got = list_adjustment_sets(g, xs, ys, minimal_only=minimal)
+                        assert got == subset_listing(g, xs, ys, minimal), (g, xs, ys)
+                        calls += 1
+                        sets += len(got)
+                        minimal_sets += len(got) if minimal else 0
+        assert (calls, sets, minimal_sets) == (4800, 20313, 826)
 
 
 class TestReachabilityRoutes:
@@ -493,7 +487,7 @@ class TestReachabilityRoutes:
 class TestOnePassPerQuery:
     @pytest.fixture()
     def enumerations(self, monkeypatch):
-        """Calls of the one simple-path enumerator, in both modules that bind it."""
+        """Calls of the one simple-path enumerator, in every module that binds it."""
         calls = []
         real = causal_paths._simple_paths
 
@@ -501,7 +495,7 @@ class TestOnePassPerQuery:
             calls.append(args)
             real(*args)
 
-        for module in (causal_paths, adjustment):
+        for module in (causal_paths, adjustment, reference):
             monkeypatch.setattr(module, "_simple_paths", counting)
         return calls
 
@@ -541,7 +535,7 @@ class TestOnePassPerQuery:
             return real(self)
 
         monkeypatch.setattr(PdagGraph, "is_dag", counting)
-        assert list_adjustment_sets(g, "X", "Y", max_size=0) == [frozenset()]
+        assert list_adjustment_sets(g, "X", "Y", minimal_only=True) == [frozenset()]
         one_candidate = len(calls)
         calls.clear()
         assert len(list_adjustment_sets(g, "X", "Y")) == 16

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from mpdagkit import causal_paths
-from mpdagkit.causal_paths import (
-    ANCESTORS,
+from mpdagkit.causal_paths import ANCESTORS, b_possible_ancestors, b_possible_descendants
+from mpdagkit.extension import enumerate_dags
+from mpdagkit.pdag_core import PdagGraph, parse_graph
+from mpdagkit.reference import (
     B_NON_CAUSAL,
     B_POSSIBLY_CAUSAL,
-    b_possible_ancestors,
-    b_possible_descendants,
+    NOT_DEFINITE,
+    classify_definite_status,
     classify_path,
     oracle_reach,
 )
-from mpdagkit.extension import enumerate_dags
-from mpdagkit.pdag_core import PdagGraph, is_definite_status_path, parse_graph
 
 from conftest import complete_graph, random_mpdag
 from helpers import recursive_simple_paths
@@ -208,7 +208,7 @@ class TestStructuralProperties:
             g, _ = random_mpdag(rng, 6)
             for start in g.nodes:
                 for path in simple_paths(g, start):
-                    if not is_definite_status_path(g, path):
+                    if NOT_DEFINITE in classify_definite_status(g, path):
                         continue
                     consecutive_ok = not any(
                         g.is_directed(b, a) for a, b in zip(path, path[1:])
@@ -221,7 +221,7 @@ class TestStructuralProperties:
             g, _ = random_mpdag(rng, 6)
             for start in g.nodes:
                 for path in simple_paths(g, start):
-                    if not is_definite_status_path(g, path):
+                    if NOT_DEFINITE in classify_definite_status(g, path):
                         continue
                     if not classify_path(g, path).is_b_possibly_causal:
                         continue

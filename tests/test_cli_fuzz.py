@@ -7,25 +7,29 @@ orientations merged), an optional background file, a data file of a
 drawn size, and runs one subcommand through ``cli.main`` in process.  It
 checks the exit-code contract: the code is 0, 1 or 2 and no exception
 escapes, and exit 2 prints nothing on stdout and an ``error: `` message
-on stderr.  A drawn node-list mistake (a list that is empty, repeats a
-name, names an unknown node or one of an earlier list) or ``adjust``
-mode mistake must exit 2, with an ``error: --`` line naming the flag
-unless a mode mistake or an unknown name is reported first.  An
-``orient`` that succeeds must print a graph with the input's skeleton.
-On a maximal graph of at most six nodes, a ``possde`` or ``possan`` that
-succeeds must print the ``oracle_reach`` set, and a valid ``adjust``
-query is run in all four modes against the DAG-level criterion over
-every DAG of the class: ``--z``'s verdict for each set of the other
-nodes, ``--find``'s set (exit 1 only when no set is valid), and the
-``--list`` and ``--list --minimal`` listings.  An ``ida`` that succeeds
-on at most six nodes must print one line per distinct parent tuple over
-the DAGs of the class, with the effect of an unshared least-squares fit
-on the file's data, compared as the printed text.  The draws are
-weighted so that about 55 of the 400 examples reach the ``ida`` check,
-many on maximal PDAGs whose background orientation makes the parent-set
-rule reject a sibling clique, and about 30 the ``adjust`` one; the
-statistics (``--hypothesis-show-statistics``) count them and the
-mistakes drawn.
+on stderr.  A node-list mistake (a list that is empty, repeats a name,
+names an unknown node or one of an earlier list) or ``adjust`` mode
+mistake must exit 2, with an ``error: --`` line naming the flag unless a
+mode mistake or an unknown name is reported first.  An ``orient`` that
+succeeds must print a graph with the input's skeleton.  On a maximal
+graph of at most six nodes, a ``possde`` or ``possan`` that succeeds
+must print the ``oracle_reach`` set, and a valid ``adjust`` query is
+run in all four modes against the DAG-level criterion over every DAG of
+the class: ``--z``'s verdict for each set of the other nodes,
+``--find``'s set (exit 1 only when no set is valid), and the ``--list``
+and ``--list --minimal`` listings.  An ``ida`` that succeeds on at most
+six nodes must print one line per distinct parent tuple over the DAGs
+of the class, with the effect of an unshared least-squares fit on the
+file's data, compared as the printed text.
+
+The 400 examples come from one seeded ``random.Random``, so what they
+cover does not move with edits of the test's text.  Every fourth
+example makes the next node-list mistake of :data:`SLIPS` in turn, so
+each list of each query command gets each mistake the CLI reports for
+it; the others draw a command, weighted towards ``ida`` and ``adjust``
+so that many reach their oracle checks.  After the run, each mistake
+must have been the one the CLI reported, and each oracle check must
+have been reached, at least as often as its floor.
 
 The check that a non-maximal graph exits 1 on every query subcommand
 waits for the maximality gate at the query entry points (ROADMAP item
@@ -37,22 +41,25 @@ import contextlib
 import io
 import json
 import math
+import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from mpdagkit import cli
-from mpdagkit.causal_paths import ANCESTORS, DESCENDANTS, oracle_reach
+from mpdagkit.causal_paths import ANCESTORS, DESCENDANTS
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import _fit_coefficient_matrix
 from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import parse_graph, serialize_graph
+from mpdagkit.reference import oracle_reach
 
 from helpers import dag_adjustment_criterion, global_merge_combinations, read_csv_rows
 
+SEED = 2017
+EXAMPLES = 400
 POOL = "ABCDEFG"
 UNKNOWN = "Z"
 # Repeats weight the draws: ``ida`` is four of ten commands, ``adjust``
@@ -63,36 +70,64 @@ COMMANDS = (
     "ida", "validate", "orient", "possde", "possan", "adjust", "ida", "ida", "adjust", "ida"
 )
 SHAPES = ("mpdag", "any", "dag", "cpdag", "mpdag", "mpdag")
+# The node-list mistakes the CLI reports, per command, as (list, kind)
+# with the lists in draw order: an overlap names a node of an earlier
+# list, an empty --z is no mistake, and ida's --y is one name, so each of
+# its mistakes is an unknown name.
+KINDS = ("empty", "repeat", "unknown")
+SLIPS = {
+    "possde": [("--x", kind) for kind in KINDS],
+    "possan": [("--x", kind) for kind in KINDS],
+    "adjust": [("--x", kind) for kind in KINDS]
+    + [("--y", kind) for kind in KINDS + ("overlap",)]
+    + [("--z", kind) for kind in ("repeat", "unknown", "overlap")],
+    "ida": [("--y", kind) for kind in KINDS] + [("--x", kind) for kind in KINDS + ("overlap",)],
+}
+PLAN = [(command, slip) for command, slips in SLIPS.items() for slip in slips]
+# An earlier mistake (a mode mix, an undeclared node) can hide a slip, so
+# each is made four or five times and must be reported at least twice.
+SLIP_FLOOR = 2
+ORACLE_FLOORS = {"reach oracle": 20, "adjust oracle": 20, "ida oracle": 40}
 
 
-@st.composite
-def cli_calls(draw):
-    """(subcommand, graph text, flag arguments, background text or None,
-    data text, the node-list and mode mistakes drawn, and the start of
-    the error line they must give, or None).  The graph is any mix of
-    edges, a DAG, the CPDAG of one, or that CPDAG with one of the DAG's
-    orientations merged (on a DAG drawn with two edges in three), so
-    that the query routes see maximal inputs too.  Node lists take
-    disjoint runs of a shuffle of the graph's names.  About one draw in
-    eight makes a mistake: a node declared by no statement, a list that
-    is empty, repeats a name, names an unknown node or one of an earlier
-    list, a wrong mix of ``adjust`` modes, a missing data column or too
-    few rows."""
+def schedule(rng: random.Random):
+    """The (command, slip) of each example: every fourth one makes the
+    next slip of :data:`PLAN`, and the others draw a command and make no
+    node-list mistake."""
+    for i in range(EXAMPLES):
+        yield PLAN[i // 4 % len(PLAN)] if i % 4 == 0 else (rng.choice(COMMANDS), None)
+
+
+def cli_call(rng: random.Random, command: str, slip):
+    """(graph text, flag arguments, background text or None, data text,
+    the mistakes made, the start of the error line they must give or
+    None, and the slip as "command flag kind" if it is the mistake that
+    error reports, or None) for one call of ``command`` that makes the
+    node-list mistake ``slip``, a (flag, kind) pair, or none.
+
+    The graph is any mix of edges, a DAG, the CPDAG of one, or that
+    CPDAG with one of the DAG's orientations merged (on a DAG drawn with
+    two edges in three), so that the query routes see maximal inputs
+    too.  Node lists take disjoint runs of a shuffle of the graph's
+    names.  Other mistakes come about one draw in eight: a node declared
+    by no statement, a wrong mix of ``adjust`` modes, a missing data
+    column or too few rows."""
 
     def mistake():
-        return draw(st.integers(0, 7)) == 7
+        return rng.randrange(8) == 7
 
-    names = list(POOL[: 7 - draw(st.integers(0, 6))])  # drawn small values favour 7 nodes
-    shape = draw(st.sampled_from(SHAPES))
+    # A slip needs names left for its list: five cover two lists of two and one more.
+    names = list(POOL[: rng.randint(1 if slip is None else 5, len(POOL))])
+    shape = rng.choice(SHAPES)
     lines = [f"node {v}" for v in names if not mistake()]
-    rank = draw(st.permutations(range(len(names))))  # the DAG's topological order
+    rank = rng.sample(range(len(names)), len(names))  # the DAG's topological order
     for i, j in combinations(range(len(names)), 2):
         a, b = names[i], names[j]
         if shape == "any":
-            op = draw(st.sampled_from((None, "->", "<-", "--")))
+            op = rng.choice((None, "->", "<-", "--"))
         else:
             forward = "->" if rank[i] < rank[j] else "<-"
-            op = draw(st.sampled_from((forward, forward, None) if shape == "mpdag" else (None, forward)))
+            op = rng.choice((forward, forward, None) if shape == "mpdag" else (None, forward))
         if op == "<-":
             lines.append(f"{b} -> {a}")
         elif op is not None:
@@ -102,67 +137,73 @@ def cli_calls(draw):
         dag = parse_graph(graph)
         g = cpdag_of(dag)
         if shape == "mpdag" and g.undirected_edges():
-            a, b = draw(st.sampled_from(g.undirected_edges()))
+            a, b = rng.choice(g.undirected_edges())
             g = construct_max_pdag(g, [(a, b) if dag.is_directed(a, b) else (b, a)]).graph
         graph = serialize_graph(g)
 
-    shuffled = draw(st.permutations(names))
-    listed, mistakes = [], []  # the names of the lists so far; the mistakes drawn
+    shuffled = rng.sample(names, len(names))
+    listed, mistakes = [], []  # the names of the lists so far; the mistakes made
 
-    def node_list(min_size=1, max_size=2):
-        size = draw(st.integers(min_size, max_size))
+    def node_list(flag, min_size=1, max_size=2):
+        kind = slip[1] if slip is not None and slip[0] == flag else None
+        size = rng.randint(1 if kind == "repeat" else min_size, max_size)
         taken = [shuffled.pop() for _ in range(min(size, len(shuffled)))]
-        if listed and mistake():  # a name of an earlier list
-            taken.append(draw(st.sampled_from(listed)))
-            mistakes.append("overlap")
-        elif mistake():
-            kind = draw(st.sampled_from(("empty", "repeat", "unknown")))
+        if kind == "overlap":
+            taken.append(rng.choice(listed))
+        elif kind is not None:
             taken = {"empty": [], "repeat": taken + taken[:1], "unknown": taken + [UNKNOWN]}[kind]
-            if taken or min_size:  # an empty --z is no mistake
-                mistakes.append(kind if taken else "empty")
+            kind = kind if taken else "empty"
+        if kind is not None and (taken or min_size):  # an empty --z is no mistake
+            mistakes.append(f"{flag} {kind}")
         listed.extend(taken)
         return ",".join(taken)
 
-    command = draw(st.sampled_from(COMMANDS))
     flags, background = [], None
     if command == "orient":
         if not mistake():
-            pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
-            background = "".join(f"{u} -> {v}\n" for u, v in draw(st.lists(pairs, max_size=3)))
+            background = "".join(
+                f"{rng.choice(names)} -> {rng.choice(names)}\n" for _ in range(rng.randint(0, 3))
+            )
     elif command in ("possde", "possan"):
-        flags = ["--x", node_list()]
+        flags = ["--x", node_list("--x")]
     elif command == "adjust":
-        mode = draw(st.sampled_from((["--find"], ["--list"], ["--list", "--minimal"], ["--z"])))
+        mode = rng.choice((["--find"], ["--list"], ["--list", "--minimal"], ["--z"]))
+        if slip is not None and slip[0] == "--z":
+            mode = ["--z"]
         if mistake():
-            mode = draw(st.sampled_from(([], ["--find", "--list"], ["--find", "--minimal"])))
+            mode = rng.choice(([], ["--find", "--list"], ["--find", "--minimal"]))
             mistakes.append("modes")
-        flags = ["--x", node_list(), "--y", node_list()]
+        flags = ["--x", node_list("--x"), "--y", node_list("--y")]
         for flag in mode:
-            flags += [flag, node_list(0)] if flag == "--z" else [flag]
+            flags += [flag, node_list("--z", 0)] if flag == "--z" else [flag]
     elif command == "ida":
-        y = node_list(max_size=1)  # drawn first: --y takes one node, --x may take two
-        flags = ["--x", node_list(), "--y", y]
+        y = node_list("--y", max_size=1)  # drawn first: --y takes one node, --x may take two
+        flags = ["--x", node_list("--x"), "--y", y]
         listed.append(y)  # --y is one name, so "A,A" or "" names no node
 
-    columns = draw(st.permutations(names))
+    columns = rng.sample(names, len(names))
     if mistake():
         columns = columns[1:]
-    size = len(names) + 1 + draw(st.integers(0, 10))
+    size = len(names) + 1 + rng.randint(0, 10)
     if mistake():
-        size = draw(st.integers(0, len(names)))
-    rows = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((size, len(columns)))
+        size = rng.randint(0, len(names))
+    rows = np.random.default_rng(rng.randrange(2**16)).standard_normal((size, len(columns)))
     data = ",".join(columns) + "\n" + "".join(",".join(f"{v:.6f}" for v in r) + "\n" for r in rows)
     # Modes are checked first, then the node-list rule: unknown names
     # before the rule's own errors, which name a flag.
-    error = None
+    error = reported = None
     if "modes" in mistakes:
         error = ("error: choose exactly one", "error: --minimal needs --list")
     elif mistakes:
         known = set(parse_graph(graph).nodes)
         unknown = any(name not in known for name in listed)
         error = ("error: unknown node: ",) if unknown else ("error: --",)
-    return command, graph, flags, background, data, mistakes, error
-
+        # The slip is the one mistake; it is what the CLI reports unless
+        # an undeclared node comes first.
+        names_unknown = slip[1] == "unknown" or command == "ida" and slip[0] == "--y"
+        if unknown == names_unknown:
+            reported = f"{command} {mistakes[0]}"
+    return graph, flags, background, data, mistakes, error, reported
 
 def ida_lines(g, xs, y, data, columns) -> set:
     """The lines ``ida`` prints before ``unique=``, one per distinct
@@ -250,12 +291,11 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(call=cli_calls())
-def test_every_call_keeps_the_exit_code_contract(workdir, call):
-    command, graph, flags, background, data, mistakes, error = call
-    for kind in mistakes:
-        event(f"mistake: {kind}")
+
+def check_call(workdir, command, call, reached: Counter) -> None:
+    graph, flags, background, data, mistakes, error, reported = call
+    if reported is not None:
+        reached[reported] += 1
     paths = {name: workdir / name for name in ("graph.g", "bg.g", "data.csv")}
     paths["graph.g"].write_text(graph)
     paths["data.csv"].write_text(data)
@@ -280,19 +320,35 @@ def test_every_call_keeps_the_exit_code_contract(workdir, call):
     if code == 0 and command in ("possde", "possan"):
         g = parse_graph(graph)
         if len(g) <= 6 and is_maximal(g):
+            reached["reach oracle"] += 1
             direction = DESCENDANTS if command == "possde" else ANCESTORS
-            reached = oracle_reach(g, flags[1].split(","), direction).nodes
-            assert out == set_text(g, reached) + "\n"
+            found = oracle_reach(g, flags[1].split(","), direction).nodes
+            assert out == set_text(g, found) + "\n"
     if code in (0, 1) and command == "adjust" and len(parse_graph(graph)) <= 6:
         g = parse_graph(graph)
         if is_maximal(g):
-            event("adjust oracle")
+            reached["adjust oracle"] += 1
             check_adjust_modes(g, argv[:6])
     if code == 0 and command == "ida" and len(parse_graph(graph)) <= 6:
-        event("ida oracle")
+        reached["ida oracle"] += 1
         *printed, unique = out.splitlines()
         assert unique.startswith("unique=")
         xs, y = flags[1].split(","), flags[3]
         data, columns = read_csv_rows(str(paths["data.csv"]))
         expected = ida_lines(parse_graph(graph), xs, y, data, columns)
         assert len(printed) == len(expected) and set(printed) == expected
+
+
+def test_every_call_keeps_the_exit_code_contract(workdir):
+    rng = random.Random(SEED)
+    reached = Counter()  # the slips the CLI reported and the oracle checks reached
+    for i, (command, slip) in enumerate(schedule(rng)):
+        call = cli_call(rng, command, slip)
+        try:
+            check_call(workdir, command, call, reached)
+        except AssertionError as exc:
+            raise AssertionError(f"example {i}: {command} {call}") from exc
+    floors = {f"{command} {flag} {kind}": SLIP_FLOOR for command, (flag, kind) in PLAN}
+    floors.update(ORACLE_FLOORS)
+    short = {label: reached[label] for label, floor in floors.items() if reached[label] < floor}
+    assert not short, f"below their floors: {short}"

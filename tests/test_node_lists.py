@@ -13,7 +13,6 @@ import pytest
 
 from mpdagkit.adjustment import (
     adjust_set,
-    b_blocking_by_enumeration,
     check_b_blocking,
     d_separated,
     forbidden_set,
@@ -21,9 +20,10 @@ from mpdagkit.adjustment import (
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
-from mpdagkit.causal_paths import b_possible_ancestors, b_possible_descendants, oracle_reach
+from mpdagkit.causal_paths import b_possible_ancestors, b_possible_descendants
 from mpdagkit.ida import ida_effects, joint_ida_effects, possible_parent_sets
 from mpdagkit.pdag_core import QueryError
+from mpdagkit.reference import b_blocking_by_enumeration, oracle_reach
 from mpdagkit.sem_sim import random_dag, true_total_effect
 
 MODEL = random_dag(4, 2.0, np.random.default_rng(3))

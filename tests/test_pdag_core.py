@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from mpdagkit.pdag_core import (
+    GraphParseError,
+    PdagGraph,
+    has_directed_cycle,
+    parse_graph,
+    serialize_graph,
+)
+from mpdagkit.reference import (
     COLLIDER,
     DEFINITE_NON_COLLIDER,
     ENDPOINT,
     NOT_DEFINITE,
-    GraphParseError,
-    NodePath,
-    PdagGraph,
     classify_definite_status,
-    has_directed_cycle,
-    neighborhood,
-    parse_graph,
-    serialize_graph,
+    classify_path,
 )
 
 from conftest import edge_states, same_graph
@@ -144,36 +145,36 @@ class TestGraphValue:
 
 
 class TestNeighborhood:
+    """A node's parents, children and siblings."""
+
     def test_mpdag_example(self, fig1_mpdag):
-        hood = neighborhood(fig1_mpdag, "B")
-        assert hood.parents == {"D"}
-        assert hood.children == frozenset()
-        assert hood.siblings == {"A", "C"}
+        assert fig1_mpdag.parents("B") == {"D"}
+        assert fig1_mpdag.children("B") == frozenset()
+        assert fig1_mpdag.siblings("B") == {"A", "C"}
 
     def test_cpdag_example(self, fig1_cpdag):
-        hood = neighborhood(fig1_cpdag, "B")
-        assert hood.parents == frozenset()
-        assert hood.children == frozenset()
-        assert hood.siblings == {"A", "C", "D"}
+        assert fig1_cpdag.parents("B") == frozenset()
+        assert fig1_cpdag.children("B") == frozenset()
+        assert fig1_cpdag.siblings("B") == {"A", "C", "D"}
 
     def test_isolated_node(self):
-        hood = neighborhood(parse_graph("node X"), "X")
-        assert hood.parents == hood.children == hood.siblings == frozenset()
+        g = parse_graph("node X")
+        assert g.parents("X") == g.children("X") == g.siblings("X") == frozenset()
 
     def test_unknown_node(self, fig1_cpdag):
-        with pytest.raises(KeyError, match="unknown node"):
-            neighborhood(fig1_cpdag, "Z")
+        for view in (fig1_cpdag.parents, fig1_cpdag.children, fig1_cpdag.siblings):
+            with pytest.raises(KeyError, match="unknown node"):
+                view("Z")
 
     def test_partition_property(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = random_graph(rng, 8)
             for v in g.nodes:
-                hood = neighborhood(g, v)
-                union = hood.parents | hood.children | hood.siblings
+                parents, children, siblings = g.parents(v), g.children(v), g.siblings(v)
+                union = parents | children | siblings
                 assert union == g.adjacent(v)
-                total = len(hood.parents) + len(hood.children) + len(hood.siblings)
-                assert total == len(union)
+                assert len(parents) + len(children) + len(siblings) == len(union)
 
 
 class TestDefiniteStatus:
@@ -259,22 +260,33 @@ class TestCycles:
 
 
 class TestNodePath:
+    """The path checks both classifiers run on a node sequence, in order:
+    length, repeats, unknown names, adjacency."""
+
+    CLASSIFIERS = (classify_path, classify_definite_status)
+
     def test_rejects_short_and_repeated(self, fig1_cpdag):
-        with pytest.raises(ValueError):
-            NodePath(fig1_cpdag, ("A",))
-        with pytest.raises(ValueError, match="repeats"):
-            NodePath(fig1_cpdag, ("A", "B", "A"))
+        for classify in self.CLASSIFIERS:
+            with pytest.raises(ValueError, match="^a path needs at least two nodes$"):
+                classify(fig1_cpdag, ("A",))
+            with pytest.raises(ValueError, match=r"^path repeats a node: \('A', 'B', 'A'\)$"):
+                classify(fig1_cpdag, ("A", "B", "A"))
+            with pytest.raises(ValueError, match="^path repeats a node"):
+                classify(fig1_cpdag, ("Q", "Q"))  # before the unknown name
 
     def test_rejects_non_adjacent_step(self, fig1_cpdag):
-        with pytest.raises(ValueError, match="not adjacent"):
-            NodePath(fig1_cpdag, ("A", "C"))
+        for classify in self.CLASSIFIERS:
+            with pytest.raises(ValueError, match="^consecutive path nodes not adjacent: A, C$"):
+                classify(fig1_cpdag, ("A", "C"))
+            with pytest.raises(KeyError, match="unknown node: 'Q'"):
+                classify(fig1_cpdag, ("A", "C", "Q"))  # before the gap
+            assert classify(fig1_cpdag, ["A", "B"]) == classify(fig1_cpdag, ("A", "B"))
 
-    def test_same_graph_required(self, fig1_cpdag, fig3_cpdag):
-        path = NodePath(fig1_cpdag, ("A", "B"))
-        from mpdagkit.pdag_core import as_path
-
-        with pytest.raises(ValueError, match="different graph"):
-            as_path(fig3_cpdag, path)
+    def test_bare_string_is_one_node_name(self):
+        g = parse_graph("A -- B")
+        for classify in self.CLASSIFIERS:
+            with pytest.raises(ValueError, match="^a path needs at least two nodes$"):
+                classify(g, "AB")
 
 
 def test_same_graph_helper(fig1_cpdag):

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from mpdagkit import causal_paths
 from mpdagkit.adjustment import adjust_set, forbidden_set, list_adjustment_sets
-from mpdagkit.causal_paths import (
-    ANCESTORS,
-    b_possible_ancestors,
-    b_possible_descendants,
-    oracle_reach,
-)
+from mpdagkit.causal_paths import ANCESTORS, b_possible_ancestors, b_possible_descendants
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import ida_effects, joint_ida_effects, possible_parent_sets
 from mpdagkit.meek import (
@@ -33,6 +28,7 @@ from mpdagkit.pdag_core import (
     parse_graph,
     serialize_graph,
 )
+from mpdagkit.reference import oracle_reach
 
 from helpers import (
     all_rule_orders,
