@@ -5,16 +5,16 @@ possibly-causal path out of the treatment set must start with a directed
 edge (amenability), the candidate set must avoid the forbidden nodes,
 and every proper non-causal definite-status path must be blocked.  All
 three are decided by reachability: a shortest-walk search per treatment,
-two possible-descent walks, and d-separation in a single DAG extension,
-where removing the first edge of every proper causal path makes the
-test sound and complete.  Every public entry point checks its query in
-one place, :func:`_query`, which runs the library's one node-list rule
-on ``xs``, ``ys`` and ``zs`` and returns node masks; everything behind
-it works on masks and re-checks nothing.
-The one simple-path enumeration left is :func:`forbidden_set`'s, which
-its ``on_path`` field needs; it is walked only until the paths cover
-every node they could, and stops at the enumerator's step budget with a
-ValueError.  No query is bounded by the graph's node count.  The
+two possible-descent walks per treatment, and d-separation in a single
+DAG extension, where removing the first edge of every proper causal path
+makes the test sound and complete.  Every public entry point checks its
+query in one place, :func:`_query`: the library's one node-list rule on
+``xs``, ``ys`` and ``zs``, then the maximality check, as the source
+paper defines the criterion on maximal PDAGs only.  Everything behind it
+works on node masks and re-checks nothing.  The one simple-path
+enumeration left is :func:`forbidden_set`'s, for its ``on_path`` field
+where the walks only bound it; it stops at the enumerator's step budget
+with a ValueError.  No query is bounded by the graph's node count.  The
 path-by-path blocking oracle, ``b_blocking_by_enumeration``, is in
 ``mpdagkit.reference``.
 """
@@ -26,6 +26,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .causal_paths import _forward_reach, _simple_paths
+from .meek import _require_maximal
 from .pdag_core import PdagGraph, _bits, _closure, _query_masks, consistent_extension
 
 
@@ -79,11 +80,12 @@ def _query(
     xs: "str | Iterable[str]",
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
-    optional: tuple[str, ...] = ("zs",),
 ) -> list[int]:
-    """The masks of ``xs``, ``ys`` and ``zs`` after the one node-list
-    rule, under those labels; only the lists in ``optional`` may be empty."""
-    return _query_masks(g, {"xs": xs, "ys": ys, "zs": zs}, optional)
+    """The masks of ``xs``, ``ys`` and ``zs`` (only ``zs`` may be empty)
+    after the one node-list rule, once ``g`` is known to be maximal."""
+    masks = _query_masks(g, {"xs": xs, "ys": ys, "zs": zs}, ("zs",))
+    _require_maximal(g)
+    return masks
 
 
 def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]]:
@@ -159,26 +161,42 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     return ConditionCheck(witness is None, witness)
 
 
-def _forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
-    """Mask of the forbidden nodes of an amenable query: the b-possible
-    descendants of the starts, which are the children of each ``x`` that
-    are b-possible ancestors of ``ys`` in ``g`` without ``xs | pa(x)``.
+def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
+    """Masks ``(sure, bound)`` with ``sure <= on_path <= bound``, where
+    ``on_path`` holds the non-treatment nodes of the proper
+    b-possibly-causal paths.  Per ``x``, in ``H_x = g - (xs | pa(x))``,
+    ``leads`` reach ``ys``; ``sure`` takes the children and siblings of
+    ``x`` in ``leads``, and ``bound`` their b-possible descendants there.
 
-    Proof sketch.  On an amenable query every proper possibly-causal path
-    is ``x -> s ... y``, so the starts are exactly the paths' second
-    nodes, and the result holds every on-path node and lies within their
-    b-possible descendants, the criterion's forbidden set.  Equality is
-    the DAG construction of van der Zander, Liskiewicz and Textor (AIJ
-    2019), the descendants of the children of X that are ancestors of Y
-    without X, read with the possible descendants of Perkovic, Textor,
-    Kalisch and Maathuis (JMLR 2018); the tests sweep it against the
-    enumeration.  On other queries it can miss forbidden nodes.
+    Proof sketch.  ``H_x`` is induced in a maximal PDAG, so it is maximal
+    and, by the source paper's lemma (a b-possibly-causal path has an
+    unshielded b-possibly-causal subsequence), :func:`_forward_reach`
+    decides b-possibly-causal paths in it.  ``x`` before such a path from
+    ``s`` in ``sure`` into ``ys`` is proper and b-possibly-causal, as
+    ``H_x`` lacks the other treatments and ``pa(x)``.  Conversely, such a
+    path ``x, s, ..., v, ..., y`` is in ``H_x`` after ``x`` (it is proper,
+    and a parent of ``x`` on it is a backward edge), so ``v`` is in both
+    walks; only ``bound`` may be loose.  On an amenable query
+    ``sure`` holds children of ``xs`` only, and its b-possible
+    descendants are the forbidden set: the DAG construction of van der
+    Zander, Liskiewicz and Textor (AIJ 2019) read with the possible
+    descendants of Perkovic, Textor, Kalisch and Maathuis (JMLR 2018),
+    which the tests sweep.  On other queries they can miss some.
     """
-    pa, ch = g._pa, g._ch
-    starts = 0
+    pa, ch, und = g._pa, g._ch, g._und
+    sure = bound = 0
     for x in _bits(x_mask):
-        starts |= ch[x] & _forward_reach(g, y_mask, pa, x_mask | pa[x])
-    return _forward_reach(g, starts, ch)
+        removed = x_mask | pa[x]
+        leads = _forward_reach(g, y_mask, pa, removed)
+        starts = (ch[x] | und[x]) & leads
+        sure |= starts
+        bound |= _forward_reach(g, starts, ch, removed) & leads
+    return sure, bound
+
+
+def _forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
+    """Mask of the forbidden nodes of an amenable query."""
+    return _forward_reach(g, _path_nodes(g, x_mask, y_mask)[0], g._ch)
 
 
 def forbidden_set(
@@ -189,35 +207,26 @@ def forbidden_set(
 ) -> ForbiddenSet:
     """Nodes that no adjustment set for (``xs``, ``ys``) may contain.
 
-    Collects every non-treatment node on a proper b-possibly-causal path
-    from ``xs`` to ``ys`` and closes the collection under b-possible
-    descent.  The paths are walked only until they cover ``bound``, the
-    nodes the walk's steps reach from ``xs``: a path grows only into
-    nodes that lead on to a target, and past a target only into nodes
-    that lead on to another one, so ``bound`` holds every on-path node.
-    Where it is loose the walk runs to its end, and a query past the
-    enumerator's step budget raises a ValueError.  ``max_nodes`` is
-    accepted and ignored; it no longer bounds anything.
+    ``on_path`` is every non-treatment node on a proper b-possibly-causal
+    path from ``xs`` to ``ys``, and ``nodes`` its closure under b-possible
+    descent.  Paths are walked only where :func:`_path_nodes`'s bounds on
+    ``on_path`` differ, within ``bound``, until they cover it.  Where it
+    is loose the walk runs to its end, and past the enumerator's step
+    budget it raises a ValueError.  ``max_nodes`` is accepted and
+    ignored; it no longer bounds anything.
     """
     x_mask, y_mask, _ = _query(g, xs, ys)
-    # Back-closures to the targets over usable edges, avoiding xs.
-    into = [(p | u) & ~x_mask for p, u in zip(g._pa, g._und)]
-    viable = _closure(into, y_mask)
-    step = [(c | u) & viable & ~x_mask for c, u in zip(g._ch, g._und)]
-    for y in _bits(y_mask):
-        # A path goes on past y only if it reaches another target.
-        others = y_mask & ~(1 << y)
-        step[y] &= _closure([m & ~(1 << y) for m in into], others) if others else 0
-    bound = _closure(step, x_mask) & ~x_mask
-    on_path = 0
+    on_path, bound = _path_nodes(g, x_mask, y_mask)
+    if on_path != bound:
+        step = [(c | u) & bound for c, u in zip(g._ch, g._und)]
 
-    def cover(path: tuple[int, ...]) -> bool:
-        nonlocal on_path
-        for v in path[1:]:
-            on_path |= 1 << v
-        return on_path == bound
+        def cover(path: tuple[int, ...]) -> bool:
+            nonlocal on_path
+            for v in path[1:]:
+                on_path |= 1 << v
+            return on_path == bound
 
-    _simple_paths(x_mask, step, g._ch, y_mask, cover)
+        _simple_paths(x_mask, step, g._ch, y_mask, cover)
     return ForbiddenSet(g._names(_forward_reach(g, on_path, g._ch)), g._names(on_path))
 
 
@@ -250,7 +259,7 @@ def d_separated(
     """
     if not d.is_dag():
         raise ValueError("d-separation needs a fully directed acyclic graph")
-    return _d_separated(d, *_query(d, xs, ys, zs, optional=("xs", "ys", "zs")))
+    return _d_separated(d, *_query_masks(d, {"xs": xs, "ys": ys, "zs": zs}, ("xs", "ys", "zs")))
 
 
 def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
@@ -339,11 +348,8 @@ def check_b_blocking(
 
 
 def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
-    """The proper back-door graph of one DAG extension of ``g``."""
-    dag = consistent_extension(g)
-    if dag is None:
-        raise ValueError("graph has no consistent DAG extension")
-    return _proper_backdoor_graph(dag, x_mask, y_mask)
+    """The proper back-door graph of one DAG extension of the maximal ``g``."""
+    return _proper_backdoor_graph(consistent_extension(g), x_mask, y_mask)
 
 
 def _blocking_fast(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> ConditionCheck:

@@ -7,7 +7,8 @@ oracle the tests sweep it against.  ``_simple_paths`` is the one
 simple-path enumerator, behind ``forbidden_set`` and the reference
 oracles; it is bounded by a step budget, ``PATH_STEP_BUDGET``, not by
 the graph's size, and its caller may end it early.  The reach queries
-run the library's one node-list rule on ``xs``, which may be empty.
+run the library's one node-list rule on ``xs``, which may be empty, and
+then the maximality check: the search is exact on maximal PDAGs only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .meek import _require_maximal
 from .pdag_core import PdagGraph, _bits, _query_masks
 
 DESCENDANTS = "descendants"
@@ -69,14 +71,16 @@ def _forward_reach(g: PdagGraph, roots: int, out: tuple, removed: int = 0) -> in
 
 def b_possible_descendants(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """All nodes with a b-possibly-causal path from some node of ``xs``
-    (plus ``xs`` itself)."""
+    (plus ``xs`` itself); ``g`` must be a maximal PDAG."""
     (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
+    _require_maximal(g)
     return ReachSet(g._names(_forward_reach(g, roots, g._ch)), g._names(roots), DESCENDANTS)
 
 
 def b_possible_ancestors(g: PdagGraph, xs: "str | Iterable[str]") -> ReachSet:
     """Mirror image of :func:`b_possible_descendants` on the edge-reversed graph."""
     (roots,) = _query_masks(g, {"xs": xs}, optional=("xs",))
+    _require_maximal(g)
     return ReachSet(g._names(_forward_reach(g, roots, g._pa)), g._names(roots), ANCESTORS)
 
 

@@ -1,23 +1,24 @@
 """Command-line frontend.
 
 Subcommands: validate, orient, possde, possan, adjust, ida, simulate.
-Exit codes: 0 success, 1 domain failure (inconsistent knowledge, no
-adjustment set with --find, candidate cap exceeded), 2 usage or parse
-errors.  Every subcommand's node lists pass the library's one node-list
-rule (:func:`~mpdagkit.pdag_core._query_masks`) with their flags as
-labels: a list that names an unknown node, overlaps another (--x with
---y or --z), is empty where a node is required or names a node twice
-exits 2.  So does an ``ida`` data file whose header is not the graph's
-node set or whose rows do not outnumber the nodes, which the library's
-data checks report as the same QueryError; and so do ``simulate``
-settings, from --config or the flags, that are malformed or outside the
-grid's ranges (an empty --p, --en or --fractions among them), a --config
-key that is not a grid setting, or a grid flag given together with
---config (the message names the key or flag), a ``simulate --out`` that
-cannot be opened for writing (a directory, a missing or non-directory
-parent, a name that is too long, no permission; checked before the study
-runs) and an ``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative
-integer.
+Exit codes: 0 success, 1 domain failure (inconsistent knowledge, a
+graph that is not a maximal PDAG, no adjustment set with --find,
+candidate cap exceeded), 2 usage or parse errors.  Every subcommand's
+node lists pass the library's one node-list rule
+(:func:`~mpdagkit.pdag_core._query_masks`) with their flags as labels:
+a list that names an unknown node, overlaps another (--x with --y or
+--z), is empty where a node is required or names a node twice exits 2,
+and so does a second ``ida --y`` node.  So does an ``ida`` data file
+whose header is not the graph's node set or whose rows do not outnumber
+the nodes, which the library's data checks report as the same
+QueryError; and so do ``simulate`` settings, from --config or the
+flags, that are malformed or outside the grid's ranges (an empty --p,
+--en or --fractions among them), a --config key that is not a grid
+setting, or a grid flag given together with --config (the message names
+the key or flag), a ``simulate --out`` that cannot be opened for writing
+(a directory, a missing or non-directory parent, a name that is too
+long, no permission; checked before the study runs) and an
+``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative integer.
 All output is deterministic for fixed arguments and seeds, and graph
 output re-parses through the graph reader.
 """
@@ -53,8 +54,9 @@ UNIVERSE_CAP_ENV = "MPDAGKIT_UNIVERSE_CAP"
 
 class UsageError(Exception):
     """Raised for a malformed CLI-only setting (exit 2): the --z, --find
-    and --list modes, --minimal, the universe cap variable, a background
-    file or --config.  Node lists and data are the library's to check."""
+    and --list modes, --minimal, a second --y node for ida, the universe
+    cap variable, a background file or --config.  Node lists and data
+    are the library's to check."""
 
 
 def _load_graph(path: str) -> PdagGraph:
@@ -185,15 +187,17 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 
 def _cmd_ida(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    xs = _split_nodes(args.x)
-    _query_masks(g, {"--x": xs, "--y": args.y})
+    xs, ys = _split_nodes(args.x), _split_nodes(args.y)
+    _query_masks(g, {"--x": xs, "--y": ys})
+    if len(ys) > 1:
+        raise UsageError("--y names more than one node")
     data, columns = _read_csv_matrix(args.data)
     if len(xs) == 1:
-        effects = ida_effects(g, xs[0], args.y, data, columns)
+        effects = ida_effects(g, xs[0], ys[0], data, columns)
         for entry, value in zip(effects.family, effects.values):
             print(f"parents={_format_set(g, entry.parents[0])} effect={value:.10g}")
     else:
-        effects = joint_ida_effects(g, xs, args.y, data, columns)
+        effects = joint_ida_effects(g, xs, ys[0], data, columns)
         for entry, vector in zip(effects.family, effects.values):
             parents = ", ".join(_format_set(g, s) for s in entry.parents)
             values = ", ".join(format(v, ".10g") for v in vector)

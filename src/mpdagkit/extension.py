@@ -71,9 +71,10 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if has_directed_cycle(g):
-        raise ValueError("input graph has a directed cycle")
     if consistent_extension(g) is None:
+        # A cyclic graph has no extension, so only then is a second peel needed.
+        if has_directed_cycle(g):
+            raise ValueError("input graph has a directed cycle")
         return DagList(())
 
     found: list[PdagGraph] = []

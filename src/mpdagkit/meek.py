@@ -13,8 +13,8 @@ Closure orients a private copy of the graph in place, where each rule
 premise is a few operations on its per-node sibling, parent and child
 bitmasks; the copy shares the graph's node index and is itself the
 result, so no name is looked up or re-checked.  Closure and merge
-outputs are marked maximal when built, so public entry points check
-maximality only on graphs built elsewhere.
+outputs are marked maximal when built, other graphs when they pass the
+check, so no graph is checked twice.
 """
 
 from __future__ import annotations
@@ -210,7 +210,8 @@ def is_closed(g: PdagGraph) -> bool:
 
 
 def _require_maximal(g: PdagGraph) -> None:
-    """Raise ValueError naming the first maximality check ``g`` fails."""
+    """Raise ValueError naming the first maximality check ``g`` fails.
+    A graph that passes is marked maximal, so it is never checked again."""
     if g._maximal:
         return
     report = validate_maximal_pdag(g)
@@ -220,6 +221,7 @@ def _require_maximal(g: PdagGraph) -> None:
         raise ValueError("input graph is not closed under the orientation rules")
     if not report.extendable:
         raise ValueError("graph has no consistent DAG extension")
+    g._maximal = True
 
 
 def _merge_one(g: PdagGraph, x: int, y: int) -> Optional[str]:

@@ -137,7 +137,7 @@ class PdagGraph:
         self._pa = pa
         self._ch = ch
         self._und = und
-        self._maximal = False  # set by meek on a closure or merge output it built
+        self._maximal = False  # set by meek on its own outputs and on a graph it checked
 
     @classmethod
     def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":

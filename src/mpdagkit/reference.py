@@ -9,7 +9,10 @@ routes against: :func:`classify_path` and
 node names, and :func:`oracle_reach` and
 :func:`b_blocking_by_enumeration` walk every simple path with the one
 enumerator, ``causal_paths._simple_paths``, so they stop at its step
-budget with a ValueError.  No production module imports this one.
+budget with a ValueError.  Path semantics hold on any PDAG, so the
+oracles skip the maximality check that the production routes make, and
+the tests sweep them on other graphs too.  No production module imports
+this one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .adjustment import ConditionCheck, _first_witness, _query
+from .adjustment import ConditionCheck, _first_witness
 from .causal_paths import ANCESTORS, DESCENDANTS, ReachSet, _simple_paths
 from .pdag_core import PdagGraph, _adjacency, _closure, _query_masks
 
@@ -155,7 +158,7 @@ def b_blocking_by_enumeration(
     definite non-collider outside ``zs``.  No path is pruned, so the walk
     and its step count do not depend on ``zs``.
     """
-    x_mask, y_mask, z_mask = _query(g, xs, ys, zs, optional=("xs", "ys", "zs"))
+    x_mask, y_mask, z_mask = _query_masks(g, {"xs": xs, "ys": ys, "zs": zs}, ("xs", "ys", "zs"))
     pa, ch, und = g._pa, g._ch, g._und
     adjacent = _adjacency(g)
     opened = _closure(pa, z_mask)  # colliders that do not block

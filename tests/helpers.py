@@ -24,13 +24,14 @@ from mpdagkit import adjustment
 from mpdagkit.causal_paths import _forward_reach, _simple_paths, b_possible_descendants
 from mpdagkit.extension import represents
 from mpdagkit.ida import PossibleParents
-from mpdagkit.meek import construct_max_pdag
+from mpdagkit.meek import construct_max_pdag, validate_maximal_pdag
 from mpdagkit.pdag_core import (
     GraphParseError,
     PdagGraph,
     _adjacency,
     _bits,
     _closure,
+    _query_masks,
     has_directed_cycle,
 )
 from mpdagkit.reference import (
@@ -199,6 +200,20 @@ def dag_descendants(d: PdagGraph, node: str) -> set:
     return out
 
 
+def maximality_error(g: PdagGraph):
+    """The message a query entry point must raise on ``g``: that of the
+    first check of :func:`validate_maximal_pdag` it fails, or None when
+    ``g`` is a maximal PDAG."""
+    report = validate_maximal_pdag(g)
+    if not report.acyclic:
+        return "input graph has a directed cycle"
+    if not report.closed:
+        return "input graph is not closed under the orientation rules"
+    if not report.extendable:
+        return "graph has no consistent DAG extension"
+    return None
+
+
 def name_adjacency(d: PdagGraph) -> dict:
     """Sorted adjacent node names per node, from the public edge lists."""
     adjacent = {v: [] for v in d.nodes}
@@ -360,7 +375,7 @@ def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.Co
     walk, with every path that reaches ``ys`` turned into names and
     judged by ``classify_path``, ``classify_definite_status`` and a
     per-collider descendant search over ``g.children``."""
-    x_mask, y_mask, z_mask = adjustment._query(g, xs, ys, zs)
+    x_mask, y_mask, z_mask = _query_masks(g, {"xs": xs, "ys": ys, "zs": zs}, ("zs",))
     zs = g._names(z_mask)
     step = [(p | c | u) & ~x_mask for p, c, u in zip(g._pa, g._ch, g._und)]
     violations = []

@@ -82,19 +82,28 @@ class TestForbiddenSet:
             b_blocking_by_enumeration(k11, "V0", "V10")
 
     def test_budget_binds_where_the_bound_is_loose(self, monkeypatch):
-        """K6 with ``V5 -> V0`` is maximal, and every path from V0 into V5
-        has a backward pair, so no path covers the nodes the steps reach
-        and the walk runs to the end: the 64 simple paths out of V0 over
-        V1..V4.  A budget of 64 answers and one of 63 stops the walk."""
-        names = [f"V{i}" for i in range(6)]
-        pairs = [(a, b) for a, b in combinations(names, 2) if (a, b) != ("V0", "V5")]
-        g = PdagGraph(names, directed=[("V5", "V0")], undirected=pairs)
+        """On the undirected tree ``X - S - A - Y`` with a leaf ``W`` at
+        ``A``, the walks bound ``on_path`` by {S, A, W, Y}, but no path
+        from X into Y passes W, so no path covers the bound and the walk
+        runs to the end: four path extensions, to S, A, W and Y.  A budget
+        of 4 answers and one of 3 stops the walk."""
+        g = parse_graph("X -- S\nS -- A\nA -- W\nA -- Y")
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 4)
+        assert forbidden_set(g, "X", "Y").on_path == {"S", "A", "Y"}
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 3)
+        with pytest.raises(ValueError, match="budget of 3 steps"):
+            forbidden_set(g, "X", "Y")
+
+    def test_an_outcome_that_is_a_parent_of_the_treatment_walks_no_path(self, monkeypatch):
+        """K12 with ``V11 -> V0`` is maximal, and every path from V0 into
+        V11 has a backward pair: the walks leave out V0's parent V11, so
+        both bounds are empty and the answer needs no path extension."""
+        names = [f"V{i}" for i in range(12)]
+        pairs = [(a, b) for a, b in combinations(names, 2) if (a, b) != ("V0", "V11")]
+        g = PdagGraph(names, directed=[("V11", "V0")], undirected=pairs)
         assert validate_maximal_pdag(g).extendable and is_closed(g)
-        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 64)
-        assert forbidden_set(g, "V0", "V5") == ForbiddenSet(frozenset(), frozenset())
-        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 63)
-        with pytest.raises(ValueError, match="budget of 63 steps"):
-            forbidden_set(g, "V0", "V5")
+        monkeypatch.setattr(causal_paths, "PATH_STEP_BUDGET", 0)
+        assert forbidden_set(g, "V0", "V11") == ForbiddenSet(frozenset(), frozenset())
 
     def test_max_nodes_is_gone_where_nothing_passes_it(self):
         for query in (
@@ -439,6 +448,33 @@ class TestReachabilityRoutes:
             covered += bool(forb.on_path)
         assert covered > 300
 
+    def test_walks_bound_on_path_on_random_mpdags(self):
+        """On random maximal PDAGs of 3-9 nodes with one- and two-node
+        treatment and outcome sets, the walks give ``sure <= on_path <=
+        bound`` and ``forbidden_set`` the enumeration's answer, entry for
+        entry.  The bound is loose, so the paths are walked to their end,
+        on a few non-amenable queries and on no amenable one."""
+        rng = np.random.default_rng(2029)
+        queries = loose = loose_amenable = 0
+        for _ in range(600):
+            g, _ = random_mpdag(rng, 9)
+            nodes = list(g.nodes)
+            for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                if kx + ky > len(nodes):
+                    continue
+                rng.shuffle(nodes)
+                xs, ys = nodes[:kx], nodes[kx : kx + ky]
+                want = enumerated_forbidden_set(g, xs, ys)
+                assert forbidden_set(g, xs, ys) == want, (g, xs, ys)
+                sure, bound = adjustment._path_nodes(g, *adjustment._query(g, xs, ys)[:2])
+                on_path = sum(1 << g.node_index(v) for v in want.on_path)
+                assert sure & ~on_path == 0 and on_path & ~bound == 0, (g, xs, ys)
+                queries += 1
+                if on_path != bound:
+                    loose += 1
+                    loose_amenable += is_amenable(g, xs, ys).ok
+        assert (queries, loose, loose_amenable) == (2321, 35, 0)
+
     def test_blocking_witness_matches_iterative_deepening(self):
         rng = np.random.default_rng(2027)
         connected = 0
@@ -499,8 +535,10 @@ class TestOnePassPerQuery:
             monkeypatch.setattr(module, "_simple_paths", counting)
         return calls
 
-    def test_fixture_counts_the_forbidden_set_enumeration(self, fig3_g1, enumerations):
-        forbidden_set(fig3_g1, "X", "Y")
+    def test_fixture_counts_the_forbidden_set_enumeration(self, enumerations):
+        # The walks bound on_path loosely here, so the paths are walked.
+        g = parse_graph("X -- S\nS -- A\nA -- W\nA -- Y")
+        forbidden_set(g, "X", "Y")
         assert len(enumerations) == 1
 
     @pytest.mark.parametrize(
@@ -511,6 +549,7 @@ class TestOnePassPerQuery:
             lambda g: list_adjustment_sets(g, "X", "Y"),
             lambda g: check_b_blocking(g, "X", "Y", "V1"),
             lambda g: is_amenable(g, "X", "Y"),
+            lambda g: forbidden_set(g, "X", "Y"),
         ],
         ids=[
             "adjust_set",
@@ -518,10 +557,12 @@ class TestOnePassPerQuery:
             "list_adjustment_sets",
             "check_b_blocking",
             "is_amenable",
+            "forbidden_set",
         ],
     )
     def test_one_path_enumeration(self, fig3_g1, enumerations, query):
-        # The query routes decide by reachability: no path is enumerated.
+        # The query routes decide by reachability, and the walks bound the
+        # forbidden set's on_path tightly: no path is enumerated.
         query(fig3_g1)
         assert len(enumerations) == 0
 

@@ -347,7 +347,7 @@ FOUR_CYCLE_TEXT = "A -- B\nB -- C\nC -- D\nD -- A\n"
 
 class TestInputWithNoExtension:
     """The undirected 4-cycle is closed and acyclic but has no DAG
-    extension: the commands that need a maximal PDAG refuse it."""
+    extension: every command that needs a maximal PDAG refuses it."""
 
     @pytest.fixture()
     def cycle(self, tmp_path):
@@ -364,8 +364,13 @@ class TestInputWithNoExtension:
             ["orient", "{g}", "--bg", "A -> B"],
             ["ida", "{g}", "--x", "A", "--y", "C", "--data", "{data}"],
             ["ida", "{g}", "--x", "A,B", "--y", "C", "--data", "{data}"],
+            ["possde", "{g}", "--x", "A"],
+            ["possan", "{g}", "--x", "A"],
+            ["adjust", "{g}", "--x", "A", "--y", "C", "--find"],
+            ["adjust", "{g}", "--x", "A", "--y", "C", "--list"],
+            ["adjust", "{g}", "--x", "A", "--y", "C", "--z", "B"],
         ],
-        ids=["orient", "ida", "joint_ida"],
+        ids=["orient", "ida", "joint_ida", "possde", "possan", "find", "list", "z"],
     )
     def test_refused_with_exit_1(self, cycle, capsys, args):
         g, data = cycle
@@ -380,6 +385,25 @@ class TestInputWithNoExtension:
         assert cli.main(["validate", cycle[0]]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report == {"acyclic": True, "closed": True, "extendable": False}
+
+
+class TestOtherNonMaximalInput:
+    """A directed cycle or a graph the orientation rules would change is
+    refused too, with the first failed check's message."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A -> B\nB -> C\nC -> A\n", "input graph has a directed cycle"),
+            ("A -> B\nB -- C\n", "input graph is not closed under the orientation rules"),
+        ],
+        ids=["cycle", "not_closed"],
+    )
+    def test_refused_with_exit_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "g.g"
+        path.write_text(text)
+        assert cli.main(["possde", str(path), "--x", "A"]) == 1
+        assert capsys.readouterr() == (f"error: {message}\n", "")
 
 
 class TestFileErrors:
@@ -506,13 +530,19 @@ class TestIdaCli:
             ("X,Y", "Y", "--x and --y overlap: {Y}"),
             ("", "Y", "--x must name at least one node"),
             ("X,X", "Y", "--x names a node more than once"),
+            ("X", "", "--y must name at least one node"),
+            ("X", ",", "--y must name at least one node"),
+            ("X", "Y,Y", "--y names a node more than once"),
+            ("X", "Y,W", "--y names more than one node"),
+            ("X", "Y,Q", "unknown node: 'Q'"),
         ],
     )
     def test_malformed_node_lists_are_usage_errors(self, tmp_path, x, y, message):
+        """--y is split like every other list, and names one node."""
         graph_path = tmp_path / "edge.g"
-        graph_path.write_text("X -> Y\n")
+        graph_path.write_text("X -> Y\nnode W\n")
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text("X,Y\n" + "".join(f"{i},{2 * i}\n" for i in range(5)))
+        csv_path.write_text("X,Y,W\n" + "".join(f"{i},{2 * i},{i % 3}\n" for i in range(5)))
         result = run_cli(
             "ida", str(graph_path), "--x", x, "--y", y, "--data", str(csv_path)
         )

@@ -20,7 +20,11 @@ the class: ``--z``'s verdict for each set of the other nodes,
 and ``--list --minimal`` listings.  An ``ida`` that succeeds on at most
 six nodes must print one line per distinct parent tuple over the DAGs
 of the class, with the effect of an unshared least-squares fit on the
-file's data, compared as the printed text.
+file's data, compared as the printed text.  On a graph that is not a
+maximal PDAG, a ``possde``, ``possan``, ``adjust`` or ``ida`` call that
+makes no input error must exit 1 and print the first failed maximality
+check's message; so must each of them on a valid query of that graph,
+``adjust`` in all four modes and ``ida`` on a valid data file.
 
 The 400 examples come from one seeded ``random.Random``, so what they
 cover does not move with edits of the test's text.  Every fourth
@@ -28,12 +32,9 @@ example makes the next node-list mistake of :data:`SLIPS` in turn, so
 each list of each query command gets each mistake the CLI reports for
 it; the others draw a command, weighted towards ``ida`` and ``adjust``
 so that many reach their oracle checks.  After the run, each mistake
-must have been the one the CLI reported, and each oracle check must
-have been reached, at least as often as its floor.
+must have been the one the CLI reported, and each oracle check and the
+gate check must have been reached, at least as often as its floor.
 
-The check that a non-maximal graph exits 1 on every query subcommand
-waits for the maximality gate at the query entry points (ROADMAP item
-1): today ``possde`` and ``possan`` answer on a directed cycle.
 ``simulate`` reads no graph file and has its own tests.
 """
 
@@ -56,7 +57,12 @@ from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import parse_graph, serialize_graph
 from mpdagkit.reference import oracle_reach
 
-from helpers import dag_adjustment_criterion, global_merge_combinations, read_csv_rows
+from helpers import (
+    dag_adjustment_criterion,
+    global_merge_combinations,
+    maximality_error,
+    read_csv_rows,
+)
 
 SEED = 2017
 EXAMPLES = 400
@@ -72,8 +78,7 @@ COMMANDS = (
 SHAPES = ("mpdag", "any", "dag", "cpdag", "mpdag", "mpdag")
 # The node-list mistakes the CLI reports, per command, as (list, kind)
 # with the lists in draw order: an overlap names a node of an earlier
-# list, an empty --z is no mistake, and ida's --y is one name, so each of
-# its mistakes is an unknown name.
+# list, and an empty --z is no mistake.
 KINDS = ("empty", "repeat", "unknown")
 SLIPS = {
     "possde": [("--x", kind) for kind in KINDS],
@@ -83,11 +88,14 @@ SLIPS = {
     + [("--z", kind) for kind in ("repeat", "unknown", "overlap")],
     "ida": [("--y", kind) for kind in KINDS] + [("--x", kind) for kind in KINDS + ("overlap",)],
 }
+# The subcommands that must refuse a graph that is not a maximal PDAG.
+GATED = ("possde", "possan", "adjust", "ida")
+ADJUST_MODES = (["--find"], ["--list"], ["--list", "--minimal"], ["--z", ""])
 PLAN = [(command, slip) for command, slips in SLIPS.items() for slip in slips]
 # An earlier mistake (a mode mix, an undeclared node) can hide a slip, so
 # each is made four or five times and must be reported at least twice.
 SLIP_FLOOR = 2
-ORACLE_FLOORS = {"reach oracle": 20, "adjust oracle": 20, "ida oracle": 40}
+ORACLE_FLOORS = {"reach oracle": 20, "adjust oracle": 20, "ida oracle": 40, "gate": 30}
 
 
 def schedule(rng: random.Random):
@@ -179,7 +187,6 @@ def cli_call(rng: random.Random, command: str, slip):
     elif command == "ida":
         y = node_list("--y", max_size=1)  # drawn first: --y takes one node, --x may take two
         flags = ["--x", node_list("--x"), "--y", y]
-        listed.append(y)  # --y is one name, so "A,A" or "" names no node
 
     columns = rng.sample(names, len(names))
     if mistake():
@@ -200,8 +207,7 @@ def cli_call(rng: random.Random, command: str, slip):
         error = ("error: unknown node: ",) if unknown else ("error: --",)
         # The slip is the one mistake; it is what the CLI reports unless
         # an undeclared node comes first.
-        names_unknown = slip[1] == "unknown" or command == "ida" and slip[0] == "--y"
-        if unknown == names_unknown:
+        if unknown == (slip[1] == "unknown"):
             reported = f"{command} {mistakes[0]}"
     return graph, flags, background, data, mistakes, error, reported
 
@@ -291,6 +297,23 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def check_gate(workdir, path, refused: str, reached: Counter) -> None:
+    """Run each gated subcommand on a valid query of the graph file at
+    ``path``, which is not a maximal PDAG: each must exit 1 and print
+    ``refused``, the first failed maximality check's message."""
+    g = parse_graph(path.read_text())
+    x, y = g.nodes[:2]  # a graph of two nodes is maximal
+    rows = np.random.default_rng(len(g)).standard_normal((len(g) + 2, len(g)))
+    data = workdir / "gate.csv"
+    data.write_text(",".join(g.nodes) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    query = ["--x", x, "--y", y]
+    calls = [["possde", str(path), "--x", x], ["possan", str(path), "--x", x]]
+    calls += [["adjust", str(path), *query, *mode] for mode in ADJUST_MODES]
+    calls.append(["ida", str(path), *query, "--data", str(data)])
+    for argv in calls:
+        assert run(argv) == (1, f"error: {refused}\n", ""), argv
+    reached["gate"] += 1
+
 
 def check_call(workdir, command, call, reached: Counter) -> None:
     graph, flags, background, data, mistakes, error, reported = call
@@ -317,6 +340,11 @@ def check_call(workdir, command, call, reached: Counter) -> None:
         assert err.startswith(error)
     if code == 0 and command == "orient":
         assert parse_graph(out).skeleton() == parse_graph(graph).skeleton()
+    refused = maximality_error(parse_graph(graph))
+    if refused is not None:
+        if code != 2 and command in GATED:
+            assert (code, out) == (1, f"error: {refused}\n")
+        check_gate(workdir, paths["graph.g"], refused, reached)
     if code == 0 and command in ("possde", "possan"):
         g = parse_graph(graph)
         if len(g) <= 6 and is_maximal(g):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpdagkit import extension
 from mpdagkit.extension import (
     consistent_extension,
     enumerate_dags,
@@ -17,6 +18,7 @@ from helpers import brute_force_dags, scan_extension
 FOUR_CYCLE = PdagGraph(
     "ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
 )
+THREE_CYCLE = PdagGraph("ABC", directed=[("A", "B"), ("B", "C"), ("C", "A")])
 
 
 class TestRepresents:
@@ -165,6 +167,33 @@ class TestEnumerateDags:
         g = PdagGraph("ABC", directed=[("A", "B"), ("B", "C"), ("C", "A")])
         with pytest.raises(ValueError, match="directed cycle"):
             enumerate_dags(g)
+
+    @pytest.mark.parametrize(
+        "g, listed, peels",
+        [
+            (PdagGraph("AB", undirected=[("A", "B")]), 2, ["extension"]),
+            (FOUR_CYCLE, 0, ["extension", "cycle"]),
+            (THREE_CYCLE, None, ["extension", "cycle"]),
+        ],
+        ids=["extendable", "no_extension", "cyclic"],
+    )
+    def test_checks_its_input_with_one_peel_when_it_extends(self, monkeypatch, g, listed, peels):
+        """The extension answers acyclicity too, so only a graph without
+        one is peeled a second time, for the cycle check; a cyclic graph
+        (``listed`` None) is refused."""
+        calls = []
+        peelers = {"extension": "consistent_extension", "cycle": "has_directed_cycle"}
+        for label, name in peelers.items():
+            real = getattr(extension, name)
+            monkeypatch.setattr(
+                extension, name, lambda h, real=real, label=label: calls.append(label) or real(h)
+            )
+        if listed is None:
+            with pytest.raises(ValueError, match="^input graph has a directed cycle$"):
+                enumerate_dags(g)
+        else:
+            assert len(enumerate_dags(g)) == listed
+        assert calls == peels
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(59)

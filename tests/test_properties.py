@@ -2,15 +2,24 @@
 under the orientation rules or not, with a DAG extension or not.  The
 topological-order property also takes PDAGs with a directed cycle."""
 
+import re
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdagkit import causal_paths
-from mpdagkit.adjustment import adjust_set, forbidden_set, list_adjustment_sets
+from mpdagkit import adjustment, causal_paths, meek
+from mpdagkit.adjustment import (
+    adjust_set,
+    check_b_blocking,
+    forbidden_set,
+    is_amenable,
+    list_adjustment_sets,
+    satisfies_b_adjustment,
+)
 from mpdagkit.causal_paths import ANCESTORS, b_possible_ancestors, b_possible_descendants
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import ida_effects, joint_ida_effects, possible_parent_sets
@@ -36,6 +45,7 @@ from helpers import (
     dag_adjustment_criterion,
     enumerated_forbidden_set,
     global_merge_parent_sets,
+    maximality_error,
     name_topological_order,
     recursive_simple_paths,
     scan_close,
@@ -245,14 +255,63 @@ def test_simple_paths_match_the_recursive_oracle(g):
 @SEEDED
 @given(any_pdags())
 def test_forbidden_set_matches_the_enumeration(g):
-    """Covering the reachable nodes early gives the full enumeration's
-    ``nodes`` and ``on_path``, cyclic and non-closed inputs included,
-    for every one- and two-node treatment and outcome set."""
+    """On a maximal input, for every one- and two-node treatment and
+    outcome set, the walks bound the enumeration's ``on_path`` from both
+    sides and ``forbidden_set`` gives its ``nodes`` and ``on_path``; any
+    other input raises the maximality check's error."""
+    error = maximality_error(g)
+    if error is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            forbidden_set(g, g.nodes[0], g.nodes[-1])
+        return
     for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
         for xs in combinations(g.nodes, kx):
             rest = [v for v in g.nodes if v not in xs]
             for ys in combinations(rest, ky):
-                assert forbidden_set(g, xs, ys) == enumerated_forbidden_set(g, xs, ys)
+                want = enumerated_forbidden_set(g, xs, ys)
+                assert forbidden_set(g, xs, ys) == want
+                sure, bound = adjustment._path_nodes(g, *adjustment._query(g, xs, ys)[:2])
+                on_path = sum(1 << g.node_index(v) for v in want.on_path)
+                assert sure & ~on_path == 0 and on_path & ~bound == 0
+
+
+# The query entry points behind the maximality gate, each on (g, x, y).
+GATED = {
+    "b_possible_descendants": lambda g, x, y: b_possible_descendants(g, x),
+    "b_possible_ancestors": lambda g, x, y: b_possible_ancestors(g, x),
+    "is_amenable": is_amenable,
+    "forbidden_set": forbidden_set,
+    "satisfies_b_adjustment": satisfies_b_adjustment,
+    "check_b_blocking": check_b_blocking,
+    "adjust_set": adjust_set,
+    "list_adjustment_sets": list_adjustment_sets,
+}
+
+
+@SEEDED
+@given(any_pdags())
+def test_every_query_entry_point_is_gated(g):
+    """Each query entry point raises the first maximality check's error
+    on an input that is not a maximal PDAG, and answers on one; only the
+    first query on a graph object builds an extension for the check."""
+    x, y = g.nodes[0], g.nodes[-1]
+    error = maximality_error(g)
+    with mock.patch.object(
+        meek, "consistent_extension", wraps=meek.consistent_extension
+    ) as checks:
+        for name, query in GATED.items():
+            if x == y and not name.startswith("b_possible"):
+                continue  # one node: no treatment and outcome pair
+            if error is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                    query(g, x, y)
+            elif name == "check_b_blocking" and not satisfies_b_adjustment(g, x, y).forbidden_ok:
+                with pytest.raises(ValueError, match="^blocking check requires"):
+                    query(g, x, y)
+            else:
+                query(g, x, y)
+    if error is None:
+        assert checks.call_count == 1  # the first query's; the others read the mark
 
 
 @SEEDED
