@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .causal_paths import _forward_reach, _simple_paths
 from .meek import _require_maximal
@@ -161,12 +161,16 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     return ConditionCheck(witness is None, witness)
 
 
-def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
-    """Masks ``(sure, bound)`` with ``sure <= on_path <= bound``, where
-    ``on_path`` holds the non-treatment nodes of the proper
-    b-possibly-causal paths.  Per ``x``, in ``H_x = g - (xs | pa(x))``,
-    ``leads`` reach ``ys``; ``sure`` takes the children and siblings of
-    ``x`` in ``leads``, and ``bound`` their b-possible descendants there.
+def _path_starts(g: PdagGraph, x_mask: int, y_mask: int) -> Iterator[tuple[int, int, int]]:
+    """Per ``x`` in ``xs``, ``(removed, leads, starts)``: in ``H_x = g -
+    removed``, with ``removed = xs | pa(x)``, the ``leads`` reach ``ys``,
+    and ``starts`` are the children and siblings of ``x`` among them.
+    The ``starts`` of all ``x`` make the mask ``sure``, and their
+    b-possible descendants in ``H_x`` within ``leads`` the mask ``bound``,
+    with ``sure <= on_path <= bound``, where ``on_path`` holds the
+    non-treatment nodes of the proper b-possibly-causal paths.  The
+    criterion reads ``sure`` only (:func:`_forbidden_nodes`); only
+    :func:`forbidden_set` builds ``bound``.
 
     Proof sketch.  ``H_x`` is induced in a maximal PDAG, so it is maximal
     and, by the source paper's lemma (a b-possibly-causal path has an
@@ -184,19 +188,27 @@ def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
     which the tests sweep.  On other queries they can miss some.
     """
     pa, ch, und = g._pa, g._ch, g._und
-    sure = bound = 0
     for x in _bits(x_mask):
         removed = x_mask | pa[x]
         leads = _forward_reach(g, y_mask, pa, removed)
-        starts = (ch[x] | und[x]) & leads
+        yield removed, leads, (ch[x] | und[x]) & leads
+
+
+def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
+    """The masks ``(sure, bound)`` of :func:`_path_starts`."""
+    sure = bound = 0
+    for removed, leads, starts in _path_starts(g, x_mask, y_mask):
         sure |= starts
-        bound |= _forward_reach(g, starts, ch, removed) & leads
+        bound |= _forward_reach(g, starts, g._ch, removed) & leads
     return sure, bound
 
 
 def _forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
     """Mask of the forbidden nodes of an amenable query."""
-    return _forward_reach(g, _path_nodes(g, x_mask, y_mask)[0], g._ch)
+    sure = 0
+    for _, _, starts in _path_starts(g, x_mask, y_mask):
+        sure |= starts
+    return _forward_reach(g, sure, g._ch)
 
 
 def forbidden_set(
@@ -348,8 +360,13 @@ def check_b_blocking(
 
 
 def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
-    """The proper back-door graph of one DAG extension of the maximal ``g``."""
-    return _proper_backdoor_graph(consistent_extension(g), x_mask, y_mask)
+    """The proper back-door graph of one DAG extension of the maximal
+    ``g``: the one its maximality check kept, else a fresh peel, which
+    gives the same DAG."""
+    dag = g._extension
+    if dag is None:
+        dag = consistent_extension(g)
+    return _proper_backdoor_graph(dag, x_mask, y_mask)
 
 
 def _blocking_fast(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> ConditionCheck:

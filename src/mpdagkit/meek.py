@@ -14,7 +14,9 @@ premise is a few operations on its per-node sibling, parent and child
 bitmasks; the copy shares the graph's node index and is itself the
 result, so no name is looked up or re-checked.  Closure and merge
 outputs are marked maximal when built, other graphs when they pass the
-check, so no graph is checked twice.
+check, so no graph is checked twice; a checked graph also keeps the DAG
+extension its check built, so the queries behind the check need not peel
+it again.
 """
 
 from __future__ import annotations
@@ -211,10 +213,14 @@ def is_closed(g: PdagGraph) -> bool:
 
 def _require_maximal(g: PdagGraph) -> None:
     """Raise ValueError naming the first maximality check ``g`` fails.
-    A graph that passes is marked maximal, so it is never checked again."""
+    A graph that passes is marked maximal, so it is never checked again,
+    and keeps the DAG extension the check built in ``g._extension``,
+    which the adjustment criterion reads instead of peeling ``g`` again.
+    Graphs are immutable, so the kept extension stays one of ``g``'s;
+    every derived graph starts without one."""
     if g._maximal:
         return
-    report = validate_maximal_pdag(g)
+    report, dag = _validation(g)
     if not report.acyclic:
         raise ValueError("input graph has a directed cycle")
     if not report.closed:
@@ -222,6 +228,7 @@ def _require_maximal(g: PdagGraph) -> None:
     if not report.extendable:
         raise ValueError("graph has no consistent DAG extension")
     g._maximal = True
+    g._extension = dag
 
 
 def _merge_one(g: PdagGraph, x: int, y: int) -> Optional[str]:
@@ -290,9 +297,16 @@ def cpdag_of(d: PdagGraph) -> PdagGraph:
     return _closed(PdagGraph._from_masks(d.nodes, d._index, kept_pa, kept_ch, und))
 
 
-def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:
-    """Report whether ``g`` is acyclic, rule-closed and DAG-extendable."""
+def _validation(g: PdagGraph) -> tuple[ValidationReport, Optional[PdagGraph]]:
+    """The report of :func:`validate_maximal_pdag` and the DAG extension
+    it was read from, or None."""
     # consistent_extension returns None on a cyclic graph, so an extension
     # answers acyclicity too; only a graph without one is peeled again.
-    extendable = consistent_extension(g) is not None
-    return ValidationReport(extendable or not has_directed_cycle(g), is_closed(g), extendable)
+    dag = consistent_extension(g)
+    extendable = dag is not None
+    return ValidationReport(extendable or not has_directed_cycle(g), is_closed(g), extendable), dag
+
+
+def validate_maximal_pdag(g: PdagGraph) -> ValidationReport:
+    """Report whether ``g`` is acyclic, rule-closed and DAG-extendable."""
+    return _validation(g)[0]

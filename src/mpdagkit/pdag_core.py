@@ -14,7 +14,10 @@ The module also owns peeling: acyclicity, the topological order the SEM
 sampler walks (:func:`_topological_order`) and the one DAG extension
 (:func:`consistent_extension`), which the orientation rules build on;
 and the one node-list rule (:func:`_query_masks`) that every public
-query and the command line run on a query's node lists.  Judging a
+query and the command line run on a query's node lists.  The text
+format has two readers with one answer: a one-pass regex read of the
+canonical form that :func:`serialize_graph` writes, and the per-line
+parser, which takes every other text and reports its errors.  Judging a
 single path by its nodes (definite status) is a reference oracle, in
 ``mpdagkit.reference``.
 """
@@ -25,7 +28,8 @@ import re
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME_RE = re.compile(_NAME + r"\Z")
 
 UNDIRECTED = "--"
 
@@ -89,7 +93,7 @@ class PdagGraph:
     of the parents, children and siblings of ``nodes[i]``.
     """
 
-    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_und", "_maximal")
+    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_und", "_maximal", "_extension")
 
     def __init__(
         self,
@@ -138,6 +142,7 @@ class PdagGraph:
         self._ch = ch
         self._und = und
         self._maximal = False  # set by meek on its own outputs and on a graph it checked
+        self._extension = None  # the DAG extension meek's check built, on a graph it passed
 
     @classmethod
     def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":
@@ -481,6 +486,41 @@ def _edge_statements(text: str, nodes: dict[str, None]) -> Iterator[tuple]:
         yield st[1:]
 
 
+# One canonical statement per match, or the rest of the text from the
+# first line that is not one (all groups empty); so the matches tile the
+# text.  An edge may not start with the ``node`` keyword.
+_CANONICAL_LINE = re.compile(
+    rf"node ({_NAME})\n|(?!node )({_NAME}) -([->]) ({_NAME})\n|(?s:.+)"
+)
+
+
+def _parse_canonical(text: str) -> Optional[PdagGraph]:
+    """The graph of ``text`` when it is in the strict form that
+    :func:`serialize_graph` writes (``node NAME``, ``A -- B`` and
+    ``A -> B`` lines, single spaces, each line ending in ``\\n``) and
+    declares no self-loop and no pair twice; None otherwise."""
+    index: dict[str, int] = {}
+    edges = []
+    for name, u, op, v in _CANONICAL_LINE.findall(text):
+        if name:
+            index.setdefault(name, len(index))
+        elif u:
+            edges.append((index.setdefault(u, len(index)), index.setdefault(v, len(index)), op))
+        else:
+            return None
+    pa, ch, und = [0] * len(index), [0] * len(index), [0] * len(index)
+    for i, j, op in edges:
+        if i == j or (pa[i] | ch[i] | und[i]) >> j & 1:
+            return None
+        if op == "-":
+            und[i] |= 1 << j
+            und[j] |= 1 << i
+        else:
+            ch[i] |= 1 << j
+            pa[j] |= 1 << i
+    return PdagGraph._from_masks(tuple(index), index, pa, ch, und)
+
+
 def parse_graph(text: str) -> PdagGraph:
     """Parse the edge-list graph format into a :class:`PdagGraph`.
 
@@ -488,7 +528,21 @@ def parse_graph(text: str) -> PdagGraph:
     optional trailing weight on directed edges is accepted and ignored
     here).  ``#`` starts a comment; blank lines are skipped.  Nodes are
     recorded in order of first mention; a pair may be declared once.
+
+    Two routes give the same graph.  A text in the canonical form of
+    :func:`serialize_graph` is read in one regex pass straight into the
+    masks (:func:`_parse_canonical`).  Any other text, and any text the
+    pass declines (a self-loop, a pair declared twice), goes to the
+    per-line parser (:func:`_parse_lines`), which reports every error
+    with its line number; it is the oracle the tests sweep the pass
+    against.
     """
+    g = _parse_canonical(text)
+    return _parse_lines(text) if g is None else g
+
+
+def _parse_lines(text: str) -> PdagGraph:
+    """:func:`parse_graph` one statement at a time."""
     nodes: dict[str, None] = {}
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []

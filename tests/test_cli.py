@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdagkit import cli
-from mpdagkit.pdag_core import GraphParseError, parse_graph
+from mpdagkit import cli, pdag_core
+from mpdagkit.adjustment import is_amenable
+from mpdagkit.causal_paths import b_possible_ancestors, b_possible_descendants
+from mpdagkit.meek import construct_max_pdag, cpdag_of
+from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
 from mpdagkit.sem_sim import SemModel, sample_data
 
 from conftest import FIG1_CPDAG_TEXT, FIG3_CPDAG_TEXT, FIG3_G1_TEXT, FIG3_G2_TEXT
@@ -299,6 +302,68 @@ class TestAdjust:
         monkeypatch.setenv("MPDAGKIT_UNIVERSE_CAP", "0")
         assert cli.main(["adjust", str(graph), "--x", "A", "--y", "B", "--list"]) == 0
         assert capsys.readouterr() == ("{}\n", "")
+
+
+@pytest.fixture()
+def peels(monkeypatch):
+    """The graphs ``consistent_extension`` is called on, through every
+    module binding of it, in call order."""
+    calls = []
+    peel = pdag_core.consistent_extension
+
+    def counted(g):
+        calls.append(g)
+        return peel(g)
+
+    bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "mpdagkit"]
+    bound = [m for m in bound if getattr(m, "consistent_extension", None) is peel]
+    assert len(bound) >= 5  # pdag_core, meek, adjustment, extension, ida (and the package)
+    for module in bound:
+        monkeypatch.setattr(module, "consistent_extension", counted)
+    return calls
+
+
+class TestOnePeelPerParsedGraph:
+    """The maximality check keeps the DAG extension it built on the graph
+    it passed, and the adjustment criterion reads it, so one CLI query
+    peels its parsed graph once."""
+
+    @pytest.mark.parametrize(
+        "mode", [["--find"], ["--z", "V1"], ["--z", ""], ["--list"], ["--list", "--minimal"]]
+    )
+    @pytest.mark.parametrize("graph", ["fig3_g1", "fig3_g2"])
+    def test_adjust_peels_once(self, graphs, peels, capsys, graph, mode):
+        assert cli.main(["adjust", graphs[graph], "--x", "X", "--y", "Y", *mode]) in (0, 1)
+        assert len(peels) == 1
+
+    @pytest.mark.parametrize("command", ["possde", "possan"])
+    def test_reach_peels_once(self, graphs, peels, capsys, command):
+        assert cli.main([command, graphs["fig3_g1"], "--x", "X"]) == 0
+        assert len(peels) == 1
+
+    def test_library_built_graphs_are_not_peeled_by_the_gate(self, peels):
+        dag = parse_graph(FIG3_G1_TEXT.replace("--", "->"))
+        cpdag = cpdag_of(dag)
+        merged = construct_max_pdag(cpdag, [("V1", "X")]).graph
+        assert merged != cpdag and peels == []
+        for g in (cpdag, merged):
+            b_possible_descendants(g, "X")
+            b_possible_ancestors(g, "Y")
+            is_amenable(g, "X", "Y")
+        assert peels == []
+
+    def test_the_kept_extension_is_a_fresh_peel_and_derived_graphs_have_none(self):
+        g = parse_graph(FIG3_G1_TEXT)
+        assert g._extension is None
+        b_possible_descendants(g, "X")
+        assert g._extension == pdag_core.consistent_extension(g)
+        derived = (
+            g._copy(),
+            g.reversed(),
+            PdagGraph._from_masks(g.nodes, g._index, g._pa, g._ch, g._und),
+        )
+        for d in derived:
+            assert d._extension is None and not d._maximal
 
 
 class TestErrors:

@@ -26,14 +26,20 @@ makes no input error must exit 1 and print the first failed maximality
 check's message; so must each of them on a valid query of that graph,
 ``adjust`` in all four modes and ``ida`` on a valid data file.
 
-The 400 examples come from one seeded ``random.Random``, so what they
-cover does not move with edits of the test's text.  Every fourth
-example makes the next node-list mistake of :data:`SLIPS` in turn, so
-each list of each query command gets each mistake the CLI reports for
-it; the others draw a command, weighted towards ``ida`` and ``adjust``
-so that many reach their oracle checks.  After the run, each mistake
-must have been the one the CLI reported, and each oracle check and the
-gate check must have been reached, at least as often as its floor.
+The examples come from one seeded ``random.Random``, so what they
+cover does not move with edits of the test's text.  Every node-list
+mistake of :data:`SLIPS` is made :data:`SLIP_TRIES` times, every other
+example in turn, so each list of each query command gets each mistake
+the CLI reports for it (``ida --y`` also a second node); :data:`FREE`
+more examples draw a command, weighted towards ``ida`` and ``adjust``
+so that many reach their oracle checks.  The graph file of each example
+is written in one of :data:`SPELLINGS` in turn, so the checks run on
+both routes of the graph parser: its one pass over the canonical text
+and its per-line parser.  Only an ``ida`` call writes its data file.
+After the run, each mistake must have been the one the CLI reported on
+at least a third of its tries, and each oracle check, the gate check,
+each spelling and each parse route must have been reached at least as
+often as its floor.
 
 ``simulate`` reads no graph file and has its own tests.
 """
@@ -54,7 +60,7 @@ from mpdagkit.causal_paths import ANCESTORS, DESCENDANTS
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import _fit_coefficient_matrix
 from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
-from mpdagkit.pdag_core import parse_graph, serialize_graph
+from mpdagkit.pdag_core import _parse_canonical, parse_graph, serialize_graph
 from mpdagkit.reference import oracle_reach
 
 from helpers import (
@@ -65,7 +71,6 @@ from helpers import (
 )
 
 SEED = 2017
-EXAMPLES = 400
 POOL = "ABCDEFG"
 UNKNOWN = "Z"
 # Repeats weight the draws: ``ida`` is four of ten commands, ``adjust``
@@ -78,7 +83,7 @@ COMMANDS = (
 SHAPES = ("mpdag", "any", "dag", "cpdag", "mpdag", "mpdag")
 # The node-list mistakes the CLI reports, per command, as (list, kind)
 # with the lists in draw order: an overlap names a node of an earlier
-# list, and an empty --z is no mistake.
+# list, an empty --z is no mistake, and a second node is one for ida's --y.
 KINDS = ("empty", "repeat", "unknown")
 SLIPS = {
     "possde": [("--x", kind) for kind in KINDS],
@@ -86,24 +91,51 @@ SLIPS = {
     "adjust": [("--x", kind) for kind in KINDS]
     + [("--y", kind) for kind in KINDS + ("overlap",)]
     + [("--z", kind) for kind in ("repeat", "unknown", "overlap")],
-    "ida": [("--y", kind) for kind in KINDS] + [("--x", kind) for kind in KINDS + ("overlap",)],
+    "ida": [("--y", kind) for kind in KINDS + ("second",)]
+    + [("--x", kind) for kind in KINDS + ("overlap",)],
 }
 # The subcommands that must refuse a graph that is not a maximal PDAG.
 GATED = ("possde", "possan", "adjust", "ida")
 ADJUST_MODES = (["--find"], ["--list"], ["--list", "--minimal"], ["--z", ""])
 PLAN = [(command, slip) for command, slips in SLIPS.items() for slip in slips]
-# An earlier mistake (a mode mix, an undeclared node) can hide a slip, so
-# each is made four or five times and must be reported at least twice.
-SLIP_FLOOR = 2
-ORACLE_FLOORS = {"reach oracle": 20, "adjust oracle": 20, "ida oracle": 40, "gate": 30}
+# Each slip is made SLIP_TRIES times however long the plan is, besides
+# the FREE examples that make none.  An earlier mistake (a mode mix, an
+# undeclared node) can hide a slip, so each must be reported on at least
+# a third of its tries.
+SLIP_TRIES = 8
+FREE = 300
+ORACLE_FLOORS = {
+    "reach oracle": 20,
+    "adjust oracle": 20,
+    "ida oracle": 40,
+    "gate": 30,
+    "one pass": 50,
+    "per-line parse": 80,
+}
+# Equivalent spellings of a graph file, one per example in turn.  The
+# canonical text takes the parser's one pass; a comment line, tabs or a
+# missing final newline take the per-line route.  The CLI reads files in
+# text mode, which turns CRLF into LF, so a CRLF file takes the one pass.
+SPELLINGS = {
+    "canonical": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment": lambda text: "# a graph\n" + text,
+    "tab": lambda text: text.replace(" ", "\t"),
+    "no final newline": lambda text: text[:-1],
+}
+SPELLING_FLOOR = 25  # calls per spelling that read the file and ran a query
 
 
 def schedule(rng: random.Random):
-    """The (command, slip) of each example: every fourth one makes the
-    next slip of :data:`PLAN`, and the others draw a command and make no
-    node-list mistake."""
-    for i in range(EXAMPLES):
-        yield PLAN[i // 4 % len(PLAN)] if i % 4 == 0 else (rng.choice(COMMANDS), None)
+    """The (command, slip) of each example: while slips are left, every
+    other example makes the next slip of :data:`PLAN` in turn; the others
+    draw a command and make no node-list mistake."""
+    slips = PLAN * SLIP_TRIES
+    for i in range(FREE + len(slips)):
+        if i % 2 == 0 and i // 2 < len(slips):
+            yield slips[i // 2]
+        else:
+            yield rng.choice(COMMANDS), None
 
 
 def cli_call(rng: random.Random, command: str, slip):
@@ -158,6 +190,8 @@ def cli_call(rng: random.Random, command: str, slip):
         taken = [shuffled.pop() for _ in range(min(size, len(shuffled)))]
         if kind == "overlap":
             taken.append(rng.choice(listed))
+        elif kind == "second":  # ida's --y takes one node
+            taken.append(shuffled.pop())
         elif kind is not None:
             taken = {"empty": [], "repeat": taken + taken[:1], "unknown": taken + [UNKNOWN]}[kind]
             kind = kind if taken else "empty"
@@ -315,23 +349,27 @@ def check_gate(workdir, path, refused: str, reached: Counter) -> None:
     reached["gate"] += 1
 
 
-def check_call(workdir, command, call, reached: Counter) -> None:
+def check_call(workdir, command, call, spelling, reached: Counter) -> None:
     graph, flags, background, data, mistakes, error, reported = call
     if reported is not None:
         reached[reported] += 1
     paths = {name: workdir / name for name in ("graph.g", "bg.g", "data.csv")}
-    paths["graph.g"].write_text(graph)
-    paths["data.csv"].write_text(data)
+    paths["graph.g"].write_text(SPELLINGS[spelling](graph))
     argv = [command, str(paths["graph.g"]), *flags]
     if background is not None:
         paths["bg.g"].write_text(background)
         argv += ["--bg", str(paths["bg.g"])]
     if command == "ida":
+        paths["data.csv"].write_text(data)
         argv += ["--data", str(paths["data.csv"])]
 
     code, out, err = run(argv)
 
     assert code in (0, 1, 2)
+    if code in (0, 1):  # the file was read and a query ran on it
+        reached[f"spelling {spelling}"] += 1
+        one_pass = _parse_canonical(paths["graph.g"].read_text()) is not None
+        reached["one pass" if one_pass else "per-line parse"] += 1
     if code == 2:
         assert out == ""
         assert "error: " in err
@@ -369,14 +407,20 @@ def check_call(workdir, command, call, reached: Counter) -> None:
 
 def test_every_call_keeps_the_exit_code_contract(workdir):
     rng = random.Random(SEED)
-    reached = Counter()  # the slips the CLI reported and the oracle checks reached
+    reached = Counter()  # the slips the CLI reported and the checks reached
+    tries = Counter()  # the examples that made each slip
+    spellings = list(SPELLINGS)
     for i, (command, slip) in enumerate(schedule(rng)):
         call = cli_call(rng, command, slip)
+        spelling = spellings[i % len(spellings)]
+        if slip is not None:
+            tries[f"{command} {slip[0]} {slip[1]}"] += 1
         try:
-            check_call(workdir, command, call, reached)
+            check_call(workdir, command, call, spelling, reached)
         except AssertionError as exc:
-            raise AssertionError(f"example {i}: {command} {call}") from exc
-    floors = {f"{command} {flag} {kind}": SLIP_FLOOR for command, (flag, kind) in PLAN}
+            raise AssertionError(f"example {i}: {command} {spelling} {call}") from exc
+    floors = {label: -(-count // 3) for label, count in tries.items()}
     floors.update(ORACLE_FLOORS)
+    floors.update({f"spelling {name}": SPELLING_FLOOR for name in SPELLINGS})
     short = {label: reached[label] for label, floor in floors.items() if reached[label] < floor}
     assert not short, f"below their floors: {short}"

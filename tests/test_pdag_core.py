@@ -1,9 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdagkit.pdag_core import (
     GraphParseError,
     PdagGraph,
+    _parse_canonical,
+    _parse_lines,
     has_directed_cycle,
     parse_graph,
     serialize_graph,
@@ -98,6 +104,86 @@ class TestParsing:
         for _ in range(1000):
             g = random_graph(rng, int(rng.integers(1, 16)))
             assert parse_graph(serialize_graph(g)) == g
+
+
+# Names for the parse sweep: ``node`` is also the keyword, and the
+# last three are not names at all.
+SWEEP_NAMES = ("A", "B", "C", "D", "E", "x_1", "node", "1A", "A-B", "\xe9")
+# Spellings of a statement that only the per-line parser reads.
+RESPELLINGS = (
+    lambda line: line.replace(" ", "\t", 1),
+    lambda line: " " + line.replace(" ", "  "),
+    lambda line: line + "  # note",
+    lambda line: line + " 0.5",
+    lambda line: line + "\r",
+    lambda line: "# note\n\n" + line,
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Up to seven statements, mostly canonical ``node NAME``, ``A -- B``
+    and ``A -> B`` lines over seven names, ``node`` among them, with each
+    edge on a new pair.  About one statement in five is one that only
+    the per-line parser decides: a repeat of an earlier pair in either
+    order (the most common), a self-loop, an edge from the ``node``
+    keyword, or a statement over the whole pool, bad names too.  One
+    statement in eight is respelled, and one text in six lacks its final
+    newline."""
+    names = SWEEP_NAMES[:7]
+    lines, pairs = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        roll = draw(st.integers(0, 31))
+        op = draw(st.sampled_from(("->", "--", "->")))
+        u = draw(st.sampled_from(names[:-1]))
+        fresh = [w for w in names if w != u and (u, w) not in pairs and (w, u) not in pairs]
+        v = draw(st.sampled_from(fresh or [w for w in names if w != u]))
+        if roll in (27, 28) and pairs:
+            u, v = draw(st.sampled_from(pairs))
+            u, v = (v, u) if draw(st.booleans()) else (u, v)
+        elif roll == 29:
+            v = u
+        elif roll == 30:
+            u = "node"
+        elif roll == 31:
+            u, v = draw(st.sampled_from(SWEEP_NAMES)), draw(st.sampled_from(SWEEP_NAMES))
+        if roll < 20 or roll > 26:
+            pairs.append((u, v))
+            line = f"{u} {op} {v}"
+        else:
+            line = f"node {v if roll < 26 else draw(st.sampled_from(SWEEP_NAMES))}"
+        if draw(st.integers(0, 7)) == 7:
+            line = draw(st.sampled_from(RESPELLINGS))(line)
+        lines.append(line)
+    end = "" if draw(st.integers(0, 5)) == 5 else "\n"
+    return "\n".join(lines) + end if lines else end
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return "error", type(exc).__name__, str(exc)
+    return "graph", g.nodes, g._pa, g._ch, g._und
+
+
+def test_one_pass_parse_matches_the_per_line_oracle():
+    """``parse_graph`` gives the per-line parser's graph (nodes in order
+    and masks) or its error text and line, whichever route it takes; the
+    one-pass route is taken only on canonical texts it can decide, and
+    each route is swept on enough examples."""
+    routes = Counter()
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(text=graph_texts())
+    def sweep(text):
+        want = parse_outcome(_parse_lines, text)
+        assert parse_outcome(parse_graph, text) == want
+        routes["one pass" if _parse_canonical(text) is not None else want[0]] += 1
+
+    sweep()
+    floors = {"one pass": 150, "graph": 100, "error": 150}
+    assert all(routes[route] >= floor for route, floor in floors.items()), routes
 
 
 class TestGraphValue:
