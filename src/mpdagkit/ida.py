@@ -77,7 +77,12 @@ class EffectMultiset:
         clean = [vec for vec in vectors if not any(math.isnan(c) for c in vec)]
         reps: list[tuple] = []
         for vec in sorted(clean):
-            if not reps or max(abs(a - b) for a, b in zip(vec, reps[-1])) > DEDUP_TOLERANCE:
+            # A vector joins the first representative within the tolerance,
+            # not only the last one: two near-equal vectors can sort on
+            # either side of a third.  For scalars the last is the nearest.
+            if not any(
+                max(abs(a - b) for a, b in zip(vec, rep)) <= DEDUP_TOLERANCE for rep in reps
+            ):
                 reps.append(vec)
         out = [rep if len(rep) > 1 else rep[0] for rep in reps]
         if nan_seen:
@@ -198,10 +203,12 @@ def _least_squares(
     """Least-squares coefficients of ``regressors`` (after an intercept)
     for ``target``; all NaN when the design matrix is rank deficient.
 
-    ``fits``, when given, is one query's table of earlier results for
-    this ``data``, keyed by ``(target, regressor tuple)``: a key it holds
-    is not fitted again, and a new fit is stored in it.  Callers only
-    read the arrays it returns."""
+    ``fits``, when given, is a table of earlier results for this
+    ``data``, keyed by ``(target, regressor tuple)``: a key it holds is
+    not fitted again, and a new fit is stored in it.  A table is scoped
+    to one data matrix (one joint query, or one study replicate), so a
+    read-back result is the one the same ``lstsq`` call on the same
+    design matrix gives.  Callers only read the arrays it returns."""
     if fits is not None:
         key = (target, tuple(regressors))
         if key not in fits:
@@ -224,12 +231,19 @@ def ida_effects(
     y: str,
     data: np.ndarray,
     columns: Optional[Sequence[str]] = None,
+    *,
+    _fits: Optional[dict] = None,
 ) -> EffectMultiset:
     """Multiset of possible total effects of ``x`` on ``y``.
 
     One value per possible parent set ``P`` of ``x``: zero when ``y`` is
     in ``P``, otherwise the coefficient of ``x`` when ``y`` is regressed
     on ``x`` and ``P``.  The lists are labelled ``x`` and ``y``.
+
+    ``_fits`` is private: :func:`_least_squares`'s table for this
+    ``data``, which a study replicate shares between its rows so that a
+    regression an earlier row fitted is read back, not refitted.  It is
+    scoped to one data matrix, and callers only read what it holds.
     """
     data, col = _effect_data(g, {"x": x, "y": y}, data, columns)
     _require_maximal(g)
@@ -241,7 +255,7 @@ def ida_effects(
             values.append(0.0)
             continue
         regressors = [x] + sorted(parents, key=g.node_index)
-        values.append(float(_least_squares(data, col, y, regressors)[0]))
+        values.append(float(_least_squares(data, col, y, regressors, _fits)[0]))
     return EffectMultiset(family, tuple(values))
 
 

@@ -287,6 +287,9 @@ def _replicate_rows(
 
     rows = []
     graph, merged = cpdag, 0
+    # The parent sets of x only shrink as fractions grow, so most of a
+    # row's regressions were fitted by an earlier row on the same data.
+    fits: dict = {}
     for fraction in cfg.fractions:
         start = time.perf_counter()
         # Fractions ascend, so this fraction's prefix extends the last one's.
@@ -295,7 +298,7 @@ def _replicate_rows(
         merged = count
         amen = bool(is_amenable(graph, x, y).ok)
         identifiable = adjust_set(graph, x, y) is not None
-        effects = ida_effects(graph, x, y, data)
+        effects = ida_effects(graph, x, y, data, _fits=fits)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             SimRow(

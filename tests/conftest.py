@@ -24,6 +24,15 @@ FIG3_G1_TEXT = "V1 -> X\nX -> V2\nX -> Y\nV2 -- Y"
 FIG3_G2_TEXT = "Y -> X\nX -> V1\nV2 -- X\nV2 -- Y"
 
 
+def write_fresh(path, text: str, encoding=None) -> None:
+    """Write ``text`` to ``path`` as a new file.  Truncating a non-empty
+    file makes ext4 flush it to disk when it is closed (``auto_da_alloc``),
+    which costs tens of milliseconds; a sweep that rewrites one file per
+    example unlinks it first, and a new file is written in microseconds."""
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding=encoding)
+
+
 @pytest.fixture(scope="session")
 def fig1_cpdag():
     return parse_graph(FIG1_CPDAG_TEXT)

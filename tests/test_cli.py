@@ -19,7 +19,7 @@ from mpdagkit.meek import construct_max_pdag, cpdag_of
 from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
 from mpdagkit.sem_sim import SemModel, sample_data
 
-from conftest import FIG1_CPDAG_TEXT, FIG3_CPDAG_TEXT, FIG3_G1_TEXT, FIG3_G2_TEXT
+from conftest import FIG1_CPDAG_TEXT, FIG3_CPDAG_TEXT, FIG3_G1_TEXT, FIG3_G2_TEXT, write_fresh
 from helpers import read_csv_rows
 
 
@@ -1031,6 +1031,6 @@ def read_outcome(read, path):
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(text=csv_texts())
 def test_data_reader_matches_the_per_row_oracle(sweep_file, text):
-    sweep_file.write_text(text, encoding="utf-8")
+    write_fresh(sweep_file, text, encoding="utf-8")
     path = str(sweep_file)
     assert read_outcome(cli._read_csv_matrix, path) == read_outcome(read_csv_rows, path)

@@ -63,6 +63,7 @@ from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import _parse_canonical, parse_graph, serialize_graph
 from mpdagkit.reference import oracle_reach
 
+from conftest import write_fresh
 from helpers import (
     dag_adjustment_criterion,
     global_merge_combinations,
@@ -339,7 +340,7 @@ def check_gate(workdir, path, refused: str, reached: Counter) -> None:
     x, y = g.nodes[:2]  # a graph of two nodes is maximal
     rows = np.random.default_rng(len(g)).standard_normal((len(g) + 2, len(g)))
     data = workdir / "gate.csv"
-    data.write_text(",".join(g.nodes) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    write_fresh(data, ",".join(g.nodes) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
     query = ["--x", x, "--y", y]
     calls = [["possde", str(path), "--x", x], ["possan", str(path), "--x", x]]
     calls += [["adjust", str(path), *query, *mode] for mode in ADJUST_MODES]
@@ -354,13 +355,13 @@ def check_call(workdir, command, call, spelling, reached: Counter) -> None:
     if reported is not None:
         reached[reported] += 1
     paths = {name: workdir / name for name in ("graph.g", "bg.g", "data.csv")}
-    paths["graph.g"].write_text(SPELLINGS[spelling](graph))
+    write_fresh(paths["graph.g"], SPELLINGS[spelling](graph))
     argv = [command, str(paths["graph.g"]), *flags]
     if background is not None:
-        paths["bg.g"].write_text(background)
+        write_fresh(paths["bg.g"], background)
         argv += ["--bg", str(paths["bg.g"])]
     if command == "ida":
-        paths["data.csv"].write_text(data)
+        write_fresh(paths["data.csv"], data)
         argv += ["--data", str(paths["data.csv"])]
 
     code, out, err = run(argv)

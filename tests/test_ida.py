@@ -495,6 +495,34 @@ class TestDedup:
         ms = EffectMultiset(family, ((1.0, 2.0), (1.0, 2.0 + 1e-12), (1.0, 3.0)))
         assert ms.unique_count() == 2
 
+    def test_vector_joins_the_first_representative_within_tolerance(self):
+        # The middle vector sorts between two near-equal ones, which are
+        # one effect, not two.
+        family = possible_parent_sets(parse_graph("X -> Y"), ["X"])
+        values = (
+            (0.5747231995583424, 0.0),
+            (0.5747231995583425, -0.24043324150955261),
+            (0.5747231995583426, 0.0),
+        )
+        ms = EffectMultiset(family, values)
+        assert ms.unique_count() == 2
+        assert ms.unique_values() == [values[0], values[1]]
+
+    def test_count_ignores_order_and_tiny_noise(self):
+        # Effects planted on a coarse grid, each repeated with at most
+        # 1e-12 of noise per component: the count is the number planted,
+        # in any order of the values.
+        family = possible_parent_sets(parse_graph("X -> Y"), ["X"])
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            width = int(rng.integers(1, 4))
+            planted = np.unique(rng.integers(-2, 3, size=(int(rng.integers(1, 7)), width)) / 4, axis=0)
+            copies = np.repeat(planted, rng.integers(1, 4, size=len(planted)), axis=0)
+            noisy = copies + rng.uniform(-1e-12, 1e-12, size=copies.shape)
+            for rows in (copies, noisy, noisy[rng.permutation(len(noisy))]):
+                values = tuple(tuple(map(float, r)) if width > 1 else float(r[0]) for r in rows)
+                assert EffectMultiset(family, values).unique_count() == len(planted), values
+
     def test_nan_grouped_separately(self):
         family = possible_parent_sets(parse_graph("X -> Y"), ["X"])
         ms = EffectMultiset(family, (1.0, float("nan"), float("nan")))

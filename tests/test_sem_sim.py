@@ -11,6 +11,7 @@ import pytest
 
 from mpdagkit import sem_sim
 from mpdagkit.extension import represents
+from mpdagkit.ida import ida_effects, possible_parent_sets
 from mpdagkit.meek import cpdag_of
 from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
 from mpdagkit.sem_sim import (
@@ -470,6 +471,86 @@ class TestStudyRoute:
                 cpdag_of(dag), dag, row.fraction, np.random.default_rng([row.seed, 3])
             )
             assert graph == want
+
+
+TABLE_CFG = SimConfig(
+    node_counts=(6, 8),
+    neighborhood_sizes=(3.0, 5.0),
+    graphs_per_setting=5,
+    sample_size=20,
+    seed=30,
+)
+
+
+def few_distinct_rows(model, n, rng):
+    """``sample_data`` with every row a copy of one of the first four, so
+    that a regression on more than three regressors is rank deficient."""
+    return sample_data(model, n, rng)[np.arange(n) % 4]
+
+
+def study_queries(rows, sample):
+    """Each row's IDA query rebuilt from its replicate's seeded streams:
+    the graph, the treatment, the outcome and the data."""
+    for row in rows:
+        rng = np.random.default_rng([row.seed, 0])
+        model = random_dag(row.p, row.en, rng)
+        while not model.coefficients:
+            model = random_dag(row.p, row.en, rng)
+        data = sample(model, TABLE_CFG.sample_size, np.random.default_rng([row.seed, 1]))
+        x, y = choose_xy(model.dag, np.random.default_rng([row.seed, 2]))
+        graph = add_background_fraction(
+            cpdag_of(model.dag), model.dag, row.fraction, np.random.default_rng([row.seed, 3])
+        )
+        yield graph, x, y, data
+
+
+class TestReplicateFitTable:
+    """The rows of a replicate share one fit table for its data matrix."""
+
+    def test_rows_equal_ida_without_a_table(self, monkeypatch):
+        monkeypatch.setattr(sem_sim, "sample_data", few_distinct_rows)
+        effects = []
+        study_route = sem_sim.ida_effects
+
+        def recording(*args, **kwargs):
+            effects.append(study_route(*args, **kwargs))
+            return effects[-1]
+
+        monkeypatch.setattr(sem_sim, "ida_effects", recording)
+        rows = run_simulation(TABLE_CFG)
+        assert len(effects) == len(rows)
+        fitted = failed = 0
+        for row, got, query in zip(rows, effects, study_queries(rows, few_distinct_rows)):
+            want = ida_effects(*query)
+            assert (row.n_tuples, row.n_unique) == (len(want), want.unique_count())
+            assert got.family == want.family
+            assert [math.isnan(v) for v in got.values] == [math.isnan(v) for v in want.values]
+            assert [v for v in got.values if not math.isnan(v)] == [
+                v for v in want.values if not math.isnan(v)
+            ]
+            failed += sum(map(math.isnan, want.values))
+            fitted += sum(v != 0 and not math.isnan(v) for v in want.values)
+        assert failed and fitted  # both outcomes of a fit are read back
+
+    def test_each_replicate_fits_each_regression_once(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        rows = run_simulation(TABLE_CFG)
+        fits = len(calls)
+        keys = set()
+        regressions = 0
+        for row, (graph, x, y, _data) in zip(rows, study_queries(rows, sample_data)):
+            for (parents,) in possible_parent_sets(graph, x).tuples():
+                if y not in parents:
+                    keys.add((row.seed, y, x, tuple(sorted(parents, key=graph.node_index))))
+                    regressions += 1
+        assert fits == len(keys) < regressions
 
 
 SAMPLE_DIGEST_SCRIPT = """
