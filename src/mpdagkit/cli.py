@@ -19,8 +19,10 @@ the key or flag), a ``simulate --out`` that cannot be opened for writing
 (a directory, a missing or non-directory parent, a name that is too
 long, no permission; checked before the study runs) and an
 ``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative integer.
-All output is deterministic for fixed arguments and seeds, and graph
-output re-parses through the graph reader.
+Graph, background and data files are read as UTF-8, and a leading byte
+order mark, as Excel and Notepad write, is dropped.  All output is
+deterministic for fixed arguments and seeds, and graph output re-parses
+through the graph reader.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class UsageError(Exception):
 
 
 def _load_graph(path: str) -> PdagGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 
@@ -68,7 +70,7 @@ def _load_background(spec: str):
     """A path to a knowledge file, or an inline string of '->' statements
     (newline- or semicolon-separated)."""
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(spec, "r", encoding="utf-8-sig") as fh:
             return parse_background(fh.read())
     if "->" in spec:
         return parse_background(spec.replace(";", "\n"))
@@ -85,7 +87,7 @@ def _format_set(g: PdagGraph, names) -> str:
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise GraphParseError("empty data file")

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .adjustment import adjust_set, is_amenable
+from .adjustment import _amenable_adjust_set
 from .ida import ida_effects
 from .meek import construct_max_pdag, cpdag_of
 from .pdag_core import (
@@ -296,8 +296,8 @@ def _replicate_rows(
         count = int(round(fraction * len(requirements)))
         graph = _merge_background(graph, requirements[merged:count])
         merged = count
-        amen = bool(is_amenable(graph, x, y).ok)
-        identifiable = adjust_set(graph, x, y) is not None
+        amen, adjustment_set = _amenable_adjust_set(graph, x, y)
+        identifiable = adjustment_set is not None
         effects = ida_effects(graph, x, y, data, _fits=fits)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(

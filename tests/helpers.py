@@ -5,8 +5,10 @@ restart-scan closure re-derives the orientation rules from scratch, the
 parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
-deepening, the listing oracle tests every candidate subset and then
-filters the minimal ones, the blocking-enumeration oracle re-classifies
+deepening, the back-door oracle decides blocking by d-separation in
+one DAG extension's proper back-door graph, the listing oracle tests
+every candidate subset and then filters the minimal ones, the
+blocking-enumeration oracle re-classifies
 every path it walks by node names, the forbidden-set oracle walks every
 proper possibly-causal path to its end, the simple-path oracle is the recursive
 enumerator that the library's explicit-stack walk replaced, the
@@ -405,6 +407,18 @@ def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.Co
 
     _simple_paths(x_mask, step, (0,) * len(g), y_mask, check)
     return adjustment.ConditionCheck(not violations, adjustment._first_witness(violations))
+
+
+def extension_blocking(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int):
+    """Reference for the blocking walk on the maximal ``g``: d-separation
+    in the proper back-door graph of one DAG extension, with the
+    d-connecting path there as the witness."""
+    pruned = adjustment._backdoor_dag(g, x_mask, y_mask)
+    if adjustment._d_separated(pruned, x_mask, y_mask, z_mask):
+        return adjustment.ConditionCheck(True)
+    return adjustment.ConditionCheck(
+        False, adjustment._connecting_path(pruned, x_mask, y_mask, z_mask)
+    )
 
 
 def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):

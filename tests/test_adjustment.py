@@ -29,6 +29,7 @@ from helpers import (
     deepening_connecting_path,
     enumerated_conditions,
     enumerated_forbidden_set,
+    extension_blocking,
     name_adjacency,
     name_b_blocking_by_enumeration,
     subset_listing,
@@ -518,6 +519,66 @@ class TestReachabilityRoutes:
         assert adjust_set(g, "V0", "V39") == frozenset()
         assert satisfies_b_adjustment(g, "V0", "V39", ()).overall
         assert list_adjustment_sets(g, "V0", "V39") == [frozenset()]
+
+
+class TestBlockingWalk:
+    """The blocking walk on ``g`` against the two routes it must agree
+    with, entry for entry: d-separation in one DAG extension's proper
+    back-door graph, and the path-by-path enumeration."""
+
+    @staticmethod
+    def check(g, xs, ys, z_mask, enumerate_paths=True):
+        x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+        want = extension_blocking(g, x_mask, y_mask, z_mask)
+        assert adjustment._blocked_on_g(g, x_mask, y_mask, z_mask) == want.ok, (g, xs, ys, z_mask)
+        if enumerate_paths:
+            assert b_blocking_by_enumeration(g, xs, ys, g._names(z_mask)).ok == want.ok
+        return want
+
+    def test_reachability_queries(self):
+        """Each amenable query of the reachability sweep, with no
+        covariates, with the canonical candidate set and with a seeded
+        random part of it; ``check_b_blocking`` also gives the extension
+        route's witness."""
+        rng = np.random.default_rng(2030)
+        verdicts = []
+        for g, xs, ys in TestReachabilityRoutes.queries():
+            x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+            if not adjustment._amenability(g, x_mask, y_mask).ok:
+                continue
+            taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+            canonical = adjustment._forward_reach(g, x_mask | y_mask, g._pa) & ~taken
+            part = sum(1 << v for v in adjustment._bits(canonical) if rng.random() < 0.5)
+            for z_mask in (0, canonical, part):
+                want = self.check(g, xs, ys, z_mask)
+                assert check_b_blocking(g, xs, ys, g._names(z_mask)) == want
+                verdicts.append(want.ok)
+        assert (len(verdicts), verdicts.count(False)) == (1194, 644)
+
+    def test_random_mpdags(self):
+        """At least 10,000 amenable queries on random maximal PDAGs of
+        4-12 nodes, with one and two treatment and outcome nodes and a
+        random candidate set outside the forbidden set; the enumeration
+        judges those on at most 8 nodes."""
+        rng = np.random.default_rng(2031)
+        verdicts = []
+        enumerated = 0
+        while len(verdicts) < 10_000:
+            g, _ = random_mpdag(rng, 12, p_min=4)
+            nodes = list(g.nodes)
+            for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                rng.shuffle(nodes)
+                xs, ys = nodes[:kx], nodes[kx : kx + ky]
+                x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+                if not adjustment._amenability(g, x_mask, y_mask).ok:
+                    continue
+                taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+                free = [v for v in range(len(g)) if not taken >> v & 1]
+                z_mask = sum(1 << v for v in free if rng.random() < 0.5)
+                small = len(g) <= 8
+                verdicts.append(self.check(g, xs, ys, z_mask, enumerate_paths=small).ok)
+                enumerated += small
+        assert (len(verdicts), verdicts.count(False), enumerated) == (10_003, 6_524, 5_386)
 
 
 class TestOnePassPerQuery:

@@ -536,6 +536,42 @@ class TestFileErrors:
     def test_undecodable_file_exits_2(self, capsys, files, argv):
         self.assert_input_error(capsys, argv, files, "can't decode byte 0xff")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{g}"],
+            ["possde", "{g}", "--x", "X"],
+            ["orient", "{cpdag}", "--bg", "{bg}"],
+            ["ida", "{g}", "--x", "X", "--y", "Y", "--data", "{data}"],
+        ],
+        ids=["graph", "reach", "knowledge", "data"],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path, argv):
+        """A UTF-8 file that starts with a byte order mark, as Excel and
+        Notepad write, answers as the same file without it."""
+        texts = {
+            "g": "X -> Y\n",
+            "cpdag": "X -- Y\n",
+            "bg": "X -> Y\n",
+            "data": "X,Y\n" + "".join(f"{i},{i * i % 7}\n" for i in range(6)),
+        }
+        outputs = []
+        for mark in ("", "\ufeff"):
+            paths = {}
+            for key, text in texts.items():
+                path = tmp_path / f"{key}{len(mark)}.txt"
+                path.write_text(mark + text, encoding="utf-8")
+                paths[key] = str(path)
+            code = cli.main([a.format(**paths) for a in argv])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1].err == ""
+
+    def test_parse_graph_keeps_a_byte_order_mark_in_a_string(self):
+        # Only the file reader drops the mark; in a string it is text.
+        with pytest.raises(GraphParseError, match=r"^line 1: invalid node name '\\ufeffX'$"):
+            parse_graph("\ufeffX -> Y\n")
+
 
 class TestIdaCli:
     def test_single_edge(self, tmp_path):

@@ -37,13 +37,14 @@ from mpdagkit.pdag_core import (
     parse_graph,
     serialize_graph,
 )
-from mpdagkit.reference import oracle_reach
+from mpdagkit.reference import b_blocking_by_enumeration, oracle_reach
 
 from helpers import (
     all_rule_orders,
     brute_force_dags,
     dag_adjustment_criterion,
     enumerated_forbidden_set,
+    extension_blocking,
     global_merge_parent_sets,
     maximality_error,
     name_topological_order,
@@ -273,6 +274,35 @@ def test_forbidden_set_matches_the_enumeration(g):
                 sure, bound = adjustment._path_nodes(g, *adjustment._query(g, xs, ys)[:2])
                 on_path = sum(1 << g.node_index(v) for v in want.on_path)
                 assert sure & ~on_path == 0 and on_path & ~bound == 0
+
+
+@SEEDED
+@given(any_pdags())
+def test_blocking_walk_matches_the_extension_and_the_enumeration(g):
+    """On a maximal input, for every amenable one- and two-node treatment
+    and outcome set and every candidate set outside the forbidden set,
+    the walk on ``g`` gives the verdict of d-separation in the extension's
+    proper back-door graph and of the path enumeration, and
+    ``check_b_blocking`` the extension route's witness."""
+    if not is_maximal(g):
+        return
+    for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for xs in combinations(g.nodes, kx):
+            rest = [v for v in g.nodes if v not in xs]
+            for ys in combinations(rest, ky):
+                x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+                if not adjustment._amenability(g, x_mask, y_mask).ok:
+                    continue
+                taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+                free = [v for v in range(len(g)) if not taken >> v & 1]
+                for k in range(len(free) + 1):
+                    for zs in combinations(free, k):
+                        z_mask = sum(1 << v for v in zs)
+                        want = extension_blocking(g, x_mask, y_mask, z_mask)
+                        assert adjustment._blocked_on_g(g, x_mask, y_mask, z_mask) == want.ok
+                        names = g._names(z_mask)
+                        assert b_blocking_by_enumeration(g, xs, ys, names).ok == want.ok
+                        assert check_b_blocking(g, xs, ys, names) == want
 
 
 # The query entry points behind the maximality gate, each on (g, x, y).

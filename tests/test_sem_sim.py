@@ -448,13 +448,13 @@ class TestStudyRoute:
         # graph; every graph it analyses must be the whole-prefix merge.
         # The repeated fraction merges an empty slice.
         seen = []
-        is_amenable = sem_sim.is_amenable
+        amenable_adjust_set = sem_sim._amenable_adjust_set
 
         def recording(graph, x, y):
             seen.append(graph)
-            return is_amenable(graph, x, y)
+            return amenable_adjust_set(graph, x, y)
 
-        monkeypatch.setattr(sem_sim, "is_amenable", recording)
+        monkeypatch.setattr(sem_sim, "_amenable_adjust_set", recording)
         cfg = SimConfig(
             node_counts=(6, 9),
             neighborhood_sizes=(2.0, 3.0),
