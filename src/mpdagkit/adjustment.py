@@ -10,8 +10,11 @@ definite-status walk from the treatments once the first edges of the
 proper possibly-causal paths are pruned.  That walk agrees with
 d-separation in the proper back-door graph of any DAG extension, where
 removing the first edge of every proper causal path makes the test
-sound and complete; the extension is built only for a listing and for
-a failing check's witness.  Every public entry point checks its
+sound and complete.  One pruning (:func:`_backdoor`) and one walk rule
+(:func:`_open_walks`) serve the verdict on the graph and, on the DAG
+extension the maximality check kept, a failing check's witness; a
+listing runs d-separation on that extension's pruned masks, and no
+back-door graph is built.  Every public entry point checks its
 query in one place, :func:`_query`: the library's one node-list rule on
 ``xs``, ``ys`` and ``zs``, then the maximality check, as the source
 paper defines the criterion on maximal PDAGs only.  Everything behind it
@@ -282,13 +285,13 @@ def d_separated(
     """
     if not d.is_dag():
         raise ValueError("d-separation needs a fully directed acyclic graph")
-    return _d_separated(d, *_query_masks(d, {"xs": xs, "ys": ys, "zs": zs}, ("xs", "ys", "zs")))
+    masks = _query_masks(d, {"xs": xs, "ys": ys, "zs": zs}, ("xs", "ys", "zs"))
+    return _d_separated(d._pa, d._ch, *masks)
 
 
-def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
-    """The search behind :func:`d_separated`, for a DAG and pairwise
-    disjoint node masks the caller has already checked."""
-    pa, ch = d._pa, d._ch
+def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> bool:
+    """The search behind :func:`d_separated`, on a DAG's parent and child
+    masks and pairwise disjoint node masks the caller has checked."""
     anz = _closure(pa, zs)  # nodes with a descendant in zs, plus zs
     # Two frontiers: ``down`` nodes were arrived at along an edge into
     # them, ``up`` nodes against an edge out of them.
@@ -315,39 +318,43 @@ def _d_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
     return True
 
 
-def _connecting_path(
-    d: PdagGraph, xs: int, ys: int, zs: int
-) -> Optional[tuple[str, ...]]:
-    """A shortest d-connecting path in ``d``, least by node indices, or
-    None.
-
-    Walks leave ``xs`` and never re-enter it; an interior node passes
-    the walk on as a collider only when it has a descendant in ``zs``,
-    and as a non-collider only when it is outside ``zs``.
+def _backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> tuple[list[int], list[int]]:
+    """The parent and child masks of ``h`` without each edge ``x -> c``
+    whose ``c`` has a b-possibly-causal path into ``ys`` avoiding ``xs``.
+    On a maximal PDAG these are the first edges of the proper
+    b-possibly-causal paths (:func:`_blocked_on_g`).  On a DAG the masks
+    are its proper back-door graph, as a shortest directed path avoiding
+    ``xs`` is unshielded (a chord would skip ahead), so the reach finds it.
     """
-    pa, ch = d._pa, d._ch
-    anz = _closure(pa, zs)
-
-    def step(prev: int, cur: int) -> int:
-        if ch[prev] >> cur & 1:  # arrived along prev -> cur
-            onward = (pa[cur] if anz >> cur & 1 else 0) | (0 if zs >> cur & 1 else ch[cur])
-        else:
-            onward = 0 if zs >> cur & 1 else pa[cur] | ch[cur]
-        return onward & ~xs & ~(1 << prev)
-
-    first = [(x, w) for x in _bits(xs) for w in _bits((pa[x] | ch[x]) & ~xs)]
-    walk = _least_shortest_path(first, step, ys, int)
-    return None if walk is None else tuple(d.nodes[v] for v in walk)
+    leads = _forward_reach(h, y_mask, h._pa, x_mask)
+    pa, ch = h._pa[:], h._ch[:]
+    for v in _bits(leads):
+        pa[v] &= ~x_mask
+    for x in _bits(x_mask):
+        ch[x] &= ~leads
+    return pa, ch
 
 
-def _proper_backdoor_graph(d: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
-    """Copy of DAG ``d`` without the first edge of any proper causal path
-    from the nodes of ``x_mask`` to those of ``y_mask``."""
-    # Nodes with a directed path avoiding xs into ys, plus ys.
-    onward = _closure([m & ~x_mask for m in d._pa], y_mask)
-    pa = [m & ~x_mask if onward >> v & 1 else m for v, m in enumerate(d._pa)]
-    ch = [m & ~onward if x_mask >> v & 1 else m for v, m in enumerate(d._ch)]
-    return PdagGraph._from_masks(d.nodes, d._index, pa, ch, [0] * len(d))
+def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[list, Callable]:
+    """The blocking walk's first states and ``step(a, b)``, the mask of
+    the ``c`` that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`)."""
+    pa, ch = _backdoor(h, x_mask, y_mask)
+    und, adjacent = h._und, _adjacency(h)
+    opened = _closure(pa, z_mask)
+    first = [(x, w) for x in _bits(x_mask) for w in _bits((pa[x] | ch[x] | und[x]) & ~x_mask)]
+
+    def step(a: int, b: int) -> int:
+        onward = pa[b] if pa[b] >> a & 1 and opened >> b & 1 else 0  # a collider
+        if not z_mask >> b & 1:  # definite non-colliders
+            if ch[b] >> a & 1:
+                onward |= adjacent[b]
+            else:
+                onward |= ch[b]
+                if und[b] >> a & 1:
+                    onward |= und[b] & ~adjacent[a]
+        return onward & ~x_mask & ~(1 << a)
+
+    return first, step
 
 
 def check_b_blocking(
@@ -360,8 +367,9 @@ def check_b_blocking(
 
     Requires the amenability and forbidden-set hypotheses to hold (the
     walk is exact under them); violation is a ValueError.  The witness
-    on failure is a d-connecting path in the proper back-door graph of
-    one DAG extension, built only then.
+    on failure is the least shortest run of the same walk on one DAG
+    extension, which is a d-connecting path in that extension's proper
+    back-door graph (:func:`_blocked_on_g`).
     """
     verdict = satisfies_b_adjustment(g, xs, ys, zs)
     if not verdict.amenable:
@@ -371,34 +379,24 @@ def check_b_blocking(
     return ConditionCheck(verdict.blocking_ok, verdict.witness)
 
 
-def _backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
-    """The proper back-door graph of one DAG extension of the maximal
-    ``g``: the one its maximality check kept, else a fresh peel, which
-    gives the same DAG."""
-    dag = g._extension
-    if dag is None:
-        dag = consistent_extension(g)
-    return _proper_backdoor_graph(dag, x_mask, y_mask)
-
-
 def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     """True iff ``Z`` blocks every proper b-non-causal definite-status
     path from ``X`` to ``Y`` in the maximal ``g``, on an amenable query
     whose ``Z`` avoids the forbidden set ``F``.
 
     Let ``A`` be the nodes outside ``X`` with a b-possibly-causal path
-    into ``Y`` avoiding ``X`` (:func:`_forward_reach` over parents).  The
-    edges ``x -> c`` with ``c`` in ``A`` are pruned first.  Then a
-    Bayes-ball search (Shachter 1998) walks (previous, current) states
-    from ``X``, never re-entering ``X`` or backing up.  A step ``a, b,
-    c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a directed path
+    into ``Y`` avoiding ``X``.  The edges ``x -> c`` with ``c`` in ``A``
+    are pruned first (:func:`_backdoor`).  Then a Bayes-ball search
+    (Shachter 1998) walks (previous, current) states from ``X``, never
+    re-entering ``X`` or backing up (:func:`_open_walks`).  A step ``a,
+    b, c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a directed path
     into ``Z`` in the pruned graph (``b`` in ``Z`` included), or when
     ``b`` is outside ``Z`` and a definite non-collider: ``b -> a``, ``b
     -> c``, or ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g``
     (definite status as in Perkovic, Textor, Kalisch and Maathuis, JMLR
     2018).  Any other triple stops the walk; reaching ``Y`` means "not
     blocked".  This is the source paper's blocking condition, decided on
-    ``g`` with no DAG extension.
+    ``g`` depth-first with no DAG extension.
 
     Proof sketch.  (1) The pruned edges are exactly the first edges of
     the proper b-possibly-causal paths, and no open violation starts
@@ -436,33 +434,29 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     (1), and each of its triples passes.  The tests sweep the walk
     against the extension route and the path enumeration.
 
+    A failing check's witness is the same rule on the kept DAG extension
+    ``D``, walked breadth-first in node-index order.  On a DAG the rule
+    is d-connection in its proper back-door graph (:func:`_backdoor`):
+    with no undirected edge every triple has definite status, so ``b``
+    passes as a collider with a descendant in ``Z`` or as a non-collider
+    outside ``Z``.  So the walk is that graph's shortest d-connecting
+    path least by node indices, and by (2) it exists whenever the walk
+    on ``g`` reaches ``Y``.  On ``g`` it could differ: ``D`` opens
+    colliders whose path into ``Z`` is undirected in ``g``.
+
     The collider rule asks for a directed descendant in ``Z``.  Asking
     for a b-possible descendant instead gave the same verdict on all
     894,083 amenable queries searched (every ``Z`` outside ``F``: 83,880
     on all maximal PDAGs of four nodes, 810,203 on 1,100 random ones of
     4-8 nodes), so no test separates the two readings.
     """
-    pa, ch, und = g._pa, g._ch, g._und
-    adjacent = _adjacency(g)
-    leads = _forward_reach(g, y_mask, pa, x_mask)
-    opened = _closure([m & ~x_mask if leads >> v & 1 else m for v, m in enumerate(pa)], z_mask)
-    stack = [
-        (x, w) for x in _bits(x_mask) for w in _bits((pa[x] | ch[x] & ~leads | und[x]) & ~x_mask)
-    ]
+    stack, step = _open_walks(g, x_mask, y_mask, z_mask)
     seen = set(stack)
     while stack:
         a, b = stack.pop()
         if y_mask >> b & 1:
             return False
-        onward = pa[b] if pa[b] >> a & 1 and opened >> b & 1 else 0  # a collider
-        if not z_mask >> b & 1:  # definite non-colliders
-            if ch[b] >> a & 1:
-                onward |= adjacent[b]
-            else:
-                onward |= ch[b]
-                if und[b] >> a & 1:
-                    onward |= und[b] & ~adjacent[a]
-        for c in _bits(onward & ~x_mask & ~(1 << a)):
+        for c in _bits(step(a, b)):
             if (b, c) not in seen:
                 seen.add((b, c))
                 stack.append((b, c))
@@ -494,9 +488,10 @@ def satisfies_b_adjustment(
             witness = g.nodes[next(_bits(blocked_nodes))]
         else:
             blocking_ok = _blocked_on_g(g, x_mask, y_mask, z_mask)
-            if not blocking_ok:
-                pruned = _backdoor_dag(g, x_mask, y_mask)
-                witness = _connecting_path(pruned, x_mask, y_mask, z_mask)
+            if not blocking_ok:  # the same walk's least run on the kept extension
+                dag = g._extension or consistent_extension(g)
+                walk = _least_shortest_path(*_open_walks(dag, x_mask, y_mask, z_mask), y_mask, int)
+                witness = tuple(g.nodes[v] for v in walk)
     return AdjustmentVerdict(
         amenable=amenable.ok,
         forbidden_ok=forbidden_ok,
@@ -581,10 +576,10 @@ def list_adjustment_sets(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
-    pruned = _backdoor_dag(g, x_mask, y_mask)
+    pa, ch = _backdoor(g._extension or consistent_extension(g), x_mask, y_mask)
     bit = {name: 1 << g._index[name] for name in universe}
     if minimal_only:
-        ancestors = _closure(pruned._pa, x_mask | y_mask)
+        ancestors = _closure(pa, x_mask | y_mask)
         universe = [name for name in universe if bit[name] & ancestors]
     valid: list[frozenset[str]] = []
     found: list[int] = []  # the masks of the valid sets
@@ -593,7 +588,7 @@ def list_adjustment_sets(
             z = sum(map(bit.__getitem__, combo))
             if minimal_only and any(z & m == m for m in found):
                 continue
-            if _d_separated(pruned, x_mask, y_mask, z):
+            if _d_separated(pa, ch, x_mask, y_mask, z):
                 found.append(z)
                 valid.append(frozenset(combo))
     return valid

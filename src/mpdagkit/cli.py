@@ -19,10 +19,10 @@ the key or flag), a ``simulate --out`` that cannot be opened for writing
 (a directory, a missing or non-directory parent, a name that is too
 long, no permission; checked before the study runs) and an
 ``MPDAGKIT_UNIVERSE_CAP`` that is not a non-negative integer.
-Graph, background and data files are read as UTF-8, and a leading byte
-order mark, as Excel and Notepad write, is dropped.  All output is
-deterministic for fixed arguments and seeds, and graph output re-parses
-through the graph reader.
+Graph, background, data and --config files are read as UTF-8, and a
+leading byte order mark, as Excel and Notepad write, is dropped.  All
+output is deterministic for fixed arguments and seeds, and graph output
+re-parses through the graph reader.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
         for _, flag, _, _ in _SIM_SETTINGS:
             if getattr(args, flag[2:]) is not None:
                 raise UsageError(f"{flag} cannot be combined with --config")
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except ValueError as exc:

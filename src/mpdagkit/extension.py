@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .meek import _close, _closed
-from .pdag_core import PdagGraph, has_directed_cycle, unshielded_collider_triples
+from .pdag_core import PdagGraph, _acyclic_extension, unshielded_collider_triples
 from .pdag_core import consistent_extension  # re-exported: part of this module's API
 
 DEFAULT_DAG_LIMIT = 100_000
@@ -71,10 +71,7 @@ def enumerate_dags(g: PdagGraph, limit: int = DEFAULT_DAG_LIMIT) -> DagList:
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    if consistent_extension(g) is None:
-        # A cyclic graph has no extension, so only then is a second peel needed.
-        if has_directed_cycle(g):
-            raise ValueError("input graph has a directed cycle")
+    if _acyclic_extension(g) is None:
         return DagList(())
 
     found: list[PdagGraph] = []

@@ -28,6 +28,7 @@ from typing import Iterable, Optional
 from .pdag_core import (
     GraphParseError,
     PdagGraph,
+    _acyclic_extension,
     _bits,
     _low,
     consistent_extension,
@@ -194,10 +195,7 @@ def close_orientations(g: PdagGraph) -> PdagGraph:
     :class:`OrientationConflictError` when it has no consistent DAG
     extension, both checked before any rule is applied.
     """
-    if consistent_extension(g) is None:
-        # A cyclic graph has no extension, so only then is a second peel needed.
-        if has_directed_cycle(g):
-            raise ValueError("input graph has a directed cycle")
+    if _acyclic_extension(g) is None:
         raise OrientationConflictError("graph has no consistent DAG extension")
     return _closed(g)
 

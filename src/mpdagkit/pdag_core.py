@@ -394,6 +394,16 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     return dag if not remaining else None
 
 
+def _acyclic_extension(g: PdagGraph) -> Optional[PdagGraph]:
+    """:func:`consistent_extension` of ``g``, or None when an acyclic
+    ``g`` has none; a ``g`` with a directed cycle is a ValueError."""
+    dag = consistent_extension(g)
+    # A cyclic graph has no extension, so only then is a second peel needed.
+    if dag is None and has_directed_cycle(g):
+        raise ValueError("input graph has a directed cycle")
+    return dag
+
+
 def unshielded_collider_triples(g: PdagGraph) -> frozenset[tuple[str, str, str]]:
     """Triples (x, z, y), x < y, with x -> z <- y and x, y non-adjacent."""
     triples = set()
@@ -427,13 +437,6 @@ def parse_statements(
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2:
-                raise GraphParseError("node directive takes exactly one name", lineno)
-            if not NAME_RE.match(tokens[1]):
-                raise GraphParseError(f"invalid node name {tokens[1]!r}", lineno)
-            statements.append(("node", tokens[1], lineno))
-            continue
         if len(tokens) >= 3 and tokens[1] in _EDGE_TOKEN:
             u, op, v = tokens[0], tokens[1], tokens[2]
             for name in (u, v):
@@ -454,6 +457,13 @@ def parse_statements(
             elif len(tokens) > 4:
                 raise GraphParseError("too many tokens on edge statement", lineno)
             statements.append(("edge", u, v, op, weight, lineno))
+            continue
+        if tokens[0] == "node":
+            if len(tokens) != 2:
+                raise GraphParseError("node directive takes exactly one name", lineno)
+            if not NAME_RE.match(tokens[1]):
+                raise GraphParseError(f"invalid node name {tokens[1]!r}", lineno)
+            statements.append(("node", tokens[1], lineno))
             continue
         if NAME_RE.match(tokens[0]) and len(tokens) >= 2 and tokens[1] not in _EDGE_TOKEN:
             if NAME_RE.match(tokens[1]) and len(tokens) == 2:
@@ -488,10 +498,8 @@ def _edge_statements(text: str, nodes: dict[str, None]) -> Iterator[tuple]:
 
 # One canonical statement per match, or the rest of the text from the
 # first line that is not one (all groups empty); so the matches tile the
-# text.  An edge may not start with the ``node`` keyword.
-_CANONICAL_LINE = re.compile(
-    rf"node ({_NAME})\n|(?!node )({_NAME}) -([->]) ({_NAME})\n|(?s:.+)"
-)
+# text.
+_CANONICAL_LINE = re.compile(rf"node ({_NAME})\n|({_NAME}) -([->]) ({_NAME})\n|(?s:.+)")
 
 
 def _parse_canonical(text: str) -> Optional[PdagGraph]:

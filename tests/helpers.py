@@ -6,7 +6,9 @@ parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
 deepening, the back-door oracle decides blocking by d-separation in
-one DAG extension's proper back-door graph, the listing oracle tests
+one DAG extension's proper back-door graph, which it builds from the
+public graph methods, and names its witness by that iterative
+deepening, the listing oracle tests
 every candidate subset and then filters the minimal ones, the
 blocking-enumeration oracle re-classifies
 every path it walks by node names, the forbidden-set oracle walks every
@@ -34,6 +36,7 @@ from mpdagkit.pdag_core import (
     _bits,
     _closure,
     _query_masks,
+    consistent_extension,
     has_directed_cycle,
 )
 from mpdagkit.reference import (
@@ -360,12 +363,12 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
         return []
     taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
-    pruned = adjustment._backdoor_dag(g, x_mask, y_mask)
+    pruned = proper_backdoor_dag(g, x_mask, y_mask)
     valid = []
     for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
             z_mask = sum(1 << g.node_index(v) for v in combo)
-            if adjustment._d_separated(pruned, x_mask, y_mask, z_mask):
+            if adjustment._d_separated(pruned._pa, pruned._ch, x_mask, y_mask, z_mask):
                 valid.append(frozenset(combo))
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
@@ -409,15 +412,31 @@ def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.Co
     return adjustment.ConditionCheck(not violations, adjustment._first_witness(violations))
 
 
+def proper_backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
+    """The proper back-door graph of ``g``'s DAG extension, built by the
+    public constructor: the extension without each edge ``x -> c`` whose
+    ``c`` has a directed path into ``ys`` avoiding ``xs`` (or is in
+    ``ys``), found by a search over ``parents``."""
+    dag = consistent_extension(g)
+    xs, onward = g._names(x_mask), set(g._names(y_mask))
+    frontier = list(onward)
+    while frontier:
+        for p in dag.parents(frontier.pop()) - xs - onward:
+            onward.add(p)
+            frontier.append(p)
+    kept = [(u, v) for u, v in dag.directed_edges() if u not in xs or v not in onward]
+    return PdagGraph(dag.nodes, directed=kept)
+
+
 def extension_blocking(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int):
     """Reference for the blocking walk on the maximal ``g``: d-separation
     in the proper back-door graph of one DAG extension, with the
-    d-connecting path there as the witness."""
-    pruned = adjustment._backdoor_dag(g, x_mask, y_mask)
-    if adjustment._d_separated(pruned, x_mask, y_mask, z_mask):
+    iterative-deepening d-connecting path there as the witness."""
+    pruned = proper_backdoor_dag(g, x_mask, y_mask)
+    if adjustment._d_separated(pruned._pa, pruned._ch, x_mask, y_mask, z_mask):
         return adjustment.ConditionCheck(True)
     return adjustment.ConditionCheck(
-        False, adjustment._connecting_path(pruned, x_mask, y_mask, z_mask)
+        False, deepening_connecting_path(pruned, x_mask, y_mask, z_mask)
     )
 
 

@@ -32,6 +32,7 @@ from helpers import (
     extension_blocking,
     name_adjacency,
     name_b_blocking_by_enumeration,
+    proper_backdoor_dag,
     subset_listing,
 )
 
@@ -490,7 +491,7 @@ class TestReachabilityRoutes:
             zs = frozenset(v for v in nodes[2:] if v not in forb and rng.random() < 0.3)
             check = check_b_blocking(g, xs, ys, zs)
             masks = adjustment._query(g, xs, ys, zs)
-            pruned = adjustment._backdoor_dag(g, *masks[:2])
+            pruned = proper_backdoor_dag(g, *masks[:2])
             want = deepening_connecting_path(pruned, *masks)
             assert check.witness == want
             connected += want is not None
@@ -580,6 +581,23 @@ class TestBlockingWalk:
                 enumerated += small
         assert (len(verdicts), verdicts.count(False), enumerated) == (10_003, 6_524, 5_386)
 
+    def test_witness_walks_the_extension(self):
+        """In ``g`` the edge from ``V5`` to ``V6`` in ``Z`` is undirected,
+        so the collider ``V1 -> V5 <- V2`` is closed there and a walk on
+        ``g`` would name ``V1, V6, V2``.  The extension orients ``V5 ->
+        V6``, which opens it, and ``V1, V5, V2`` is less by node index."""
+        edges = [
+            "V1 -- V3", "V1 -> V4", "V1 -> V5", "V1 -> V6", "V1 -> V7", "V2 -> V4",
+            "V2 -> V5", "V2 -> V6", "V2 -> V7", "V3 -> V4", "V5 -- V6", "V5 -- V7",
+        ]  # fmt: skip
+        g = parse_graph("\n".join(edges))
+        xs, ys, zs = ("V1", "V3"), ("V2", "V4"), ("V6",)
+        verdict = satisfies_b_adjustment(g, xs, ys, zs)
+        assert (verdict.forbidden_ok, verdict.blocking_ok) == (True, False)
+        assert verdict.witness == ("V1", "V5", "V2")
+        masks = adjustment._query(g, xs, ys, zs)
+        assert verdict.witness == extension_blocking(g, *masks).witness
+
 
 class TestOnePassPerQuery:
     @pytest.fixture()
@@ -649,9 +667,9 @@ class TestOnePassPerQuery:
         calls = []
         real = adjustment._d_separated
 
-        def counting(d, xs, ys, zs):
+        def counting(pa, ch, xs, ys, zs):
             calls.append(zs)
-            return real(d, xs, ys, zs)
+            return real(pa, ch, xs, ys, zs)
 
         monkeypatch.setattr(adjustment, "_d_separated", counting)
         return calls

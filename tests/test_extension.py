@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpdagkit import extension
+from mpdagkit import pdag_core
 from mpdagkit.extension import (
     consistent_extension,
     enumerate_dags,
@@ -180,13 +180,14 @@ class TestEnumerateDags:
     def test_checks_its_input_with_one_peel_when_it_extends(self, monkeypatch, g, listed, peels):
         """The extension answers acyclicity too, so only a graph without
         one is peeled a second time, for the cycle check; a cyclic graph
-        (``listed`` None) is refused."""
+        (``listed`` None) is refused.  Both peels are
+        ``pdag_core._acyclic_extension``'s, so they are counted there."""
         calls = []
         peelers = {"extension": "consistent_extension", "cycle": "has_directed_cycle"}
         for label, name in peelers.items():
-            real = getattr(extension, name)
+            real = getattr(pdag_core, name)
             monkeypatch.setattr(
-                extension, name, lambda h, real=real, label=label: calls.append(label) or real(h)
+                pdag_core, name, lambda h, real=real, label=label: calls.append(label) or real(h)
             )
         if listed is None:
             with pytest.raises(ValueError, match="^input graph has a directed cycle$"):

@@ -99,6 +99,14 @@ class TestParsing:
     def test_round_trip_fixture(self, fig1_cpdag):
         assert parse_graph(serialize_graph(fig1_cpdag)) == fig1_cpdag
 
+    def test_node_named_node_round_trips(self):
+        g = PdagGraph(["x", "node", "y"], directed=[("node", "y")], undirected=[("x", "node")])
+        text = serialize_graph(g)
+        assert text == "node x\nnode node\nnode y\nnode -- x\nnode -> y\n"
+        assert parse_graph(text) == g and _parse_canonical(text) == g
+        with pytest.raises(GraphParseError, match="line 1: node directive takes exactly one name"):
+            parse_graph("node A B")
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(20240811)
         for _ in range(1000):
@@ -124,12 +132,12 @@ RESPELLINGS = (
 def graph_texts(draw):
     """Up to seven statements, mostly canonical ``node NAME``, ``A -- B``
     and ``A -> B`` lines over seven names, ``node`` among them, with each
-    edge on a new pair.  About one statement in five is one that only
-    the per-line parser decides: a repeat of an earlier pair in either
-    order (the most common), a self-loop, an edge from the ``node``
-    keyword, or a statement over the whole pool, bad names too.  One
-    statement in eight is respelled, and one text in six lacks its final
-    newline."""
+    edge on a new pair.  About one statement in five is a special case:
+    one that only the per-line parser decides, which is a repeat of an
+    earlier pair in either order (the most common), a self-loop or a
+    statement over the whole pool, bad names too; or an edge from the
+    name ``node``, which is canonical as well.  One statement in eight
+    is respelled, and one text in six lacks its final newline."""
     names = SWEEP_NAMES[:7]
     lines, pairs = [], []
     for _ in range(draw(st.integers(0, 7))):
