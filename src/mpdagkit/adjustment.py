@@ -36,7 +36,6 @@ from .causal_paths import _forward_reach, _simple_paths
 from .meek import _require_maximal
 from .pdag_core import (
     PdagGraph,
-    _adjacency,
     _bits,
     _closure,
     _query_masks,
@@ -108,21 +107,28 @@ def _first_witness(paths: Iterable[tuple[str, ...]]) -> Optional[tuple[str, ...]
 
 
 def _least_shortest_path(
+    size: int,
     first: Iterable[tuple[int, int]],
     step: Callable[[int, int], int],
     targets: int,
     label: Callable[[int], object],
 ) -> Optional[tuple[int, ...]]:
     """The shortest walk into ``targets`` that is least by ``label``
-    sequence, or None.  Walks start as the pairs in ``first`` and grow by
-    the nodes in the mask ``step(previous, current)``.
+    sequence, or None, in a graph of ``size`` nodes.  Walks start as the
+    pairs ``(v, w)`` for each ``(v, mask)`` in ``first`` and ``w`` in the
+    mask, and grow by the nodes in the mask ``step(previous, current)``.
 
     Breadth-first over (previous, current) states.  Each layer stays in
     label order, so the first walk to reach a state is its least one; a
-    state is entered once, as its successors do not depend on the walk.
+    state is entered once, as its successors do not depend on the walk:
+    ``done[v]`` holds the ``w`` whose state ``(v, w)`` was entered.
     """
-    layer = sorted(first, key=lambda walk: [label(v) for v in walk])
-    seen = set(layer)
+    done = [0] * size
+    starts = []
+    for v, mask in first:
+        done[v] |= mask
+        starts += [(v, w) for w in _bits(mask)]
+    layer = sorted(starts, key=lambda walk: [label(v) for v in walk])
     while layer:
         for walk in layer:
             if targets >> walk[-1] & 1:
@@ -130,10 +136,9 @@ def _least_shortest_path(
         grown = []
         for walk in layer:
             prev, cur = walk[-2:]
-            for w in sorted(_bits(step(prev, cur)), key=label):
-                if (cur, w) not in seen:
-                    seen.add((cur, w))
-                    grown.append(walk + (w,))
+            fresh = step(prev, cur) & ~done[cur]
+            done[cur] |= fresh
+            grown += [walk + (w,) for w in sorted(_bits(fresh), key=label)]
         layer = grown
     return None
 
@@ -167,8 +172,8 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
             near = und[x] if prev == x else pa[prev] | ch[prev] | und[prev] | 1 << prev
             return (ch[cur] | und[cur]) & ~(x_mask | pa[x] | near)
 
-        first = [(x, s) for s in _bits(und[x] & ~x_mask)]
-        walk = _least_shortest_path(first, step, y_mask, names.__getitem__)
+        first = [(x, und[x] & ~x_mask)]
+        walk = _least_shortest_path(len(g), first, step, y_mask, names.__getitem__)
         if walk is not None:
             witnesses.append(tuple(names[v] for v in walk))
     witness = _first_witness(witnesses)
@@ -336,22 +341,26 @@ def _backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> tuple[list[int], list[i
 
 
 def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[list, Callable]:
-    """The blocking walk's first states and ``step(a, b)``, the mask of
-    the ``c`` that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`)."""
+    """The blocking walk's first entries, each a treatment ``x`` and the
+    mask of its first steps, and ``step(a, b)``, the mask of the ``c``
+    that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`).  A
+    step reads the neighbours of ``a`` and ``b`` off ``h``'s unpruned
+    masks when it needs them, not off an adjacency list built first, as
+    a walk usually takes fewer steps than ``h`` has nodes."""
     pa, ch = _backdoor(h, x_mask, y_mask)
-    und, adjacent = h._und, _adjacency(h)
+    h_pa, h_ch, und = h._pa, h._ch, h._und
     opened = _closure(pa, z_mask)
-    first = [(x, w) for x in _bits(x_mask) for w in _bits((pa[x] | ch[x] | und[x]) & ~x_mask)]
+    first = [(x, (pa[x] | ch[x] | und[x]) & ~x_mask) for x in _bits(x_mask)]
 
     def step(a: int, b: int) -> int:
         onward = pa[b] if pa[b] >> a & 1 and opened >> b & 1 else 0  # a collider
         if not z_mask >> b & 1:  # definite non-colliders
             if ch[b] >> a & 1:
-                onward |= adjacent[b]
+                onward |= h_pa[b] | h_ch[b] | und[b]
             else:
                 onward |= ch[b]
                 if und[b] >> a & 1:
-                    onward |= und[b] & ~adjacent[a]
+                    onward |= und[b] & ~(h_pa[a] | h_ch[a] | und[a])
         return onward & ~x_mask & ~(1 << a)
 
     return first, step
@@ -396,7 +405,9 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     (definite status as in Perkovic, Textor, Kalisch and Maathuis, JMLR
     2018).  Any other triple stops the walk; reaching ``Y`` means "not
     blocked".  This is the source paper's blocking condition, decided on
-    ``g`` depth-first with no DAG extension.
+    ``g`` depth-first with no DAG extension.  A state's successors depend
+    on the state alone, so ``done[a]`` holds the ``b`` whose state ``(a,
+    b)`` was entered, and each state is expanded once.
 
     Proof sketch.  (1) The pruned edges are exactly the first edges of
     the proper b-possibly-causal paths, and no open violation starts
@@ -451,15 +462,18 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     4-8 nodes), so no test separates the two readings.
     """
     stack, step = _open_walks(g, x_mask, y_mask, z_mask)
-    seen = set(stack)
+    done = [0] * len(g)
     while stack:
-        a, b = stack.pop()
-        if y_mask >> b & 1:
+        a, allowed = stack.pop()
+        fresh = allowed & ~done[a]
+        if fresh & y_mask:
             return False
-        for c in _bits(step(a, b)):
-            if (b, c) not in seen:
-                seen.add((b, c))
-                stack.append((b, c))
+        done[a] |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            b = low.bit_length() - 1
+            stack.append((b, step(a, b)))
     return True
 
 
@@ -490,7 +504,9 @@ def satisfies_b_adjustment(
             blocking_ok = _blocked_on_g(g, x_mask, y_mask, z_mask)
             if not blocking_ok:  # the same walk's least run on the kept extension
                 dag = g._extension or consistent_extension(g)
-                walk = _least_shortest_path(*_open_walks(dag, x_mask, y_mask, z_mask), y_mask, int)
+                walk = _least_shortest_path(
+                    len(dag), *_open_walks(dag, x_mask, y_mask, z_mask), y_mask, int
+                )
                 witness = tuple(g.nodes[v] for v in walk)
     return AdjustmentVerdict(
         amenable=amenable.ok,
@@ -513,17 +529,15 @@ def adjust_set(
     set, and keeps it only when it passes the criterion; by construction
     no other set can pass when this one fails.
     """
-    return _amenable_adjust_set(g, xs, ys)[1]
-
-
-def _amenable_adjust_set(
-    g: PdagGraph,
-    xs: "str | Iterable[str]",
-    ys: "str | Iterable[str]",
-) -> tuple[bool, Optional[frozenset[str]]]:
-    """Whether the query is amenable, and :func:`adjust_set`'s answer,
-    from one amenability walk."""
     x_mask, y_mask, _ = _query(g, xs, ys)
+    return _adjust_core(g, x_mask, y_mask)[1]
+
+
+def _adjust_core(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, Optional[frozenset[str]]]:
+    """Whether the query is amenable, and :func:`adjust_set`'s answer,
+    from one amenability walk, on the maximal ``g`` and query masks its
+    caller checked: :func:`adjust_set`, or a study replicate, which
+    checks its query once for the graphs of all its rows."""
     if not _amenability(g, x_mask, y_mask).ok:
         return False, None
     taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)

@@ -2,8 +2,10 @@
 
 Reachability uses a depth-first search over (previous, current) states
 that only follows forward or undirected edges and skips shielded
-continuations; ``mpdagkit.reference.oracle_reach`` is the path-by-path
-oracle the tests sweep it against.  ``_simple_paths`` is the one
+continuations; it keeps, per node, the mask of successors it has
+already expanded from that node, so each state is expanded once.
+``mpdagkit.reference.oracle_reach`` is the path-by-path oracle the tests
+sweep it against.  ``_simple_paths`` is the one
 simple-path enumerator, behind ``forbidden_set`` and the reference
 oracles; it is bounded by a step budget, ``PATH_STEP_BUDGET``, not by
 the graph's size, and its caller may end it early.  The reach queries
@@ -51,21 +53,29 @@ def _forward_reach(g: PdagGraph, roots: int, out: tuple, removed: int = 0) -> in
     consecutive triples unshielded).  Tracking the predecessor makes the
     state space O(nodes * edges) rather than linear; correctness is
     anchored to the enumeration oracle, which the test suite checks it
-    against.
+    against.  A state's successors depend on the state alone, so
+    ``done[v]`` holds the ``w`` whose state ``(v, w)`` was expanded, and
+    a stack entry expands only the steps its node has not taken yet.
     """
     pa, ch, und = g._pa, g._ch, g._und
     step = [(o | u) & ~removed for o, u in zip(out, und)]
     reached = roots & ~removed
-    seen: set[tuple[int, int]] = set()
+    done = [0] * len(step)
     # Each entry is a node and the steps still allowed from it.
     stack = [(r, step[r]) for r in _bits(reached)]
     while stack:
         cur, allowed = stack.pop()
-        reached |= allowed
-        for w in _bits(allowed):
-            if (cur, w) not in seen:
-                seen.add((cur, w))
-                stack.append((w, step[w] & ~(pa[cur] | ch[cur] | und[cur] | 1 << cur)))
+        fresh = allowed & ~done[cur]
+        if not fresh:
+            continue
+        done[cur] |= fresh
+        reached |= fresh
+        near = pa[cur] | ch[cur] | und[cur] | 1 << cur
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            w = low.bit_length() - 1
+            stack.append((w, step[w] & ~near))
     return reached
 
 

@@ -172,14 +172,14 @@ def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFa
 
 def _effect_data(
     g: PdagGraph, lists: dict, data, columns: Optional[Sequence[str]]
-) -> tuple[np.ndarray, dict[str, int]]:
-    """The data as a float matrix and each node's column, once the
-    query's node ``lists`` (treatments, then the outcome, by their
-    labels) pass the one node-list rule and the data its checks, in
-    order: the columns are the graph's nodes, the matrix is 2-d, the
-    samples outnumber the nodes and every value is finite.  A failed
-    data check is a QueryError, like a broken list."""
-    _query_masks(g, lists)
+) -> tuple[list[int], np.ndarray, dict[str, int]]:
+    """The masks of the query's node ``lists``, the data as a float
+    matrix and each node's column, once the lists (treatments, then the
+    outcome, by their labels) pass the one node-list rule and the data
+    its checks, in order: the columns are the graph's nodes, the matrix
+    is 2-d, the samples outnumber the nodes and every value is finite.
+    A failed data check is a QueryError, like a broken list."""
+    masks = _query_masks(g, lists)
     data = np.asarray(data, dtype=float)
     names = tuple(columns) if columns is not None else g.nodes
     if set(names) != set(g.nodes) or len(names) != len(g.nodes):
@@ -190,7 +190,7 @@ def _effect_data(
         raise QueryError("need more samples than variables")
     if not np.isfinite(data).all():
         raise QueryError("data must be finite (no nan or inf)")
-    return data, {name: i for i, name in enumerate(names)}
+    return masks, data, {name: i for i, name in enumerate(names)}
 
 
 def _least_squares(
@@ -231,22 +231,35 @@ def ida_effects(
     y: str,
     data: np.ndarray,
     columns: Optional[Sequence[str]] = None,
-    *,
-    _fits: Optional[dict] = None,
 ) -> EffectMultiset:
     """Multiset of possible total effects of ``x`` on ``y``.
 
     One value per possible parent set ``P`` of ``x``: zero when ``y`` is
     in ``P``, otherwise the coefficient of ``x`` when ``y`` is regressed
     on ``x`` and ``P``.  The lists are labelled ``x`` and ``y``.
-
-    ``_fits`` is private: :func:`_least_squares`'s table for this
-    ``data``, which a study replicate shares between its rows so that a
-    regression an earlier row fitted is read back, not refitted.  It is
-    scoped to one data matrix, and callers only read what it holds.
     """
-    data, col = _effect_data(g, {"x": x, "y": y}, data, columns)
+    _, data, col = _effect_data(g, {"x": x, "y": y}, data, columns)
     _require_maximal(g)
+    return _ida_core(g, x, y, data, col)
+
+
+def _ida_core(
+    g: PdagGraph,
+    x: str,
+    y: str,
+    data: np.ndarray,
+    col: dict[str, int],
+    fits: Optional[dict] = None,
+) -> EffectMultiset:
+    """:func:`ida_effects` on the maximal ``g``, once its caller has
+    checked the query and the data: :func:`ida_effects`, or a study
+    replicate, which checks them once for the graphs of all its rows.
+
+    ``fits`` is :func:`_least_squares`'s table for this ``data``, which a
+    study replicate shares between its rows so that a regression an
+    earlier row fitted is read back, not refitted.  It is scoped to one
+    data matrix, and callers only read what it holds.
+    """
     family = ParentSetFamily((x,), tuple(_accepted(g, (x,), None, g)))
     values = []
     for entry in family:
@@ -255,7 +268,7 @@ def ida_effects(
             values.append(0.0)
             continue
         regressors = [x] + sorted(parents, key=g.node_index)
-        values.append(float(_least_squares(data, col, y, regressors, _fits)[0]))
+        values.append(float(_least_squares(data, col, y, regressors, fits)[0]))
     return EffectMultiset(family, tuple(values))
 
 
@@ -296,7 +309,7 @@ def joint_ida_effects(
     ``y``.
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
-    data, col = _effect_data(g, {"xs": xs, "y": y}, data, columns)
+    _, data, col = _effect_data(g, {"xs": xs, "y": y}, data, columns)
     _require_maximal(g)
     idx = g._index
     graphs: list[PdagGraph] = []

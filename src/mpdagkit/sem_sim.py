@@ -26,8 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .adjustment import _amenable_adjust_set
-from .ida import ida_effects
+from .adjustment import _adjust_core
+from .ida import _effect_data, _ida_core
 from .meek import construct_max_pdag, cpdag_of
 from .pdag_core import (
     GraphParseError,
@@ -284,6 +284,9 @@ def _replicate_rows(
     cpdag = cpdag_of(model.dag)
     truth = float(true_total_effect(model, x, y)[0])
     requirements = _background_requirements(cpdag, model.dag, rng_bg)
+    # The query and the data are checked once here; every fraction's
+    # graph is a maximal PDAG that construct_max_pdag built on cpdag's nodes.
+    (x_mask, y_mask), data, col = _effect_data(cpdag, {"x": x, "y": y}, data, None)
 
     rows = []
     graph, merged = cpdag, 0
@@ -296,9 +299,9 @@ def _replicate_rows(
         count = int(round(fraction * len(requirements)))
         graph = _merge_background(graph, requirements[merged:count])
         merged = count
-        amen, adjustment_set = _amenable_adjust_set(graph, x, y)
+        amen, adjustment_set = _adjust_core(graph, x_mask, y_mask)
         identifiable = adjustment_set is not None
-        effects = ida_effects(graph, x, y, data, _fits=fits)
+        effects = _ida_core(graph, x, y, data, col, fits)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             SimRow(

@@ -14,6 +14,8 @@ blocking-enumeration oracle re-classifies
 every path it walks by node names, the forbidden-set oracle walks every
 proper possibly-causal path to its end, the simple-path oracle is the recursive
 enumerator that the library's explicit-stack walk replaced, the
+tuple-set reach is the state search that the library's per-node masks
+replaced, the
 extension oracle restarts its sink scan after every peel, the DAG-class
 oracle tries every orientation of the undirected edges, the data-file
 oracle parses each cell with ``float``, and the topological-order and
@@ -226,6 +228,26 @@ def name_adjacency(d: PdagGraph) -> dict:
         adjacent[a].append(b)
         adjacent[b].append(a)
     return {v: sorted(ws) for v, ws in adjacent.items()}
+
+
+def tuple_set_forward_reach(g: PdagGraph, roots: int, out, removed: int = 0) -> int:
+    """``causal_paths._forward_reach`` as it was before it kept a mask of
+    expanded successors per node: every (previous, current) state it
+    enters goes into a set of tuples, and a step into a state in the set
+    is skipped."""
+    pa, ch, und = g._pa, g._ch, g._und
+    step = [(o | u) & ~removed for o, u in zip(out, und)]
+    reached = roots & ~removed
+    seen = set()
+    stack = [(r, step[r]) for r in _bits(reached)]
+    while stack:
+        cur, allowed = stack.pop()
+        reached |= allowed
+        for w in _bits(allowed):
+            if (cur, w) not in seen:
+                seen.add((cur, w))
+                stack.append((w, step[w] & ~(pa[cur] | ch[cur] | und[cur] | 1 << cur)))
+    return reached
 
 
 def recursive_simple_paths(starts: int, step, back, targets: int) -> list:

@@ -34,6 +34,7 @@ from helpers import (
     name_b_blocking_by_enumeration,
     proper_backdoor_dag,
     subset_listing,
+    tuple_set_forward_reach,
 )
 
 
@@ -439,6 +440,27 @@ class TestReachabilityRoutes:
             else:
                 not_amenable += 1
         assert amenable > 200 and not_amenable > 200
+
+    def test_forward_reach_matches_the_tuple_set_search(self):
+        """Entry for entry against the state search over a set of tuples
+        that the per-node masks replaced: both directions, from the
+        treatments, the outcomes and both, with no node removed, with the
+        treatments or the outcomes removed, and with the treatments and
+        one treatment's parents removed, as the criterion removes them."""
+        calls = shrunk = 0
+        for g, xs, ys in self.queries():
+            x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+            removals = [0, x_mask, y_mask] + [x_mask | g._pa[x] for x in adjustment._bits(x_mask)]
+            for out in (g._ch, g._pa):
+                for roots in (x_mask, y_mask, x_mask | y_mask):
+                    whole = causal_paths._forward_reach(g, roots, out)
+                    for removed in removals:
+                        got = causal_paths._forward_reach(g, roots, out, removed)
+                        want = tuple_set_forward_reach(g, roots, out, removed)
+                        assert got == want, (g, xs, ys, roots, removed)
+                        calls += 1
+                        shrunk += got != whole & ~removed
+        assert (calls, shrunk) == (17_226, 5_192)
 
     def test_forbidden_set_matches_the_enumeration(self):
         """Entry for entry, ``nodes`` and ``on_path``, against the walk of

@@ -52,6 +52,7 @@ from helpers import (
     scan_close,
     scan_extension,
     subset_listing,
+    tuple_set_forward_reach,
 )
 
 # Seeded and stateless, so every tier-1 run checks the same examples.
@@ -229,6 +230,24 @@ def test_possible_reach_matches_the_path_oracle(g):
     for v in g.nodes:
         assert b_possible_descendants(g, v) == oracle_reach(g, v)
         assert b_possible_ancestors(g, v) == oracle_reach(g, v, ANCESTORS)
+
+
+@SEEDED
+@given(any_pdags())
+def test_forward_reach_matches_the_tuple_set_search(g):
+    """On a maximal input, the per-node-mask state search reaches what
+    the tuple-set search it replaced reaches, both ways, from every node
+    and from all nodes, with every set of at most two nodes removed."""
+    if not is_maximal(g):
+        return
+    n = len(g)
+    everything = (1 << n) - 1
+    removals = [0] + [1 << v | 1 << w for v in range(n) for w in range(v, n)]
+    for out in (g._ch, g._pa):
+        for roots in [1 << v for v in range(n)] + [everything]:
+            for removed in removals:
+                got = causal_paths._forward_reach(g, roots, out, removed)
+                assert got == tuple_set_forward_reach(g, roots, out, removed), (roots, removed)
 
 
 @SEEDED

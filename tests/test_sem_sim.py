@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mpdagkit import sem_sim
+from mpdagkit.adjustment import adjust_set, is_amenable
 from mpdagkit.extension import represents
 from mpdagkit.ida import ida_effects, possible_parent_sets
 from mpdagkit.meek import cpdag_of
@@ -448,13 +449,13 @@ class TestStudyRoute:
         # graph; every graph it analyses must be the whole-prefix merge.
         # The repeated fraction merges an empty slice.
         seen = []
-        amenable_adjust_set = sem_sim._amenable_adjust_set
+        adjust_core = sem_sim._adjust_core
 
-        def recording(graph, x, y):
+        def recording(graph, x_mask, y_mask):
             seen.append(graph)
-            return amenable_adjust_set(graph, x, y)
+            return adjust_core(graph, x_mask, y_mask)
 
-        monkeypatch.setattr(sem_sim, "_amenable_adjust_set", recording)
+        monkeypatch.setattr(sem_sim, "_adjust_core", recording)
         cfg = SimConfig(
             node_counts=(6, 9),
             neighborhood_sizes=(2.0, 3.0),
@@ -510,13 +511,13 @@ class TestReplicateFitTable:
     def test_rows_equal_ida_without_a_table(self, monkeypatch):
         monkeypatch.setattr(sem_sim, "sample_data", few_distinct_rows)
         effects = []
-        study_route = sem_sim.ida_effects
+        study_route = sem_sim._ida_core
 
         def recording(*args, **kwargs):
             effects.append(study_route(*args, **kwargs))
             return effects[-1]
 
-        monkeypatch.setattr(sem_sim, "ida_effects", recording)
+        monkeypatch.setattr(sem_sim, "_ida_core", recording)
         rows = run_simulation(TABLE_CFG)
         assert len(effects) == len(rows)
         fitted = failed = 0
@@ -551,6 +552,22 @@ class TestReplicateFitTable:
                     keys.add((row.seed, y, x, tuple(sorted(parents, key=graph.node_index))))
                     regressions += 1
         assert fits == len(keys) < regressions
+
+
+class TestReplicateChecks:
+    """A replicate checks its query and data once, then runs the private
+    cores on each fraction's graph; its rows still give the public
+    entry points' answers."""
+
+    def test_rows_equal_the_public_adjustment_queries(self):
+        rows = run_simulation(TABLE_CFG)
+        amenable = identifiable = 0
+        for row, (graph, x, y, _data) in zip(rows, study_queries(rows, sample_data)):
+            assert row.amenable == is_amenable(graph, x, y).ok, (row, graph, x, y)
+            assert row.identifiable == (adjust_set(graph, x, y) is not None), (row, graph, x, y)
+            amenable += row.amenable
+            identifiable += row.identifiable
+        assert 0 < amenable < len(rows) and 0 < identifiable < len(rows)
 
 
 SAMPLE_DIGEST_SCRIPT = """
