@@ -10,8 +10,10 @@ picks were merged into; one node needs no copy and no merge.  Sibling
 subsets that are not cliques are never tried: two non-adjacent parents
 would form an unshielded collider the class lacks.  Effects are one
 linear regression per surviving parent set, or path tracing through a
-fitted extension DAG of each merged graph for joint interventions, where
-each distinct (node, parent set) regression is fitted once per query.
+fitted extension DAG of each merged graph for joint interventions.  A
+joint query fits each distinct (node, parent mask) regression once and
+inverts its extensions' I - B in blocks, one stacked LAPACK call per
+block; every effect is bit-identical to one inversion per extension.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .meek import _merge_one, _require_maximal
 from .pdag_core import PdagGraph, QueryError, _bits, _query_masks, consistent_extension
 
 DEDUP_TOLERANCE = 1e-8
+# Extensions whose I - B are inverted in one stacked LAPACK call; this
+# bounds a joint query's stacked arrays, whatever the family's size.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ def _least_squares(
     ``fits``, when given, is a table of earlier results for this
     ``data``, keyed by ``(target, regressor tuple)``: a key it holds is
     not fitted again, and a new fit is stored in it.  A table is scoped
-    to one data matrix (one joint query, or one study replicate), so a
+    to one data matrix (one study replicate), so a
     read-back result is the one the same ``lstsq`` call on the same
     design matrix gives.  Callers only read the arrays it returns."""
     if fits is not None:
@@ -272,23 +277,6 @@ def _ida_core(
     return EffectMultiset(family, tuple(values))
 
 
-def _fit_coefficient_matrix(
-    dag: PdagGraph, data: np.ndarray, col: dict[str, int], fits: Optional[dict] = None
-) -> np.ndarray:
-    """Node-wise least squares on DAG parents; B[i, j] is the fitted
-    direct effect of node i on node j (node order of the graph).  The
-    regressors are each node's parents in ascending index order, and
-    ``fits`` is :func:`_least_squares`'s table, if any."""
-    names = dag.nodes
-    B = np.zeros((len(names), len(names)))
-    for v, mask in enumerate(dag._pa):
-        parents = list(_bits(mask))
-        if not parents:
-            continue
-        B[parents, v] = _least_squares(data, col, names[v], [names[u] for u in parents], fits)
-    return B
-
-
 def joint_ida_effects(
     g: PdagGraph,
     xs: "str | Sequence[str]",
@@ -303,27 +291,49 @@ def joint_ida_effects(
     by node, and the effect vector is read from the inverse of
     (I - B) at the treatment rows and outcome column (the sum over
     directed paths of fitted coefficient products).  The extensions
-    share most nodes' parent sets, so each distinct (node, parent set)
-    regression is fitted once per query and its coefficients are reused
-    by every extension that has it.  The lists are labelled ``xs`` and
-    ``y``.
+    share most nodes' parent sets, so each distinct (node, parent mask)
+    regression is fitted once per query, with the parents in ascending
+    index order, and its coefficients are reused by every extension that
+    has it.  The extensions are taken in blocks of ``_BLOCK``: their B
+    fill one stacked array, an extension with a rank-deficient fit gets
+    a zeroed slice and a NaN vector, and one ``np.linalg.inv`` call
+    inverts the block's I - B.  LAPACK inverts each matrix of a stack as
+    it inverts it alone, so every effect is bit-identical to one
+    inversion per extension, and each stacked array holds one block at
+    most.  The lists are labelled ``xs`` and ``y``.
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     _, data, col = _effect_data(g, {"xs": xs, "y": y}, data, columns)
     _require_maximal(g)
-    idx = g._index
     graphs: list[PdagGraph] = []
     family = ParentSetFamily(xs, tuple(_accepted(g, xs, graphs, g)))
 
-    values = []
-    fits: dict = {}
-    for merged in graphs:
-        dag = consistent_extension(merged)
-        assert dag is not None, "merged graph of an accepted combination extends"
-        B = _fit_coefficient_matrix(dag, data, col, fits)
-        if np.isnan(B).any():
-            values.append((float("nan"),) * len(xs))
-            continue
-        totals = np.linalg.inv(np.eye(len(idx)) - B)
-        values.append(tuple(float(totals[idx[x], idx[y]]) for x in xs))
+    names, p = g.nodes, len(g.nodes)
+    rows, out = [g._index[x] for x in xs], g._index[y]
+    nan = (float("nan"),) * len(xs)
+    fits: dict = {}  # (node, parent mask) -> (parent indices, coefficients)
+    values: list = []
+    for start in range(0, len(graphs), _BLOCK):
+        block = graphs[start : start + _BLOCK]
+        B = np.zeros((len(block), p, p))
+        for slot, merged in zip(B, block):
+            dag = consistent_extension(merged)
+            assert dag is not None, "merged graph of an accepted combination extends"
+            for v, mask in enumerate(dag._pa):
+                if not mask:
+                    continue
+                fit = fits.get((v, mask))
+                if fit is None:
+                    parents = list(_bits(mask))
+                    fit = fits[v, mask] = (
+                        parents,
+                        _least_squares(data, col, names[v], [names[u] for u in parents]),
+                    )
+                slot[fit[0], v] = fit[1]
+        # Zeroing a slice with a rank-deficient fit keeps NaN from LAPACK.
+        failed = np.isnan(B).any(axis=(1, 2))
+        B[failed] = 0.0
+        totals = np.linalg.inv(np.subtract(np.eye(p), B, out=B))
+        for bad, effect in zip(failed.tolist(), totals[:, rows, out].tolist()):
+            values.append(nan if bad else tuple(effect))
     return EffectMultiset(family, tuple(values))

@@ -375,10 +375,16 @@ def consistent_extension(g: PdagGraph) -> Optional[PdagGraph]:
     remaining = (1 << len(und)) - 1
 
     def eligible(x: int) -> bool:
+        if ch[x] & remaining:
+            return False
         near = adjacent[x] & remaining
-        return not ch[x] & remaining and all(
-            not near & ~(1 << u | adjacent[u]) for u in _bits(und[x])
-        )
+        m = und[x]
+        while m:
+            low = m & -m
+            if near & ~(low | adjacent[low.bit_length() - 1]):
+                return False
+            m ^= low
+        return True
 
     ready = sum(1 << x for x in range(len(und)) if eligible(x))
     while ready:

@@ -18,8 +18,9 @@ tuple-set reach is the state search that the library's per-node masks
 replaced, the
 extension oracle restarts its sink scan after every peel, the DAG-class
 oracle tries every orientation of the undirected edges, the data-file
-oracle parses each cell with ``float``, and the topological-order and
-sampler oracles work by node names.
+oracle parses each cell with ``float``, the topological-order and
+sampler oracles work by node names, and the joint-effect oracle fits
+each extension on its own, with no table shared between fits.
 """
 
 from itertools import combinations, permutations, product
@@ -574,6 +575,25 @@ def name_sample_data(m, n: int, rng) -> np.ndarray:
             total = total + m.coefficients[(parent, v)] * data[:, idx[parent]]
         data[:, idx[v]] = total
     return data
+
+
+def fit_coefficient_matrix(dag: PdagGraph, data: np.ndarray, col: dict) -> np.ndarray:
+    """Reference for the coefficients ``joint_ida_effects`` fits for one
+    extension: one least-squares fit per node with parents, each built
+    here from an intercept column and the parents' columns in ascending
+    index order, with no table shared between fits or extensions.
+    ``B[i, j]`` is the fitted direct effect of node ``i`` on node ``j``;
+    a rank-deficient fit fills its column's parent rows with NaN."""
+    names = dag.nodes
+    B = np.zeros((len(names), len(names)))
+    for v, mask in enumerate(dag._pa):
+        parents = list(_bits(mask))
+        if not parents:
+            continue
+        design = np.column_stack([np.ones(len(data))] + [data[:, col[names[u]]] for u in parents])
+        solution, _, rank, _ = np.linalg.lstsq(design, data[:, col[names[v]]], rcond=None)
+        B[parents, v] = solution[1:] if rank == design.shape[1] else np.nan
+    return B
 
 
 def read_csv_rows(path: str):

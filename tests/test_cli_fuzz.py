@@ -58,7 +58,6 @@ import pytest
 from mpdagkit import cli
 from mpdagkit.causal_paths import ANCESTORS, DESCENDANTS
 from mpdagkit.extension import consistent_extension, enumerate_dags
-from mpdagkit.ida import _fit_coefficient_matrix
 from mpdagkit.meek import construct_max_pdag, cpdag_of, validate_maximal_pdag
 from mpdagkit.pdag_core import _parse_canonical, parse_graph, serialize_graph
 from mpdagkit.reference import oracle_reach
@@ -66,6 +65,7 @@ from mpdagkit.reference import oracle_reach
 from conftest import write_fresh
 from helpers import (
     dag_adjustment_criterion,
+    fit_coefficient_matrix,
     global_merge_combinations,
     maximality_error,
     read_csv_rows,
@@ -273,7 +273,7 @@ def ida_lines(g, xs, y, data, columns) -> set:
     assert set(merged) == tuples
     lines = set()
     for parents in tuples:
-        B = _fit_coefficient_matrix(consistent_extension(merged[parents]), data, col)
+        B = fit_coefficient_matrix(consistent_extension(merged[parents]), data, col)
         if np.isnan(B).any():
             values = [math.nan] * len(xs)
         else:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mpdagkit import ida
 from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.ida import (
     EffectMultiset,
-    _fit_coefficient_matrix,
     _least_squares,
     ida_effects,
     joint_ida_effects,
@@ -17,7 +17,7 @@ from mpdagkit.pdag_core import PdagGraph, QueryError, parse_graph
 from mpdagkit.sem_sim import SemModel, random_dag, sample_data, true_total_effect
 
 from conftest import random_mpdag
-from helpers import global_merge_combinations, global_merge_parent_sets
+from helpers import fit_coefficient_matrix, global_merge_combinations, global_merge_parent_sets
 
 FOUR_CYCLE = PdagGraph(
     "ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
@@ -430,7 +430,7 @@ class TestJointEffects:
             *xs, y = (str(v) for v in picked)
             expected = []
             for _, merged in global_merge_combinations(g, xs):
-                B = _fit_coefficient_matrix(consistent_extension(merged), data, col)
+                B = fit_coefficient_matrix(consistent_extension(merged), data, col)
                 totals = np.linalg.inv(np.eye(p) - B)
                 expected.append(tuple(float(totals[g.node_index(x), g.node_index(y)]) for x in xs))
             effects = joint_ida_effects(g, xs, y, data, columns=columns)
@@ -456,6 +456,38 @@ class TestJointEffects:
         effects = joint_ida_effects(g, xs, y, data)
         assert len(effects) == len(extensions)
         assert len(calls) == len(distinct) < per_extension
+
+    @pytest.mark.parametrize("block", [3, ida._BLOCK])
+    def test_nan_entries_beside_finite_ones_across_blocks(self, monkeypatch, block):
+        """V4 repeats V1, so an extension with a node that regresses on
+        both is rank deficient and its entry is a NaN tuple, while the
+        others stay finite.  Cut into blocks of three, NaN and finite
+        entries share blocks, and every entry is bit-identical to fitting
+        and inverting its own extension."""
+        g = complete_graph(4)
+        xs, y = ["V2", "V3"], "V1"
+        data = np.random.default_rng(5).standard_normal((30, 4))
+        data[:, 3] = data[:, 0]
+        col = {name: j for j, name in enumerate(g.nodes)}
+        expected = []
+        for _, merged in global_merge_combinations(g, xs):
+            B = fit_coefficient_matrix(consistent_extension(merged), data, col)
+            if np.isnan(B).any():
+                expected.append((math.nan, math.nan))
+                continue
+            totals = np.linalg.inv(np.eye(4) - B)
+            expected.append(tuple(float(totals[g.node_index(x), g.node_index(y)]) for x in xs))
+        monkeypatch.setattr(ida, "_BLOCK", block)
+        effects = joint_ida_effects(g, xs, y, data)
+        assert list(effects.family) == global_merge_parent_sets(g, xs)
+        failed = [math.isnan(vec[0]) for vec in expected]
+        blocks = [failed[i : i + 3] for i in range(0, len(failed), 3)]
+        assert any(True in b and False in b for b in blocks) and len(blocks) > 2
+        assert len(effects.values) == len(expected)
+        for got, want in zip(effects.values, expected):
+            assert len(got) == len(want)
+            assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
+            assert all(math.isnan(a) for a in got) or all(map(math.isfinite, got))
 
     def test_rank_deficient_fits_are_nan_tuples(self):
         g = parse_graph("X1 -- X2\nX1 -> Y\nX2 -> Y")
