@@ -23,6 +23,12 @@ Graph, background, data and --config files are read as UTF-8, and a
 leading byte order mark, as Excel and Notepad write, is dropped.  All
 output is deterministic for fixed arguments and seeds, and graph output
 re-parses through the graph reader.
+
+:func:`main` parses a line in one argparse pass: a leading subcommand
+name goes straight to its parser, whose leftover arguments are the
+top-level parser's usage error; any other line is the top-level
+parser's.  An answer written into a closed stdout exits 1 with nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import os
 import sys
@@ -87,24 +94,26 @@ def _format_set(g: PdagGraph, names) -> str:
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
+    """The ``--data`` matrix and header from one read.  A non-blank first
+    line and body go to one numpy parse, which accepts no cell float()
+    rejects; other text, and any failure, width mismatch or non-finite
+    value of that parse, goes to the per-line loop, which gives the line."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise GraphParseError("empty data file")
-    header = [token.strip() for token in lines[0][1].split(",")]
-    if len(lines) > 1:
-        # One numpy parse; it accepts no cell that float() rejects, so any
-        # failure, width mismatch or non-finite value falls through to the
-        # per-row loop, which reports the line.
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    if head.strip() and body.strip():
+        header = [token.strip() for token in head.split(",")]
         try:
-            data = np.loadtxt(
-                [line for _, line in lines[1:]], delimiter=",", comments=None, ndmin=2
-            )
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
             if data.shape[1] == len(header) and np.isfinite(data).all():
                 return data, header
+    lines = [(n, line.strip()) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    if not lines:
+        raise GraphParseError("empty data file")
+    header = [token.strip() for token in lines[0][1].split(",")]
     rows = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
@@ -291,9 +300,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by every
-    :func:`main` call; each subcommand's handler is its ``run`` default."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built
+    once per process and reused by every :func:`main` call; each
+    subcommand's handler is its ``run`` default."""
     parser = argparse.ArgumentParser(
         prog="mpdagkit",
         description="Causal reasoning on maximally oriented partially directed acyclic graphs.",
@@ -346,15 +356,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="CSV output path (default stdout)")
     p_sim.set_defaults(run=_cmd_simulate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
-        return args.run(args)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # from argparse: 2 on a usage error, 0 after --help
         return exc.code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: send that to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (GraphParseError, QueryError, UnicodeDecodeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,14 @@ would form an unshielded collider the class lacks.  Effects are one
 linear regression per surviving parent set, or path tracing through a
 fitted extension DAG of each merged graph for joint interventions.  A
 joint query fits each distinct (node, parent mask) regression once and
-inverts its extensions' I - B in blocks, one stacked LAPACK call per
-block; every effect is bit-identical to one inversion per extension.
+inverts its extensions' I - B in blocks as the search yields them, one
+stacked LAPACK call per block; every effect is bit-identical to one
+inversion per extension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -109,33 +111,29 @@ def _cliques(g: PdagGraph, pool: int) -> list[int]:
     return cliques
 
 
-def _accepted(
-    g: PdagGraph, xs: tuple[str, ...], graphs: Optional[list], m: PdagGraph, parents=()
-) -> list[PossibleParents]:
-    """The entries for ``xs`` that extend the parent sets ``parents`` of
-    its first nodes, the next node decided on ``m``: ``g`` with those
-    picks merged in.  When ``graphs`` is a list, the graph each entry
-    merges into is appended to it."""
+def _accepted(g: PdagGraph, xs: tuple[str, ...], m: PdagGraph, parents=(), merge=False):
+    """Yield each entry for ``xs`` that extends the parent sets
+    ``parents`` of its first nodes, the next node decided on ``m``: ``g``
+    with those picks merged in.  Each entry comes paired with the graph
+    it merges into when ``merge`` is true, and with None otherwise."""
     i = len(parents)
     x = g._index[xs[i]]
     sib, pa = m._und[x], m._pa[x]
     picks = [t for t in _cliques(m, sib) if not any(m._pa[s] & sib & ~t for s in _bits(t))]
     last = i + 1 == len(xs)
-    if last and graphs is None:
-        return [PossibleParents(parents + (g._names(pa | t),)) for t in picks]
-    entries = []
     for t in picks:
+        step = parents + (g._names(pa | t),)
+        if last and not merge:
+            yield PossibleParents(step), None
+            continue
         merged = m._copy()
         for v in _bits(sib):
             reason = _merge_one(merged, *((v, x) if t >> v & 1 else (x, v)))
             assert reason is None, reason
-        step = parents + (g._names(pa | t),)
         if last:
-            entries.append(PossibleParents(step))
-            graphs.append(merged)
+            yield PossibleParents(step), merged
         else:
-            entries += _accepted(g, xs, graphs, merged, step)
-    return entries
+            yield from _accepted(g, xs, merged, step, merge)
 
 
 def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFamily:
@@ -172,7 +170,7 @@ def possible_parent_sets(g: PdagGraph, xs: "str | Sequence[str]") -> ParentSetFa
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     _query_masks(g, {"xs": xs})
     _require_maximal(g)
-    return ParentSetFamily(xs, tuple(_accepted(g, xs, None, g)))
+    return ParentSetFamily(xs, tuple(entry for entry, _ in _accepted(g, xs, g)))
 
 
 def _effect_data(
@@ -265,7 +263,7 @@ def _ida_core(
     earlier row fitted is read back, not refitted.  It is scoped to one
     data matrix, and callers only read what it holds.
     """
-    family = ParentSetFamily((x,), tuple(_accepted(g, (x,), None, g)))
+    family = ParentSetFamily((x,), tuple(entry for entry, _ in _accepted(g, (x,), g)))
     values = []
     for entry in family:
         parents = entry.parents[0]
@@ -299,24 +297,25 @@ def joint_ida_effects(
     a zeroed slice and a NaN vector, and one ``np.linalg.inv`` call
     inverts the block's I - B.  LAPACK inverts each matrix of a stack as
     it inverts it alone, so every effect is bit-identical to one
-    inversion per extension, and each stacked array holds one block at
-    most.  The lists are labelled ``xs`` and ``y``.
+    inversion per extension.  Each block is filled as the parent-set
+    search yields its merged graphs, so a stacked array holds one block
+    at most, and so do the merged graphs held at once, not the family's.
+    The lists are labelled ``xs`` and ``y``.
     """
     xs = (xs,) if isinstance(xs, str) else tuple(xs)  # a bare string is one node
     _, data, col = _effect_data(g, {"xs": xs, "y": y}, data, columns)
     _require_maximal(g)
-    graphs: list[PdagGraph] = []
-    family = ParentSetFamily(xs, tuple(_accepted(g, xs, graphs, g)))
-
     names, p = g.nodes, len(g.nodes)
     rows, out = [g._index[x] for x in xs], g._index[y]
     nan = (float("nan"),) * len(xs)
     fits: dict = {}  # (node, parent mask) -> (parent indices, coefficients)
+    entries: list = []
     values: list = []
-    for start in range(0, len(graphs), _BLOCK):
-        block = graphs[start : start + _BLOCK]
+    pairs = _accepted(g, xs, g, merge=True)
+    while block := list(itertools.islice(pairs, _BLOCK)):
         B = np.zeros((len(block), p, p))
-        for slot, merged in zip(B, block):
+        for slot, (entry, merged) in zip(B, block):
+            entries.append(entry)
             dag = consistent_extension(merged)
             assert dag is not None, "merged graph of an accepted combination extends"
             for v, mask in enumerate(dag._pa):
@@ -330,10 +329,11 @@ def joint_ida_effects(
                         _least_squares(data, col, names[v], [names[u] for u in parents]),
                     )
                 slot[fit[0], v] = fit[1]
+        del block  # the next block replaces these graphs, not joins them
         # Zeroing a slice with a rank-deficient fit keeps NaN from LAPACK.
         failed = np.isnan(B).any(axis=(1, 2))
         B[failed] = 0.0
         totals = np.linalg.inv(np.subtract(np.eye(p), B, out=B))
         for bad, effect in zip(failed.tolist(), totals[:, rows, out].tolist()):
             values.append(nan if bad else tuple(effect))
-    return EffectMultiset(family, tuple(values))
+    return EffectMultiset(ParentSetFamily(xs, tuple(entries)), tuple(values))

@@ -599,8 +599,9 @@ def fit_coefficient_matrix(dag: PdagGraph, data: np.ndarray, col: dict) -> np.nd
 def read_csv_rows(path: str):
     """Reference for the CLI's ``--data`` reader: every row is split and
     parsed cell by cell with ``float``, and the first bad row names its
-    line.  Returns the data and the header, as the reader does."""
-    with open(path, "r", encoding="utf-8") as fh:
+    line.  Returns the data and the header, as the reader does; a leading
+    byte order mark is dropped, as the CLI drops it from every file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise GraphParseError("empty data file")

@@ -406,6 +406,26 @@ class TestErrors:
         result = run_cli("validate", "/nonexistent/path.g")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, graphs, unbuffered):
+        """A reader that has closed stdout (``| head -0``) is not a usage
+        error, buffered or not: exit 1, nothing on stderr, and no
+        "Exception ignored" at shutdown."""
+        read, write = os.pipe()
+        os.close(read)  # before the child starts, so its first write fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "mpdagkit", "adjust", graphs["fig3_g1"],
+                 "--x", "X", "--y", "Y", "--list"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
+
 
 FOUR_CYCLE_TEXT = "A -- B\nB -- C\nC -- D\nD -- A\n"
 
@@ -969,6 +989,10 @@ def test_one_node_list_rule_for_every_subcommand(rule_files, query):
 
 
 HELP_GOLDEN = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+# Exit code, stdout and stderr of argparse's own answers, captured at 80
+# columns from the parser that dispatched every line itself; "G" stands
+# for a graph file.
+USAGE_GOLDEN = json.loads((Path(__file__).parent / "cli_usage.json").read_text())
 
 
 class TestParserCache:
@@ -986,6 +1010,37 @@ class TestParserCache:
         for _ in range(2):
             assert cli.main(argv) == 0
             assert capsys.readouterr() == (HELP_GOLDEN[name], "")
+
+    @pytest.mark.parametrize("case", USAGE_GOLDEN, ids=lambda case: " ".join(case["argv"]) or "none")
+    def test_usage_matches_golden(self, graphs, capsys, case):
+        argv = [graphs["fig3_g1"] if arg == "G" else arg for arg in case["argv"]]
+        for _ in range(2):
+            assert cli.main(argv) == case["code"]
+            assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+    def test_one_parse_pass_per_call(self, graphs, capsys, monkeypatch):
+        passes = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counting_parse(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+        g = graphs["fig3_g1"]
+        for argv in (
+            ["validate", g],
+            ["orient", g, "--bg", "X -> Y"],
+            ["possde", g, "--x", "X"],
+            ["possan", g, "--x", "X"],
+            ["adjust", g, "--x", "X", "--y", "Y", "--find"],
+            ["ida", g, "--x", "X", "--y", "Y", "--data", g + ".none"],
+            ["simulate", "--graphs", "1"],
+        ):
+            passes.clear()
+            cli.main(argv)
+            assert passes == [f"mpdagkit {argv[0]}"]
+        capsys.readouterr()
 
     def test_one_parser_for_many_calls(self, graphs, capsys, monkeypatch):
         built = []
@@ -1040,7 +1095,10 @@ def csv_texts(draw):
     """A data file of up to five rows under a one- to three-column
     header; rows may have a cell too few or too many or a trailing comma,
     blank lines may follow them, and the cells are either all numbers or
-    about one in four hostile."""
+    about one in four hostile.  The file may start with a byte order mark
+    or blank lines, pad its header cells with spaces, end its lines with
+    CRLF, or hold a header alone: text the one-parse route hands to the
+    per-line loop, or must read as that loop does."""
     width = draw(st.integers(1, 3))
     hostile = draw(st.booleans())
 
@@ -1049,7 +1107,9 @@ def csv_texts(draw):
             return draw(HOSTILE_CELLS)
         return draw(NUMBER_CELLS)
 
-    lines = [",".join("ABC"[:width])]
+    pad = draw(st.sampled_from(["", "", " ", "\t "]))
+    lines = [draw(st.sampled_from(["", "  ", "\t"]))] if draw(st.integers(0, 4)) == 0 else []
+    lines.append(",".join(f"{pad}{name}{pad}" for name in "ABC"[:width]))
     for _ in range(draw(st.integers(0, 5))):
         count = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
         lines.append(",".join(cell() for _ in range(count)))
@@ -1057,7 +1117,9 @@ def csv_texts(draw):
             lines[-1] += ","
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @pytest.fixture(scope="module")

@@ -82,10 +82,9 @@ def test_derived_graphs_equal_their_public_rebuild():
         # query merges, so the prefixes cover every graph the route builds.
         xs = tuple(dict.fromkeys((x, y, g.nodes[len(g) // 2])))
         for k in range(1, len(xs) + 1):
-            graphs = []
-            entries = _accepted(g, xs[:k], graphs, g)
-            assert len(graphs) == len(entries) > 0
-            for merged in graphs:
+            pairs = list(_accepted(g, xs[:k], g, merge=True))
+            assert pairs
+            for _, merged in pairs:
                 assert_sound(merged, g)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,6 +489,23 @@ class TestJointEffects:
             assert len(got) == len(want)
             assert all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
             assert all(math.isnan(a) for a in got) or all(map(math.isfinite, got))
+
+    def test_blocks_are_fitted_as_the_search_yields_them(self):
+        """A three-node joint query on K8 has 6,144 entries.  Its peak
+        allocation stays within 1.4 times what the result keeps: it read
+        1.75 times when every merged graph of the family was collected
+        before the first block was fitted, and 1.18 since."""
+        g = complete_graph(8)
+        data = np.random.default_rng(3).standard_normal((50, 8))
+        joint_ida_effects(complete_graph(3), ["V1", "V2"], "V3", data[:, :3])  # lazy imports
+        tracemalloc.start()
+        try:
+            effects = joint_ida_effects(g, ["V1", "V2", "V3"], "V8", data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(effects) == 6144
+        assert peak < 1.4 * kept
 
     def test_rank_deficient_fits_are_nan_tuples(self):
         g = parse_graph("X1 -- X2\nX1 -> Y\nX2 -> Y")
