@@ -296,7 +296,8 @@ def d_separated(
 
 def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> bool:
     """The search behind :func:`d_separated`, on a DAG's parent and child
-    masks and pairwise disjoint node masks the caller has checked."""
+    masks and pairwise disjoint node masks the caller has checked; a
+    listing passes the child masks :func:`_backdoor` pruned."""
     anz = _closure(pa, zs)  # nodes with a descendant in zs, plus zs
     # Two frontiers: ``down`` nodes were arrived at along an edge into
     # them, ``up`` nodes against an edge out of them.
@@ -323,21 +324,29 @@ def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> boo
     return True
 
 
-def _backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> tuple[list[int], list[int]]:
-    """The parent and child masks of ``h`` without each edge ``x -> c``
-    whose ``c`` has a b-possibly-causal path into ``ys`` avoiding ``xs``.
-    On a maximal PDAG these are the first edges of the proper
-    b-possibly-causal paths (:func:`_blocked_on_g`).  On a DAG the masks
-    are its proper back-door graph, as a shortest directed path avoiding
-    ``xs`` is unshielded (a chord would skip ahead), so the reach finds it.
+def _backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> list[int]:
+    """The child masks of ``h`` without each edge ``x -> c`` whose ``c``
+    has a b-possibly-causal path into ``ys`` avoiding ``xs``: on a
+    maximal PDAG the first edges of the proper b-possibly-causal paths
+    (:func:`_blocked_on_g`), on a DAG the edges its proper back-door
+    graph drops, as a shortest directed path avoiding ``xs`` is
+    unshielded (a chord would skip ahead), so the reach finds it.
+
+    The parent masks stay ``h``'s, which changes no answer for a ``Z``
+    outside the forbidden set ``F``, as every caller's is.  A pruned
+    ``c`` is on a proper b-possibly-causal path of the maximal graph
+    (:func:`_blocked_on_g`, part (1); on an extension, amenability keeps
+    ``x -> c`` directed there), so ``c``'s descendants in ``h`` are in
+    ``F``, and ``_closure(pa, Z)`` holds no ``c``.  The walk never
+    re-enters ``X``; :func:`_d_separated` may re-enter ``x`` from ``c``,
+    into states it started from; ``x`` seeds the minimal listing's
+    ancestors.
     """
     leads = _forward_reach(h, y_mask, h._pa, x_mask)
-    pa, ch = h._pa[:], h._ch[:]
-    for v in _bits(leads):
-        pa[v] &= ~x_mask
+    ch = h._ch[:]
     for x in _bits(x_mask):
         ch[x] &= ~leads
-    return pa, ch
+    return ch
 
 
 def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[list, Callable]:
@@ -347,8 +356,8 @@ def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[li
     step reads the neighbours of ``a`` and ``b`` off ``h``'s unpruned
     masks when it needs them, not off an adjacency list built first, as
     a walk usually takes fewer steps than ``h`` has nodes."""
-    pa, ch = _backdoor(h, x_mask, y_mask)
-    h_pa, h_ch, und = h._pa, h._ch, h._und
+    ch = _backdoor(h, x_mask, y_mask)
+    pa, h_ch, und = h._pa, h._ch, h._und
     opened = _closure(pa, z_mask)
     first = [(x, (pa[x] | ch[x] | und[x]) & ~x_mask) for x in _bits(x_mask)]
 
@@ -356,11 +365,11 @@ def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[li
         onward = pa[b] if pa[b] >> a & 1 and opened >> b & 1 else 0  # a collider
         if not z_mask >> b & 1:  # definite non-colliders
             if ch[b] >> a & 1:
-                onward |= h_pa[b] | h_ch[b] | und[b]
+                onward |= pa[b] | h_ch[b] | und[b]
             else:
                 onward |= ch[b]
                 if und[b] >> a & 1:
-                    onward |= und[b] & ~(h_pa[a] | h_ch[a] | und[a])
+                    onward |= und[b] & ~(pa[a] | h_ch[a] | und[a])
         return onward & ~x_mask & ~(1 << a)
 
     return first, step
@@ -399,13 +408,13 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     (Shachter 1998) walks (previous, current) states from ``X``, never
     re-entering ``X`` or backing up (:func:`_open_walks`).  A step ``a,
     b, c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a directed path
-    into ``Z`` in the pruned graph (``b`` in ``Z`` included), or when
-    ``b`` is outside ``Z`` and a definite non-collider: ``b -> a``, ``b
-    -> c``, or ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g``
-    (definite status as in Perkovic, Textor, Kalisch and Maathuis, JMLR
-    2018).  Any other triple stops the walk; reaching ``Y`` means "not
-    blocked".  This is the source paper's blocking condition, decided on
-    ``g`` depth-first with no DAG extension.  A state's successors depend
+    into ``Z`` in ``g`` (``b`` in ``Z`` included), or when ``b`` is
+    outside ``Z`` and a definite non-collider: ``b -> a``, ``b -> c``, or
+    ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g`` (definite
+    status as in Perkovic, Textor, Kalisch and Maathuis, JMLR 2018).  Any
+    other triple stops the walk; reaching ``Y`` means "not blocked".
+    This is the source paper's blocking condition, decided on ``g``
+    depth-first with no DAG extension.  A state's successors depend
     on the state alone, so ``done[a]`` holds the ``b`` whose state ``(a,
     b)`` was entered, and each state is expanded once.
 
@@ -424,13 +433,12 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     ``x -> c ...`` stays directed up to its first collider, since ``u ->
     v - w`` is oriented by Meek's first rule or is not definite.  With
     no collider it is causal; otherwise that collider, and so a node of
-    ``Z``, is a directed descendant of ``c``, which ``F`` excludes.  The
-    same holds for a directed path into ``Z`` through a pruned edge, so
-    pruning opens no fewer colliders.  After pruning, every proper path
-    into ``Y`` is b-non-causal: it starts ``x <- p``, or ``x - s`` (a
-    b-possibly-causal one would break amenability), or ``x -> c`` with
-    ``c`` outside ``A``.  (2) A walk that reaches ``Y`` makes the
-    blocking condition fail.  Take any DAG ``D`` of the class.  Every
+    ``Z``, is a directed descendant of ``c``, which ``F`` excludes; so no
+    directed path into ``Z`` uses a pruned edge.  After pruning, every
+    proper path into ``Y`` is b-non-causal: it starts ``x <- p``, or
+    ``x - s`` (a b-possibly-causal one would break amenability), or ``x
+    -> c`` with ``c`` outside ``A``.  (2) A walk that reaches ``Y`` makes
+    the blocking condition fail.  Take any DAG ``D`` of the class.  Every
     passing triple passes the d-separation rule in ``D``: a collider
     and its directed path into ``Z`` stay, an edge out of ``b`` stays,
     and an unshielded ``a - b - c`` is no collider in ``D``.  ``D``'s
@@ -590,7 +598,8 @@ def list_adjustment_sets(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
-    pa, ch = _backdoor(g._extension or consistent_extension(g), x_mask, y_mask)
+    dag = g._extension or consistent_extension(g)
+    pa, ch = dag._pa, _backdoor(dag, x_mask, y_mask)
     bit = {name: 1 << g._index[name] for name in universe}
     if minimal_only:
         ancestors = _closure(pa, x_mask | y_mask)

@@ -27,8 +27,8 @@ re-parses through the graph reader.
 :func:`main` parses a line in one argparse pass: a leading subcommand
 name goes straight to its parser, whose leftover arguments are the
 top-level parser's usage error; any other line is the top-level
-parser's.  An answer written into a closed stdout exits 1 with nothing
-on stderr.
+parser's.  An answer or a domain failure's message written into a
+closed stdout exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -95,16 +94,18 @@ def _format_set(g: PdagGraph, names) -> str:
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     """The ``--data`` matrix and header from one read.  A non-blank first
-    line and body go to one numpy parse, which accepts no cell float()
-    rejects; other text, and any failure, width mismatch or non-finite
-    value of that parse, goes to the per-line loop, which gives the line."""
+    line and the non-blank lines after it go to one numpy parse, which
+    accepts no cell float() rejects; other text, and any failure, width
+    mismatch or non-finite value of that parse, goes to the per-line
+    loop, which gives the line."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     head, _, body = text.partition("\n")
-    if head.strip() and body.strip():
+    rows = [line for line in body.split("\n") if line.strip()]
+    if head.strip() and rows:
         header = [token.strip() for token in head.split(",")]
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
@@ -377,11 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # from argparse: 2 on a usage error, 0 after --help
         return exc.code
     except BrokenPipeError:
-        # The interpreter flushes stdout again at exit: send that to devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        pass
     except (GraphParseError, QueryError, UnicodeDecodeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -389,8 +386,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}")
-        return 1
+        try:
+            print(f"error: {exc}", flush=True)
+            return 1
+        except BrokenPipeError:
+            pass
+    # Output went into a closed stdout, which the interpreter flushes again
+    # at exit: send that to devnull.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
 
 
 if __name__ == "__main__":

@@ -69,14 +69,11 @@ def parse_background(text: str) -> BackgroundKnowledge:
     reqs = []
     for st in parse_statements(text):
         if st[0] != "edge" or st[3] != "->":
-            lineno = st[-1]
             raise GraphParseError(
                 "only directed edge statements are allowed in background knowledge",
-                lineno,
+                st[-1],
             )
-        _, u, v, _op, weight, lineno = st
-        if weight is not None:
-            raise GraphParseError("weights are not allowed in background knowledge", lineno)
+        _, u, v, _op, lineno = st
         if u == v:
             raise GraphParseError(f"self-loop on {u!r}", lineno)
         reqs.append((u, v))
@@ -153,8 +150,8 @@ def _first_target(g: PdagGraph, a: int, b: int) -> Optional[tuple[int, int]]:
             hits = und[i] & others
             if hits:
                 return i, _low(hits)
-    # R4, a -> b matching the lower edge l -> k of the pattern.
-    others = pa[a] & ~(und[b] | pa[b] | ch[b] | 1 << b)
+    # R4, a -> b matching the lower edge l -> k of the pattern (b is not in pa[a]).
+    others = pa[a] & ~(und[b] | pa[b] | ch[b])
     if others:
         for i in _bits(common):
             if und[i] & others:

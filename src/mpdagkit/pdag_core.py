@@ -5,10 +5,10 @@ of its parents, children and siblings over node indices.  The same value
 type is used for DAGs, CPDAGs and maximal PDAGs.  Library code works on
 the masks; names appear only at the public methods and in
 parse/serialize.  The public constructor validates names and edges; a
-graph derived from another (closure, merge, extension, reversal) is
-built by the private ``PdagGraph._from_masks`` or ``_copy``, which share
-the source's nodes and index and re-check nothing.  Graphs are immutable
-once returned, as derived graphs may share mask lists with their source.
+graph derived from another (closure, merge, extension) is built by the
+private ``PdagGraph._from_masks`` or ``_copy``, which share the source's
+nodes and index and re-check nothing.  Graphs are immutable once
+returned, as derived graphs may share mask lists with their source.
 
 The module also owns peeling: acyclicity, the topological order the SEM
 sampler walks (:func:`_topological_order`) and the one DAG extension
@@ -269,12 +269,6 @@ class PdagGraph:
             m.bit_count() for m in self._und
         ) // 2
 
-    # -- derived graphs ------------------------------------------------
-
-    def reversed(self) -> "PdagGraph":
-        """Same skeleton with every directed edge flipped."""
-        return PdagGraph._from_masks(self._nodes, self._index, self._ch, self._pa, self._und)
-
     def is_dag(self) -> bool:
         """True iff every edge is directed and no directed cycle exists."""
         return not any(self._und) and not has_directed_cycle(self)
@@ -424,17 +418,14 @@ def unshielded_collider_triples(g: PdagGraph) -> frozenset[tuple[str, str, str]]
 
 # -- text format -------------------------------------------------------
 
-_EDGE_TOKEN = {"--": UNDIRECTED, "->": "dir"}
+_EDGE_OPS = ("--", "->")
 
 
-def parse_statements(
-    text: str,
-) -> list[tuple]:
-    """Tokenize a graph document into statements, keeping edge weights.
+def parse_statements(text: str) -> list[tuple]:
+    """Tokenize a graph document into statements.
 
-    Returns a list of ``("node", name, line)`` and
-    ``("edge", u, v, kind, weight, line)`` tuples where ``kind`` is
-    ``"--"`` or ``"->"`` and ``weight`` is a float or None.  Raises
+    Returns a list of ``("node", name, line)`` and ``("edge", u, v, op,
+    line)`` tuples where ``op`` is ``"--"`` or ``"->"``.  Raises
     :class:`GraphParseError` with the line number on malformed input.
     """
     statements: list[tuple] = []
@@ -443,26 +434,14 @@ def parse_statements(
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) >= 3 and tokens[1] in _EDGE_TOKEN:
-            u, op, v = tokens[0], tokens[1], tokens[2]
+        if len(tokens) >= 3 and tokens[1] in _EDGE_OPS:
+            u, op, v = tokens[:3]
             for name in (u, v):
                 if not NAME_RE.match(name):
                     raise GraphParseError(f"invalid node name {name!r}", lineno)
-            weight = None
-            if len(tokens) == 4:
-                if op != "->":
-                    raise GraphParseError(
-                        "weights are only allowed on directed edges", lineno
-                    )
-                try:
-                    weight = float(tokens[3])
-                except ValueError:
-                    raise GraphParseError(
-                        f"invalid edge weight {tokens[3]!r}", lineno
-                    ) from None
-            elif len(tokens) > 4:
+            if len(tokens) > 3:
                 raise GraphParseError("too many tokens on edge statement", lineno)
-            statements.append(("edge", u, v, op, weight, lineno))
+            statements.append(("edge", u, v, op, lineno))
             continue
         if tokens[0] == "node":
             if len(tokens) != 2:
@@ -471,35 +450,12 @@ def parse_statements(
                 raise GraphParseError(f"invalid node name {tokens[1]!r}", lineno)
             statements.append(("node", tokens[1], lineno))
             continue
-        if NAME_RE.match(tokens[0]) and len(tokens) >= 2 and tokens[1] not in _EDGE_TOKEN:
+        if NAME_RE.match(tokens[0]) and len(tokens) >= 2 and tokens[1] not in _EDGE_OPS:
             if NAME_RE.match(tokens[1]) and len(tokens) == 2:
                 raise GraphParseError(f"unknown directive {tokens[0]!r}", lineno)
             raise GraphParseError(f"unknown edge operator {tokens[1]!r}", lineno)
         raise GraphParseError(f"syntax error near {tokens[0]!r}", lineno)
     return statements
-
-
-def _edge_statements(text: str, nodes: dict[str, None]) -> Iterator[tuple]:
-    """Yield each edge statement of ``text`` as (u, v, op, weight, line),
-    recording node names in ``nodes`` in order of first mention; a
-    self-loop or a second edge on one pair is a GraphParseError."""
-    pairs: set[tuple[str, str]] = set()
-    for st in parse_statements(text):
-        if st[0] == "node":
-            nodes.setdefault(st[1])
-            continue
-        _, u, v, _op, _weight, lineno = st
-        if u == v:
-            raise GraphParseError(f"self-loop on {u!r}", lineno)
-        key = _pair(u, v)
-        if key in pairs:
-            raise GraphParseError(
-                f"duplicate edge between {key[0]!r} and {key[1]!r}", lineno
-            )
-        pairs.add(key)
-        nodes.setdefault(u)
-        nodes.setdefault(v)
-        yield st[1:]
 
 
 # One canonical statement per match, or the rest of the text from the
@@ -538,10 +494,10 @@ def _parse_canonical(text: str) -> Optional[PdagGraph]:
 def parse_graph(text: str) -> PdagGraph:
     """Parse the edge-list graph format into a :class:`PdagGraph`.
 
-    One statement per line: ``node NAME``, ``A -- B`` or ``A -> B`` (an
-    optional trailing weight on directed edges is accepted and ignored
-    here).  ``#`` starts a comment; blank lines are skipped.  Nodes are
-    recorded in order of first mention; a pair may be declared once.
+    One statement per line: ``node NAME``, ``A -- B`` or ``A -> B``; a
+    token after an edge is an error.  ``#`` starts a comment; blank lines
+    are skipped.  Nodes are recorded in order of first mention; a pair
+    may be declared once.
 
     Two routes give the same graph.  A text in the canonical form of
     :func:`serialize_graph` is read in one regex pass straight into the
@@ -556,13 +512,26 @@ def parse_graph(text: str) -> PdagGraph:
 
 
 def _parse_lines(text: str) -> PdagGraph:
-    """:func:`parse_graph` one statement at a time."""
+    """:func:`parse_graph` one statement at a time; a self-loop or a
+    second edge on one pair is a GraphParseError with its line."""
     nodes: dict[str, None] = {}
-    directed: list[tuple[str, str]] = []
-    undirected: list[tuple[str, str]] = []
-    for u, v, op, _weight, _lineno in _edge_statements(text, nodes):
-        (undirected if op == "--" else directed).append((u, v))
-    return PdagGraph(nodes, directed=directed, undirected=undirected)
+    edges: dict[str, list[tuple[str, str]]] = {"--": [], "->": []}
+    pairs: set[tuple[str, str]] = set()
+    for st in parse_statements(text):
+        if st[0] == "node":
+            nodes.setdefault(st[1])
+            continue
+        _, u, v, op, lineno = st
+        if u == v:
+            raise GraphParseError(f"self-loop on {u!r}", lineno)
+        key = _pair(u, v)
+        if key in pairs:
+            raise GraphParseError(f"duplicate edge between {key[0]!r} and {key[1]!r}", lineno)
+        pairs.add(key)
+        nodes.setdefault(u)
+        nodes.setdefault(v)
+        edges[op].append((u, v))
+    return PdagGraph(nodes, directed=edges["->"], undirected=edges["--"])
 
 
 def serialize_graph(g: PdagGraph) -> str:

@@ -30,12 +30,10 @@ from .adjustment import _adjust_core
 from .ida import _effect_data, _ida_core
 from .meek import construct_max_pdag, cpdag_of
 from .pdag_core import (
-    GraphParseError,
     PdagGraph,
     _adjacency,
     _bits,
     _closure,
-    _edge_statements,
     _query_masks,
     _topological_order,
 )
@@ -53,8 +51,8 @@ class SemModel:
 
     ``coefficients`` maps each directed edge (tail, head) to its weight;
     the support must equal the DAG's edge set.  Models drawn by
-    :func:`random_dag` keep weight magnitudes in [0.1, 1], but loaded or
-    hand-built models may use any finite weights.
+    :func:`random_dag` keep weight magnitudes in [0.1, 1], but hand-built
+    models may use any finite weights.
     """
 
     dag: PdagGraph
@@ -359,28 +357,3 @@ def rows_to_csv(rows: Iterable[SimRow]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def load_sem_model(text: str) -> SemModel:
-    """Parse a SEM model from the graph format: directed weighted edges.
-
-    Every edge must be directed and carry a weight; noise scales default
-    to 1.  Isolated nodes may be declared with ``node`` directives.
-    """
-    nodes: dict[str, None] = {}
-    coefficients: dict[tuple[str, str], float] = {}
-    for u, v, op, weight, lineno in _edge_statements(text, nodes):
-        if op != "->":
-            raise GraphParseError("SEM models allow only directed edges", lineno)
-        if weight is None:
-            raise GraphParseError(f"edge {u} -> {v} needs a weight", lineno)
-        coefficients[(u, v)] = weight
-    dag = PdagGraph(nodes, directed=list(coefficients))
-    return SemModel(dag, coefficients, {n: 1.0 for n in nodes})
-
-
-def serialize_sem_model(m: SemModel) -> str:
-    lines = [f"node {name}" for name in m.dag.nodes]
-    for tail, head in m.dag.directed_edges():
-        lines.append(f"{tail} -> {head} {m.coefficients[(tail, head)]!r}")
-    return "\n".join(lines) + "\n"

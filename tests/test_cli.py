@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli, pdag_core
@@ -107,11 +107,19 @@ class TestValidate:
         [
             ("node A B", "node directive takes exactly one name"),
             ("node 1A", "invalid node name '1A'"),
-            ("A -- B 0.5", "weights are only allowed on directed edges"),
+            ("A -- B 0.5", "too many tokens on edge statement"),
+            ("A -> B 0.5", "too many tokens on edge statement"),
             ("A -> B 0.5 x", "too many tokens on edge statement"),
             ("-> A B", "syntax error near '->'"),
         ],
-        ids=["node_two_names", "node_bad_name", "undirected_weight", "too_many_tokens", "syntax"],
+        ids=[
+            "node_two_names",
+            "node_bad_name",
+            "undirected_weight",
+            "directed_weight",
+            "too_many_tokens",
+            "syntax",
+        ],
     )
     def test_parse_errors_exit_2_with_the_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.g"
@@ -359,7 +367,6 @@ class TestOnePeelPerParsedGraph:
         assert g._extension == pdag_core.consistent_extension(g)
         derived = (
             g._copy(),
-            g.reversed(),
             PdagGraph._from_masks(g.nodes, g._index, g._pa, g._ch, g._und),
         )
         for d in derived:
@@ -411,20 +418,34 @@ class TestErrors:
         """A reader that has closed stdout (``| head -0``) is not a usage
         error, buffered or not: exit 1, nothing on stderr, and no
         "Exception ignored" at shutdown."""
-        read, write = os.pipe()
-        os.close(read)  # before the child starts, so its first write fails with EPIPE
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "mpdagkit", "adjust", graphs["fig3_g1"],
-                 "--x", "X", "--y", "Y", "--list"],
-                stdout=write,
-                stderr=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
-            )
-        finally:
-            os.close(write)
-        assert (result.returncode, result.stderr) == (1, "")
+        argv = ["adjust", graphs["fig3_g1"], "--x", "X", "--y", "Y", "--list"]
+        assert run_into_closed_stdout(argv, unbuffered) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_domain_failure_into_closed_stdout_exits_1_quietly(self, tmp_path, unbuffered):
+        """A domain failure prints its message to stdout, so a closed
+        stdout there ends the same way as after an answer."""
+        cycle = tmp_path / "cycle.g"
+        cycle.write_text("A -> B\nB -> C\nC -> A\n")
+        assert run_into_closed_stdout(["possde", str(cycle), "--x", "A"], unbuffered) == (1, "")
+
+
+def run_into_closed_stdout(argv, unbuffered):
+    """``(exit code, stderr)`` of ``python -m mpdagkit`` with stdout on a
+    pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)  # before the child starts, so its first write fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mpdagkit", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    return result.returncode, result.stderr
 
 
 FOUR_CYCLE_TEXT = "A -- B\nB -- C\nC -- D\nD -- A\n"
@@ -1137,6 +1158,7 @@ def read_outcome(read, path):
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(text=csv_texts())
+@example(text="A,B\n1,2\n   \n3,4")  # a whitespace-only body line takes the one-parse route
 def test_data_reader_matches_the_per_row_oracle(sweep_file, text):
     write_fresh(sweep_file, text, encoding="utf-8")
     path = str(sweep_file)

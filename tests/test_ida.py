@@ -405,9 +405,9 @@ class TestJointEffects:
 
     def test_zero_effect_when_no_possible_path(self, fig3_g2):
         # under this orientation the outcome cannot descend from X
-        from mpdagkit.sem_sim import load_sem_model
-
-        model = load_sem_model("Y -> X 0.9\nX -> V1 0.7\nX -> V2 0.4\nY -> V2 0.2")
+        weights = {("Y", "X"): 0.9, ("X", "V1"): 0.7, ("X", "V2"): 0.4, ("Y", "V2"): 0.2}
+        nodes = ("Y", "X", "V1", "V2")
+        model = SemModel(PdagGraph(nodes, directed=weights), weights, dict.fromkeys(nodes, 1.0))
         data = sample_data(model, 30_000, np.random.default_rng(13))
         effects = joint_ida_effects(
             fig3_g2, ["X"], "Y", data, columns=tuple(model.dag.nodes)

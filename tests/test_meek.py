@@ -365,8 +365,9 @@ class TestBackgroundParsing:
             parse_background("node A")
 
     def test_rejects_weights(self):
-        with pytest.raises(GraphParseError, match="weights"):
-            parse_background("A -> B 0.5")
+        for text in ("A -> B 0.5", "A -- B 0.5"):
+            with pytest.raises(GraphParseError, match="line 1: too many tokens on edge statement"):
+                parse_background(text)
 
     def test_background_type_validation(self):
         with pytest.raises(ValueError, match="differ"):

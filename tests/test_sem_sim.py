@@ -14,22 +14,27 @@ from mpdagkit.adjustment import adjust_set, is_amenable
 from mpdagkit.extension import represents
 from mpdagkit.ida import ida_effects, possible_parent_sets
 from mpdagkit.meek import cpdag_of
-from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
+from mpdagkit.pdag_core import PdagGraph, parse_graph
 from mpdagkit.sem_sim import (
     SemModel,
     SimConfig,
     add_background_fraction,
     choose_xy,
-    load_sem_model,
     random_dag,
     rows_to_csv,
     run_simulation,
     sample_data,
-    serialize_sem_model,
     true_total_effect,
 )
 
 from helpers import name_sample_data
+
+
+def unit_noise_model(nodes, coefficients) -> SemModel:
+    """The linear SEM on ``nodes``, in that order, with these edge
+    weights and unit noise scales."""
+    dag = PdagGraph(nodes, directed=coefficients)
+    return SemModel(dag, coefficients, dict.fromkeys(nodes, 1.0))
 
 
 class TestRandomDag:
@@ -80,47 +85,14 @@ class TestSemModel:
         with pytest.raises(ValueError, match="noise scales must be positive"):
             SemModel(g, {("A", "B"): 0.5}, {"A": 1.0, "B": 0.0})
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("A -> B nan\nB -> C 0.5", "edge A -> B has non-finite weight nan"),
-            ("A -> B 0.5\nB -> C inf", "edge B -> C has non-finite weight inf"),
-            ("A -> B -inf", "edge A -> B has non-finite weight -inf"),
-        ],
-    )
-    def test_load_rejects_non_finite_weights(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            load_sem_model(text)
-
     def test_constructor_rejects_non_finite_weights_and_noise(self):
         g = parse_graph("A -> B")
-        with pytest.raises(ValueError, match="edge A -> B has non-finite weight nan"):
-            SemModel(g, {("A", "B"): math.nan}, {"A": 1.0, "B": 1.0})
+        for weight in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"edge A -> B has non-finite weight {weight}"):
+                SemModel(g, {("A", "B"): weight}, {"A": 1.0, "B": 1.0})
         for scale in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"B has {scale!r}"):
                 SemModel(g, {("A", "B"): 0.5}, {"A": 1.0, "B": scale})
-
-    def test_model_text_round_trip(self):
-        model = random_dag(6, 2.5, np.random.default_rng(5))
-        again = load_sem_model(serialize_sem_model(model))
-        assert again.dag == model.dag
-        assert again.coefficients == model.coefficients
-
-    def test_load_requires_weights(self):
-        with pytest.raises(Exception, match="weight"):
-            load_sem_model("A -> B")
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("A -> B 0.5\nB -> A 0.3", "line 2: duplicate edge"),
-            ("A -> A 0.5", "line 1: self-loop"),
-            ("A -> B 0.5\nB -- C", "line 2: SEM models allow only directed edges"),
-        ],
-    )
-    def test_load_reports_bad_pairs_with_line(self, text, message):
-        with pytest.raises(GraphParseError, match=message):
-            load_sem_model(text)
 
 
 class TestSampling:
@@ -157,13 +129,12 @@ class TestSampling:
     def test_shuffled_declarations_match_the_name_based_sampler(self):
         # Declaring a head before its tail puts node order against the
         # topological order the sampler walks.
-        models = [load_sem_model("node B\nnode A\nA -> B 0.5")]
+        models = [unit_noise_model(("B", "A"), {("A", "B"): 0.5})]
         rng = np.random.default_rng(43)
         for _ in range(100):
             model = random_dag(int(rng.integers(3, 10)), 2.0, rng)
-            nodes = "".join(f"node {model.dag.nodes[i]}\n" for i in rng.permutation(len(model.dag)))
-            edges = "".join(f"{t} -> {h} {w!r}\n" for (t, h), w in model.coefficients.items())
-            models.append(load_sem_model(nodes + edges))
+            nodes = [model.dag.nodes[i] for i in rng.permutation(len(model.dag))]
+            models.append(unit_noise_model(nodes, model.coefficients))
         for seed, model in enumerate(models):
             got = sample_data(model, 30, np.random.default_rng(seed))
             assert np.array_equal(got, name_sample_data(model, 30, np.random.default_rng(seed)))
@@ -176,19 +147,19 @@ class TestSampling:
 
 class TestTrueEffect:
     def test_chain(self):
-        model = load_sem_model("X -> M 0.5\nM -> Y 0.8")
+        model = unit_noise_model("XMY", {("X", "M"): 0.5, ("M", "Y"): 0.8})
         assert true_total_effect(model, "X", "Y")[0] == pytest.approx(0.4)
 
     def test_non_descendant_is_zero(self):
-        model = load_sem_model("Y -> X 0.5")
+        model = unit_noise_model("YX", {("Y", "X"): 0.5})
         assert true_total_effect(model, "X", "Y")[0] == 0.0
 
     def test_two_routes_add(self):
-        model = load_sem_model("X -> Y 0.3\nX -> M 0.5\nM -> Y 0.8")
+        model = unit_noise_model("XYM", {("X", "Y"): 0.3, ("X", "M"): 0.5, ("M", "Y"): 0.8})
         assert true_total_effect(model, "X", "Y")[0] == pytest.approx(0.3 + 0.4)
 
     def test_outcome_not_intervention(self):
-        model = load_sem_model("X -> Y 0.3")
+        model = unit_noise_model("XY", {("X", "Y"): 0.3})
         with pytest.raises(ValueError):
             true_total_effect(model, "X", "X")
 
