@@ -3,18 +3,16 @@
 The criterion has three conditions, evaluated in order: every proper
 possibly-causal path out of the treatment set must start with a directed
 edge (amenability), the candidate set must avoid the forbidden nodes,
-and every proper non-causal definite-status path must be blocked.  All
-three are decided by reachability on the graph itself: a shortest-walk
-search per treatment, two possible-descent walks per treatment, and a
-definite-status walk from the treatments once the first edges of the
-proper possibly-causal paths are pruned.  That walk agrees with
-d-separation in the proper back-door graph of any DAG extension, where
-removing the first edge of every proper causal path makes the test
-sound and complete.  One pruning (:func:`_backdoor`) and one walk rule
-(:func:`_open_walks`) serve the verdict on the graph and, on the DAG
-extension the maximality check kept, a failing check's witness; a
-listing runs d-separation on that extension's pruned masks, and no
-back-door graph is built.  Every public entry point checks its
+and every proper non-causal definite-status path must be blocked.  One
+pass on the graph (:func:`_conditions`), a possible-ancestor walk from
+the outcomes per treatment, finds the second nodes of the proper
+possibly-causal paths; they decide amenability, the forbidden set and
+the zero effect, and with the edges into them pruned a definite-status
+walk from the treatments decides blocking, as d-separation in the
+proper back-door graph of any DAG extension does.  On the extension the
+maximality check kept, the same pass and walk name a failing check's
+witness and a listing runs d-separation; a shortest-walk search names a
+non-amenable query's witness.  Every public entry point checks its
 query in one place, :func:`_query`: the library's one node-list rule on
 ``xs``, ``ys`` and ``zs``, then the maximality check, as the source
 paper defines the criterion on maximal PDAGs only.  Everything behind it
@@ -149,19 +147,21 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     A witness is a proper possibly-causal path ``x - s ... y`` that
     starts with an undirected edge.  For each ``x``, walks start at its
     siblings outside ``xs`` and follow child and undirected edges,
-    avoiding ``xs | pa(x)``.  The second step also avoids ``und(x)``;
-    every later step avoids the neighbours of the previous node.
+    avoiding ``xs | pa(x)``; every step after the second avoids the
+    neighbours of the previous node.
 
     Proof sketch.  A chord of a shortest witness cannot point backward,
     so it would skip ahead to a shorter witness with the same first
     edge, unless it leaves ``x``: ``x - v_j`` starts a shorter witness
     itself, which leaves ``x -> v2`` as the only possible shield.  So
-    every shortest witness is a walk of the search.  Conversely a walk is
-    unshielded; by the fact :func:`_forward_reach` rests on (the source
-    paper's lemma that a b-possibly-causal path has a b-possibly-causal
-    unshielded subsequence) ``s`` then has a b-possibly-causal path to
-    ``ys`` avoiding ``xs | pa(x)``, and ``x - s`` before it is a witness.
-    That the least walk is the least witness is swept in the tests.
+    every shortest witness is a walk of the search, and no shortest walk
+    meets a sibling ``v`` of ``x`` after ``s``: ``x - v`` and the rest
+    would be a shorter one.  Conversely a walk is unshielded after ``x``;
+    by the fact :func:`_forward_reach` rests on (the source paper's lemma
+    that a b-possibly-causal path has a b-possibly-causal unshielded
+    subsequence) ``s`` then has a b-possibly-causal path to ``ys``
+    avoiding ``xs | pa(x)``, and ``x - s`` before it is a witness.  That
+    the least walk is the least witness is swept in the tests.
     """
     pa, ch, und = g._pa, g._ch, g._und
     names = g.nodes
@@ -169,7 +169,7 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     for x in _bits(x_mask):
 
         def step(prev: int, cur: int) -> int:
-            near = und[x] if prev == x else pa[prev] | ch[prev] | und[prev] | 1 << prev
+            near = 0 if prev == x else pa[prev] | ch[prev] | und[prev] | 1 << prev
             return (ch[cur] | und[cur]) & ~(x_mask | pa[x] | near)
 
         first = [(x, und[x] & ~x_mask)]
@@ -180,15 +180,14 @@ def _amenability(g: PdagGraph, x_mask: int, y_mask: int) -> ConditionCheck:
     return ConditionCheck(witness is None, witness)
 
 
-def _path_starts(g: PdagGraph, x_mask: int, y_mask: int) -> Iterator[tuple[int, int, int]]:
-    """Per ``x`` in ``xs``, ``(removed, leads, starts)``: in ``H_x = g -
+def _path_starts(g: PdagGraph, x_mask: int, y_mask: int) -> Iterator[tuple[int, int, int, int]]:
+    """Per ``x`` in ``xs``, ``(x, removed, leads, starts)``: in ``H_x = g -
     removed``, with ``removed = xs | pa(x)``, the ``leads`` reach ``ys``,
     and ``starts`` are the children and siblings of ``x`` among them.
     The ``starts`` of all ``x`` make the mask ``sure``, and their
     b-possible descendants in ``H_x`` within ``leads`` the mask ``bound``,
     with ``sure <= on_path <= bound``, where ``on_path`` holds the
-    non-treatment nodes of the proper b-possibly-causal paths.  The
-    criterion reads ``sure`` only (:func:`_forbidden_nodes`); only
+    non-treatment nodes of the proper b-possibly-causal paths; only
     :func:`forbidden_set` builds ``bound``.
 
     Proof sketch.  ``H_x`` is induced in a maximal PDAG, so it is maximal
@@ -210,24 +209,45 @@ def _path_starts(g: PdagGraph, x_mask: int, y_mask: int) -> Iterator[tuple[int, 
     for x in _bits(x_mask):
         removed = x_mask | pa[x]
         leads = _forward_reach(g, y_mask, pa, removed)
-        yield removed, leads, (ch[x] | und[x]) & leads
+        yield x, removed, leads, (ch[x] | und[x]) & leads
+
+
+def _conditions(h: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, int, list[int]]:
+    """``(amenable, sure, ch)`` from one pass over :func:`_path_starts`
+    on the maximal ``h``, a DAG extension included.  As the starts are
+    the second nodes of the proper b-possibly-causal paths, the query is
+    ``amenable`` when no ``x`` has a sibling among its starts; ``sure``,
+    their OR, is empty exactly when the total effect is zero, as such a
+    path into ``ys`` is proper after its last treatment; ``ch`` is
+    ``h``'s child masks without each ``x -> s``, ``s`` a start of ``x``:
+    on an amenable query the first edges of those paths
+    (:func:`_blocked_on_g`, part (1)), on a DAG the edges its proper
+    back-door graph drops (a child of ``x`` whose directed path into
+    ``ys`` ran through ``pa(x)`` would close a cycle).  The parent masks
+    stay ``h``'s, which changes no answer for a ``Z`` outside the
+    forbidden set ``F``, as every caller's is: a pruned ``c`` starts a
+    proper b-possibly-causal path (on an extension too, as amenability
+    keeps ``x -> c`` directed in the graph), so its descendants are in
+    ``F`` and ``_closure(pa, Z)`` holds no ``c``.  The walk never
+    re-enters ``X``; :func:`_d_separated` may re-enter ``x`` from ``c``,
+    into states it started from; ``x`` seeds the minimal listing's
+    ancestors.
+    """
+    amenable, sure, ch = True, 0, h._ch[:]
+    for x, _, _, starts in _path_starts(h, x_mask, y_mask):
+        amenable &= not starts & h._und[x]
+        sure |= starts
+        ch[x] &= ~starts
+    return amenable, sure, ch
 
 
 def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
     """The masks ``(sure, bound)`` of :func:`_path_starts`."""
     sure = bound = 0
-    for removed, leads, starts in _path_starts(g, x_mask, y_mask):
+    for _, removed, leads, starts in _path_starts(g, x_mask, y_mask):
         sure |= starts
         bound |= _forward_reach(g, starts, g._ch, removed) & leads
     return sure, bound
-
-
-def _forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
-    """Mask of the forbidden nodes of an amenable query."""
-    sure = 0
-    for _, _, starts in _path_starts(g, x_mask, y_mask):
-        sure |= starts
-    return _forward_reach(g, sure, g._ch)
 
 
 def forbidden_set(
@@ -269,7 +289,8 @@ def is_amenable(
     """Check that every proper possibly-causal path leaves ``xs`` with a
     directed edge; a shortest offending path is the witness otherwise."""
     x_mask, y_mask, _ = _query(g, xs, ys)
-    return _amenability(g, x_mask, y_mask)
+    amenable = _conditions(g, x_mask, y_mask)[0]
+    return ConditionCheck(True) if amenable else _amenability(g, x_mask, y_mask)
 
 
 # -- d-separation in DAGs ----------------------------------------------
@@ -297,7 +318,7 @@ def d_separated(
 def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> bool:
     """The search behind :func:`d_separated`, on a DAG's parent and child
     masks and pairwise disjoint node masks the caller has checked; a
-    listing passes the child masks :func:`_backdoor` pruned."""
+    listing passes the child masks :func:`_conditions` pruned."""
     anz = _closure(pa, zs)  # nodes with a descendant in zs, plus zs
     # Two frontiers: ``down`` nodes were arrived at along an edge into
     # them, ``up`` nodes against an edge out of them.
@@ -324,39 +345,13 @@ def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> boo
     return True
 
 
-def _backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> list[int]:
-    """The child masks of ``h`` without each edge ``x -> c`` whose ``c``
-    has a b-possibly-causal path into ``ys`` avoiding ``xs``: on a
-    maximal PDAG the first edges of the proper b-possibly-causal paths
-    (:func:`_blocked_on_g`), on a DAG the edges its proper back-door
-    graph drops, as a shortest directed path avoiding ``xs`` is
-    unshielded (a chord would skip ahead), so the reach finds it.
-
-    The parent masks stay ``h``'s, which changes no answer for a ``Z``
-    outside the forbidden set ``F``, as every caller's is.  A pruned
-    ``c`` is on a proper b-possibly-causal path of the maximal graph
-    (:func:`_blocked_on_g`, part (1); on an extension, amenability keeps
-    ``x -> c`` directed there), so ``c``'s descendants in ``h`` are in
-    ``F``, and ``_closure(pa, Z)`` holds no ``c``.  The walk never
-    re-enters ``X``; :func:`_d_separated` may re-enter ``x`` from ``c``,
-    into states it started from; ``x`` seeds the minimal listing's
-    ancestors.
-    """
-    leads = _forward_reach(h, y_mask, h._pa, x_mask)
-    ch = h._ch[:]
-    for x in _bits(x_mask):
-        ch[x] &= ~leads
-    return ch
-
-
-def _open_walks(h: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> tuple[list, Callable]:
+def _open_walks(h: PdagGraph, ch: list[int], x_mask: int, z_mask: int) -> tuple[list, Callable]:
     """The blocking walk's first entries, each a treatment ``x`` and the
     mask of its first steps, and ``step(a, b)``, the mask of the ``c``
-    that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`).  A
-    step reads the neighbours of ``a`` and ``b`` off ``h``'s unpruned
-    masks when it needs them, not off an adjacency list built first, as
-    a walk usually takes fewer steps than ``h`` has nodes."""
-    ch = _backdoor(h, x_mask, y_mask)
+    that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`), on the
+    pruned child masks ``ch``.  A step reads the neighbours of ``a`` and
+    ``b`` off ``h``'s masks when it needs them, not off an adjacency list
+    built first, as a walk usually takes fewer steps than ``h`` has nodes."""
     pa, h_ch, und = h._pa, h._ch, h._und
     opened = _closure(pa, z_mask)
     first = [(x, (pa[x] | ch[x] | und[x]) & ~x_mask) for x in _bits(x_mask)]
@@ -397,24 +392,24 @@ def check_b_blocking(
     return ConditionCheck(verdict.blocking_ok, verdict.witness)
 
 
-def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
+def _blocked_on_g(g: PdagGraph, ch: list[int], x_mask: int, y_mask: int, z_mask: int) -> bool:
     """True iff ``Z`` blocks every proper b-non-causal definite-status
     path from ``X`` to ``Y`` in the maximal ``g``, on an amenable query
     whose ``Z`` avoids the forbidden set ``F``.
 
     Let ``A`` be the nodes outside ``X`` with a b-possibly-causal path
     into ``Y`` avoiding ``X``.  The edges ``x -> c`` with ``c`` in ``A``
-    are pruned first (:func:`_backdoor`).  Then a Bayes-ball search
-    (Shachter 1998) walks (previous, current) states from ``X``, never
-    re-entering ``X`` or backing up (:func:`_open_walks`).  A step ``a,
-    b, c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a directed path
-    into ``Z`` in ``g`` (``b`` in ``Z`` included), or when ``b`` is
-    outside ``Z`` and a definite non-collider: ``b -> a``, ``b -> c``, or
-    ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g`` (definite
-    status as in Perkovic, Textor, Kalisch and Maathuis, JMLR 2018).  Any
-    other triple stops the walk; reaching ``Y`` means "not blocked".
-    This is the source paper's blocking condition, decided on ``g``
-    depth-first with no DAG extension.  A state's successors depend
+    are pruned first; ``ch`` holds the rest (:func:`_conditions`).  Then
+    a Bayes-ball search (Shachter 1998) walks (previous, current) states
+    from ``X``, never re-entering ``X`` or backing up (:func:`_open_walks`).
+    A step ``a, b, c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a
+    directed path into ``Z`` in ``g`` (``b`` in ``Z`` included), or when
+    ``b`` is outside ``Z`` and a definite non-collider: ``b -> a``, ``b ->
+    c``, or ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g``
+    (definite status as in Perkovic, Textor, Kalisch and Maathuis, JMLR
+    2018).  Any other triple stops the walk; reaching ``Y`` means "not
+    blocked".  This is the source paper's blocking condition, decided on
+    ``g`` depth-first with no DAG extension.  A state's successors depend
     on the state alone, so ``done[a]`` holds the ``b`` whose state ``(a,
     b)`` was entered, and each state is expanded once.
 
@@ -455,13 +450,17 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
 
     A failing check's witness is the same rule on the kept DAG extension
     ``D``, walked breadth-first in node-index order.  On a DAG the rule
-    is d-connection in its proper back-door graph (:func:`_backdoor`):
+    is d-connection in its proper back-door graph (:func:`_conditions`):
     with no undirected edge every triple has definite status, so ``b``
     passes as a collider with a descendant in ``Z`` or as a non-collider
     outside ``Z``.  So the walk is that graph's shortest d-connecting
     path least by node indices, and by (2) it exists whenever the walk
     on ``g`` reaches ``Y``.  On ``g`` it could differ: ``D`` opens
-    colliders whose path into ``Z`` is undirected in ``g``.
+    colliders whose path into ``Z`` is undirected in ``g``.  On ``D`` no
+    shortest walk backs up, so the ban on it shapes no witness: a walk
+    that turns back can only climb to a parent from a node of ``An(Z)``,
+    so each node it retraces passes on no more than at its first visit
+    but the node before, and the walk could have left that node then.
 
     The collider rule asks for a directed descendant in ``Z``.  Asking
     for a b-possible descendant instead gave the same verdict on all
@@ -469,7 +468,7 @@ def _blocked_on_g(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int) -> bool:
     on all maximal PDAGs of four nodes, 810,203 on 1,100 random ones of
     4-8 nodes), so no test separates the two readings.
     """
-    stack, step = _open_walks(g, x_mask, y_mask, z_mask)
+    stack, step = _open_walks(g, ch, x_mask, z_mask)
     done = [0] * len(g)
     while stack:
         a, allowed = stack.pop()
@@ -498,30 +497,27 @@ def satisfies_b_adjustment(
     the possible descendants of the treatments).
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
-
-    zero_effect = not y_mask & _forward_reach(g, x_mask, g._ch)
-    amenable = _amenability(g, x_mask, y_mask)
+    amenable, sure, ch = _conditions(g, x_mask, y_mask)
     forbidden_ok = blocking_ok = None
-    witness = amenable.witness
-    if amenable.ok:
-        blocked_nodes = z_mask & _forbidden_nodes(g, x_mask, y_mask)
+    witness = None if amenable else _amenability(g, x_mask, y_mask).witness
+    if amenable:
+        blocked_nodes = z_mask & _forward_reach(g, sure, g._ch)
         forbidden_ok = not blocked_nodes
         if blocked_nodes:
             witness = g.nodes[next(_bits(blocked_nodes))]
         else:
-            blocking_ok = _blocked_on_g(g, x_mask, y_mask, z_mask)
+            blocking_ok = _blocked_on_g(g, ch, x_mask, y_mask, z_mask)
             if not blocking_ok:  # the same walk's least run on the kept extension
                 dag = g._extension or consistent_extension(g)
-                walk = _least_shortest_path(
-                    len(dag), *_open_walks(dag, x_mask, y_mask, z_mask), y_mask, int
-                )
+                walks = _open_walks(dag, _conditions(dag, x_mask, y_mask)[2], x_mask, z_mask)
+                walk = _least_shortest_path(len(dag), *walks, y_mask, int)
                 witness = tuple(g.nodes[v] for v in walk)
     return AdjustmentVerdict(
-        amenable=amenable.ok,
+        amenable=amenable,
         forbidden_ok=forbidden_ok,
         blocking_ok=blocking_ok,
         overall=blocking_ok is True,
-        zero_effect=zero_effect,
+        zero_effect=not sure,
         witness=witness,
     )
 
@@ -543,14 +539,15 @@ def adjust_set(
 
 def _adjust_core(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, Optional[frozenset[str]]]:
     """Whether the query is amenable, and :func:`adjust_set`'s answer,
-    from one amenability walk, on the maximal ``g`` and query masks its
-    caller checked: :func:`adjust_set`, or a study replicate, which
-    checks its query once for the graphs of all its rows."""
-    if not _amenability(g, x_mask, y_mask).ok:
+    from one :func:`_conditions` pass, on the maximal ``g`` and query
+    masks its caller checked: :func:`adjust_set`, or a study replicate,
+    which checks its query once for the graphs of all its rows."""
+    amenable, sure, ch = _conditions(g, x_mask, y_mask)
+    if not amenable:
         return False, None
-    taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
+    taken = x_mask | y_mask | _forward_reach(g, sure, g._ch)
     candidate = _forward_reach(g, x_mask | y_mask, g._pa) & ~taken
-    if _blocked_on_g(g, x_mask, y_mask, candidate):
+    if _blocked_on_g(g, ch, x_mask, y_mask, candidate):
         return True, g._names(candidate)
     return True, None
 
@@ -589,9 +586,10 @@ def list_adjustment_sets(
     if universe_cap < 0:
         raise ValueError("universe_cap must be non-negative")
     x_mask, y_mask, _ = _query(g, xs, ys)
-    if not _amenability(g, x_mask, y_mask).ok:
+    amenable, sure, _ = _conditions(g, x_mask, y_mask)
+    if not amenable:
         return []
-    taken = x_mask | y_mask | _forbidden_nodes(g, x_mask, y_mask)
+    taken = x_mask | y_mask | _forward_reach(g, sure, g._ch)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     if len(universe) > universe_cap:
         raise ValueError(
@@ -599,7 +597,7 @@ def list_adjustment_sets(
             f"{universe_cap}"
         )
     dag = g._extension or consistent_extension(g)
-    pa, ch = dag._pa, _backdoor(dag, x_mask, y_mask)
+    pa, ch = dag._pa, _conditions(dag, x_mask, y_mask)[2]
     bit = {name: 1 << g._index[name] for name in universe}
     if minimal_only:
         ancestors = _closure(pa, x_mask | y_mask)

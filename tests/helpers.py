@@ -15,7 +15,8 @@ every path it walks by node names, the forbidden-set oracle walks every
 proper possibly-causal path to its end, the simple-path oracle is the recursive
 enumerator that the library's explicit-stack walk replaced, the
 tuple-set reach is the state search that the library's per-node masks
-replaced, the
+replaced, the back-door and zero-effect reaches are the searches that
+the library's one path-starts pass replaced, the
 extension oracle restarts its sink scan after every peel, the DAG-class
 oracle tries every orientation of the undirected edges, the data-file
 oracle parses each cell with ``float``, the topological-order and
@@ -384,7 +385,7 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
     x_mask, y_mask, _ = adjustment._query(g, xs, ys)
     if not adjustment._amenability(g, x_mask, y_mask).ok:
         return []
-    taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+    taken = x_mask | y_mask | forbidden_nodes(g, x_mask, y_mask)
     universe = [name for v, name in enumerate(g.nodes) if not taken >> v & 1]
     pruned = proper_backdoor_dag(g, x_mask, y_mask)
     valid = []
@@ -396,6 +397,33 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
     return valid
+
+
+def forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
+    """The forbidden nodes of an amenable query, as the criterion reads
+    them: the b-possible descendants of the starts of
+    ``adjustment._conditions``."""
+    return _forward_reach(g, adjustment._conditions(g, x_mask, y_mask)[1], g._ch)
+
+
+def reach_backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> list:
+    """Reference for the child masks of ``adjustment._conditions``, by
+    the reach the library pruned with before that pass: ``h``'s child
+    masks without each edge ``x -> c`` whose ``c`` has a b-possibly-causal
+    path into ``ys`` avoiding ``xs``, found by one possible-ancestor walk
+    from ``ys``."""
+    leads = _forward_reach(h, y_mask, h._pa, x_mask)
+    ch = h._ch[:]
+    for x in _bits(x_mask):
+        ch[x] &= ~leads
+    return ch
+
+
+def reach_zero_effect(g: PdagGraph, x_mask: int, y_mask: int) -> bool:
+    """Reference for the zero-effect flag, by the reach the library ran
+    before ``adjustment._conditions``: no node of ``ys`` is a b-possible
+    descendant of ``xs``."""
+    return not y_mask & _forward_reach(g, x_mask, g._ch)
 
 
 def name_b_blocking_by_enumeration(g: PdagGraph, xs, ys, zs=()) -> adjustment.ConditionCheck:

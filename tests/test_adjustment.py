@@ -15,8 +15,8 @@ from mpdagkit.adjustment import (
     list_adjustment_sets,
     satisfies_b_adjustment,
 )
-from mpdagkit.causal_paths import b_possible_descendants
-from mpdagkit.extension import enumerate_dags
+from mpdagkit.causal_paths import b_possible_ancestors, b_possible_descendants
+from mpdagkit.extension import consistent_extension, enumerate_dags
 from mpdagkit.meek import construct_max_pdag, cpdag_of, is_closed, validate_maximal_pdag
 from mpdagkit.pdag_core import PdagGraph, QueryError, parse_graph
 from mpdagkit.reference import b_blocking_by_enumeration, oracle_reach
@@ -30,9 +30,12 @@ from helpers import (
     enumerated_conditions,
     enumerated_forbidden_set,
     extension_blocking,
+    forbidden_nodes,
     name_adjacency,
     name_b_blocking_by_enumeration,
     proper_backdoor_dag,
+    reach_backdoor,
+    reach_zero_effect,
     subset_listing,
     tuple_set_forward_reach,
 )
@@ -434,12 +437,35 @@ class TestReachabilityRoutes:
             check = is_amenable(g, xs, ys)
             assert (check.ok, check.witness) == (witness is None, witness), (g, xs, ys)
             if check.ok:
-                nodes = adjustment._forbidden_nodes(g, *adjustment._query(g, xs, ys)[:2])
+                nodes = forbidden_nodes(g, *adjustment._query(g, xs, ys)[:2])
                 assert g._names(nodes) == forbidden
                 amenable += 1
             else:
                 not_amenable += 1
         assert amenable > 200 and not_amenable > 200
+
+    def test_conditions_match_the_reaches_they_replaced(self):
+        """Entry for entry, the one path-starts pass against the searches
+        it replaced: its amenability against the shortest-walk search, its
+        zero-effect flag against the reach from the treatments, and its
+        pruned child masks against the reach from the outcomes, on the
+        graph for an amenable query and on the kept DAG extension for
+        every query."""
+        amenable = zero = pruned = 0
+        for g, xs, ys in self.queries():
+            x_mask, y_mask, _ = adjustment._query(g, xs, ys)
+            ok, sure, ch = adjustment._conditions(g, x_mask, y_mask)
+            assert ok == adjustment._amenability(g, x_mask, y_mask).ok, (g, xs, ys)
+            assert (not sure) == reach_zero_effect(g, x_mask, y_mask), (g, xs, ys)
+            if ok:
+                assert ch == reach_backdoor(g, x_mask, y_mask), (g, xs, ys)
+                amenable += 1
+                pruned += ch != g._ch
+            dag = g._extension or consistent_extension(g)
+            want = reach_backdoor(dag, x_mask, y_mask)
+            assert adjustment._conditions(dag, x_mask, y_mask)[2] == want, (g, xs, ys)
+            zero += not sure
+        assert (amenable, zero, pruned) == (398, 251, 147)
 
     def test_forward_reach_matches_the_tuple_set_search(self):
         """Entry for entry against the state search over a set of tuples
@@ -553,7 +579,8 @@ class TestBlockingWalk:
     def check(g, xs, ys, z_mask, enumerate_paths=True):
         x_mask, y_mask, _ = adjustment._query(g, xs, ys)
         want = extension_blocking(g, x_mask, y_mask, z_mask)
-        assert adjustment._blocked_on_g(g, x_mask, y_mask, z_mask) == want.ok, (g, xs, ys, z_mask)
+        ch = adjustment._conditions(g, x_mask, y_mask)[2]
+        assert adjustment._blocked_on_g(g, ch, x_mask, y_mask, z_mask) == want.ok, (g, xs, ys, z_mask)
         if enumerate_paths:
             assert b_blocking_by_enumeration(g, xs, ys, g._names(z_mask)).ok == want.ok
         return want
@@ -569,7 +596,7 @@ class TestBlockingWalk:
             x_mask, y_mask, _ = adjustment._query(g, xs, ys)
             if not adjustment._amenability(g, x_mask, y_mask).ok:
                 continue
-            taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+            taken = x_mask | y_mask | forbidden_nodes(g, x_mask, y_mask)
             canonical = adjustment._forward_reach(g, x_mask | y_mask, g._pa) & ~taken
             part = sum(1 << v for v in adjustment._bits(canonical) if rng.random() < 0.5)
             for z_mask in (0, canonical, part):
@@ -595,7 +622,7 @@ class TestBlockingWalk:
                 x_mask, y_mask, _ = adjustment._query(g, xs, ys)
                 if not adjustment._amenability(g, x_mask, y_mask).ok:
                     continue
-                taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+                taken = x_mask | y_mask | forbidden_nodes(g, x_mask, y_mask)
                 free = [v for v in range(len(g)) if not taken >> v & 1]
                 z_mask = sum(1 << v for v in free if rng.random() < 0.5)
                 small = len(g) <= 8
@@ -666,6 +693,40 @@ class TestOnePassPerQuery:
         # forbidden set's on_path tightly: no path is enumerated.
         query(fig3_g1)
         assert len(enumerations) == 0
+
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        """Calls of the possible-descent reach and of the shortest-walk
+        search from the adjustment module, by name."""
+        calls = []
+        for name in ("_forward_reach", "_least_shortest_path"):
+
+            def counting(*args, real=getattr(adjustment, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(adjustment, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "query, reaches, walks",
+        [
+            (lambda g: adjust_set(g, "X", "Y"), 3, 0),
+            (lambda g: list_adjustment_sets(g, "X", "Y"), 3, 0),
+            (lambda g: satisfies_b_adjustment(g, "X", "Y", "A"), 2, 0),
+            (lambda g: is_amenable(g, "X", "Y"), 1, 0),
+            (lambda g: is_amenable(g, "B", "Y"), 1, 1),
+        ],
+        ids=["adjust_set", "list", "satisfies_passing", "amenable", "not_amenable"],
+    )
+    def test_one_path_starts_pass_decides_the_conditions(self, searches, query, reaches, walks):
+        """One reach from Y per treatment decides amenability, the zero
+        effect, the forbidden seeds and the pruning; the shortest-walk
+        search runs only to name a non-amenable query's witness."""
+        g = parse_graph("A -> X\nA -> Y\nX -> Y\nB -- A")
+        query(g)
+        assert searches.count("_forward_reach") == reaches
+        assert searches.count("_least_shortest_path") == walks
 
     def test_listing_checks_acyclicity_once_not_per_subset(self, monkeypatch):
         g = parse_graph("A1 -> X\nA2 -> X\nA3 -> X\nA4 -> X\nX -> Y")
@@ -762,3 +823,45 @@ class TestTheoremLevelAgreement:
             )
             assert exists == (adjust_set(g, xs, ys) is not None)
             checked += 1
+
+
+def test_answers_do_not_depend_on_node_declaration_order():
+    """Random maximal PDAGs rebuilt with their nodes declared in a drawn
+    order give the same answers: possible descendants and ancestors of
+    every node, amenability and its witness, the forbidden set, the
+    canonical set, both listings as sets, and the verdict's boolean
+    fields (and its witness on a non-amenable query, which is least by
+    node names, not by declaration order)."""
+    rng = np.random.default_rng(2032)
+
+    def fields(verdict):
+        named = verdict.witness if not verdict.amenable else None
+        return (verdict.amenable, verdict.forbidden_ok, verdict.blocking_ok, verdict.overall,
+                verdict.zero_effect, named)  # fmt: skip
+
+    reordered = queries = amenable = overall = 0
+    for _ in range(200):
+        g, _ = random_mpdag(rng, 8, p_min=4)
+        order = [g.nodes[i] for i in rng.permutation(len(g))]
+        h = PdagGraph(order, directed=g.directed_edges(), undirected=g.undirected_edges())
+        reordered += h.nodes != g.nodes
+        for v in g.nodes:
+            assert b_possible_descendants(h, v) == b_possible_descendants(g, v)
+            assert b_possible_ancestors(h, v) == b_possible_ancestors(g, v)
+        nodes = list(g.nodes)
+        for kx, ky in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            rng.shuffle(nodes)
+            xs, ys = nodes[:kx], nodes[kx : kx + ky]
+            zs = [v for v in nodes[kx + ky :] if rng.random() < 0.5]
+            assert is_amenable(h, xs, ys) == is_amenable(g, xs, ys), (g, xs, ys)
+            assert forbidden_set(h, xs, ys) == forbidden_set(g, xs, ys), (g, xs, ys)
+            assert adjust_set(h, xs, ys) == adjust_set(g, xs, ys), (g, xs, ys)
+            for minimal in (False, True):
+                want = set(list_adjustment_sets(g, xs, ys, minimal_only=minimal))
+                assert set(list_adjustment_sets(h, xs, ys, minimal_only=minimal)) == want
+            verdict = satisfies_b_adjustment(g, xs, ys, zs)
+            assert fields(satisfies_b_adjustment(h, xs, ys, zs)) == fields(verdict), (g, xs, ys, zs)
+            queries += 1
+            amenable += verdict.amenable
+            overall += verdict.overall
+    assert (reordered, queries, amenable, overall) == (195, 800, 534, 175)

@@ -312,13 +312,14 @@ def test_blocking_walk_matches_the_extension_and_the_enumeration(g):
                 x_mask, y_mask, _ = adjustment._query(g, xs, ys)
                 if not adjustment._amenability(g, x_mask, y_mask).ok:
                     continue
-                taken = x_mask | y_mask | adjustment._forbidden_nodes(g, x_mask, y_mask)
+                _, sure, ch = adjustment._conditions(g, x_mask, y_mask)
+                taken = x_mask | y_mask | causal_paths._forward_reach(g, sure, g._ch)
                 free = [v for v in range(len(g)) if not taken >> v & 1]
                 for k in range(len(free) + 1):
                     for zs in combinations(free, k):
                         z_mask = sum(1 << v for v in zs)
                         want = extension_blocking(g, x_mask, y_mask, z_mask)
-                        assert adjustment._blocked_on_g(g, x_mask, y_mask, z_mask) == want.ok
+                        assert adjustment._blocked_on_g(g, ch, x_mask, y_mask, z_mask) == want.ok
                         names = g._names(z_mask)
                         assert b_blocking_by_enumeration(g, xs, ys, names).ok == want.ok
                         assert check_b_blocking(g, xs, ys, names) == want
