@@ -7,12 +7,17 @@ and every proper non-causal definite-status path must be blocked.  One
 pass on the graph (:func:`_conditions`), a possible-ancestor walk from
 the outcomes per treatment, finds the second nodes of the proper
 possibly-causal paths; they decide amenability, the forbidden set and
-the zero effect, and with the edges into them pruned a definite-status
-walk from the treatments decides blocking, as d-separation in the
-proper back-door graph of any DAG extension does.  On the extension the
-maximality check kept, the same pass and walk name a failing check's
-witness and a listing runs d-separation; a shortest-walk search names a
-non-amenable query's witness.  Every public entry point checks its
+the zero effect, and the edges into them are the cut.  Blocking is then
+one search, :func:`_d_separated`, on one DAG extension without the cut
+(:func:`_backdoor`): on an amenable query whose candidate set avoids
+the forbidden set, that is d-separation in the extension's proper
+back-door graph, which decides the condition for every extension
+alike.  The extension is the one the graph keeps, built once on its
+first amenable query when the maximality check kept none.  The
+verdict, the canonical set and both listings run that one search; a
+failing check's witness is the least shortest d-connecting walk in the
+same graph, and a shortest-walk search names a non-amenable query's
+witness.  Every public entry point checks its
 query in one place, :func:`_query`: the library's one node-list rule on
 ``xs``, ``ys`` and ``zs``, then the maximality check, as the source
 paper defines the criterion on maximal PDAGs only.  Everything behind it
@@ -212,33 +217,71 @@ def _path_starts(g: PdagGraph, x_mask: int, y_mask: int) -> Iterator[tuple[int, 
         yield x, removed, leads, (ch[x] | und[x]) & leads
 
 
-def _conditions(h: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, int, list[int]]:
-    """``(amenable, sure, ch)`` from one pass over :func:`_path_starts`
-    on the maximal ``h``, a DAG extension included.  As the starts are
-    the second nodes of the proper b-possibly-causal paths, the query is
-    ``amenable`` when no ``x`` has a sibling among its starts; ``sure``,
-    their OR, is empty exactly when the total effect is zero, as such a
-    path into ``ys`` is proper after its last treatment; ``ch`` is
-    ``h``'s child masks without each ``x -> s``, ``s`` a start of ``x``:
-    on an amenable query the first edges of those paths
-    (:func:`_blocked_on_g`, part (1)), on a DAG the edges its proper
-    back-door graph drops (a child of ``x`` whose directed path into
-    ``ys`` ran through ``pa(x)`` would close a cycle).  The parent masks
-    stay ``h``'s, which changes no answer for a ``Z`` outside the
-    forbidden set ``F``, as every caller's is: a pruned ``c`` starts a
-    proper b-possibly-causal path (on an extension too, as amenability
-    keeps ``x -> c`` directed in the graph), so its descendants are in
-    ``F`` and ``_closure(pa, Z)`` holds no ``c``.  The walk never
-    re-enters ``X``; :func:`_d_separated` may re-enter ``x`` from ``c``,
-    into states it started from; ``x`` seeds the minimal listing's
-    ancestors.
+def _conditions(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, int, list[tuple[int, int]]]:
+    """``(amenable, sure, cut)`` from one pass over :func:`_path_starts`
+    on the maximal ``g``.  As the starts are the second nodes of the
+    proper b-possibly-causal paths, the query is ``amenable`` when no
+    ``x`` has a sibling among its starts; ``sure``, their OR, is empty
+    exactly when the total effect is zero, as such a path into ``ys`` is
+    proper after its last treatment; ``cut`` pairs each ``x`` with its
+    starts, the heads of the edges :func:`_backdoor` drops.
     """
-    amenable, sure, ch = True, 0, h._ch[:]
-    for x, _, _, starts in _path_starts(h, x_mask, y_mask):
-        amenable &= not starts & h._und[x]
+    amenable, sure, cut = True, 0, []
+    for x, _, _, starts in _path_starts(g, x_mask, y_mask):
+        amenable &= not starts & g._und[x]
         sure |= starts
+        cut.append((x, starts))
+    return amenable, sure, cut
+
+
+def _backdoor(
+    g: PdagGraph, cut: list[tuple[int, int]], dag: Optional[PdagGraph] = None
+) -> tuple[list[int], list[int]]:
+    """The parent and child masks of a DAG extension of ``g`` without
+    each ``x -> s``, ``s`` in ``x``'s part of ``cut``, on an amenable
+    query.  The extension is ``dag`` when given, else the one ``g``
+    keeps; a graph that keeps none gets :func:`consistent_extension` of
+    itself, once, so a witness read off it is a function of ``g``.
+
+    Proof sketch.  Let ``D`` be any extension, ``F`` the forbidden set
+    and ``Z`` outside ``F``, as every caller's is.  (i) Blocking on
+    ``g`` holds exactly when ``Z`` d-separates ``X`` and ``Y`` in the
+    proper back-door graph of ``D`` (Perkovic, Textor, Kalisch and
+    Maathuis, JMLR 2018).  If blocking holds, the source paper's theorem
+    makes ``Z`` an adjustment set in every DAG of the class, which the
+    DAG criterion reads as that d-separation.  If it fails, take an open
+    violation on ``g``: a proper b-non-causal definite-status path whose
+    colliders have a directed path into ``Z`` and whose other nodes are
+    outside ``Z``.  It d-connects in ``D``: a collider and its path into
+    ``Z`` stay, an edge out of a node stays, and an unshielded ``a - b -
+    c`` is no collider in ``D``.  The back-door graph keeps every edge it
+    uses: that graph drops ``x -> c`` only when a directed path from
+    ``c`` avoiding ``X`` reaches ``Y``; that path is b-possibly causal in
+    ``g``, so ``c`` is in ``F`` and no collider's path into ``Z`` runs
+    through ``c``, and a violation ``x -> c ...`` stays directed up to its
+    first collider (``u -> v - w`` is oriented by Meek's first rule or is
+    not definite), so it is causal or that collider is a descendant of
+    ``c`` with one in ``Z``.  (ii) The cut drops every edge that
+    graph drops: ``x -> c`` before a directed path avoiding ``X`` into
+    ``Y`` is a proper b-possibly-causal path in ``g``, so ``c`` is a start
+    of ``x``, a child of ``x`` on an amenable query.  A further cut edge
+    ``x -> s`` has ``s`` in ``F``, so no descendant of ``s`` is in ``Z``
+    and ``s`` never opens as a collider; a path ``x -> s ...`` can only
+    run down a directed path, and one into ``Y`` would make ``x -> s``
+    proper causal, dropped by that graph too.  The parent masks stay
+    ``D``'s, which changes no answer: a cut ``c`` has its descendants in
+    ``F``, so ``_closure(pa, Z)`` holds none.  The searches never
+    re-enter ``X`` but :func:`_d_separated`, which may re-enter ``x`` from
+    ``c`` into states it started from.
+    """
+    if dag is None:
+        dag = g._extension
+        if dag is None:
+            dag = g._extension = consistent_extension(g)
+    ch = dag._ch[:]
+    for x, starts in cut:
         ch[x] &= ~starts
-    return amenable, sure, ch
+    return dag._pa, ch
 
 
 def _path_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[int, int]:
@@ -317,8 +360,8 @@ def d_separated(
 
 def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> bool:
     """The search behind :func:`d_separated`, on a DAG's parent and child
-    masks and pairwise disjoint node masks the caller has checked; a
-    listing passes the child masks :func:`_conditions` pruned."""
+    masks and pairwise disjoint node masks the caller has checked; every
+    adjustment verdict passes the masks of :func:`_backdoor`."""
     anz = _closure(pa, zs)  # nodes with a descendant in zs, plus zs
     # Two frontiers: ``down`` nodes were arrived at along an edge into
     # them, ``up`` nodes against an edge out of them.
@@ -345,27 +388,27 @@ def _d_separated(pa: list[int], ch: list[int], xs: int, ys: int, zs: int) -> boo
     return True
 
 
-def _open_walks(h: PdagGraph, ch: list[int], x_mask: int, z_mask: int) -> tuple[list, Callable]:
-    """The blocking walk's first entries, each a treatment ``x`` and the
-    mask of its first steps, and ``step(a, b)``, the mask of the ``c``
-    that a step ``a, b, c`` passes on to (:func:`_blocked_on_g`), on the
-    pruned child masks ``ch``.  A step reads the neighbours of ``a`` and
-    ``b`` off ``h``'s masks when it needs them, not off an adjacency list
-    built first, as a walk usually takes fewer steps than ``h`` has nodes."""
-    pa, h_ch, und = h._pa, h._ch, h._und
+def _open_walks(pa: list[int], ch: list[int], x_mask: int, z_mask: int) -> tuple[list, Callable]:
+    """The d-connecting walk's first entries, each a treatment ``x`` and
+    the mask of its first steps, and ``step(a, b)``, the mask of the
+    ``c`` that a step ``a, b, c`` passes on to, on a DAG's parent masks
+    and its child masks ``ch`` from :func:`_backdoor`.  A step passes
+    ``b`` as a collider with a descendant in ``Z`` (``b`` in ``Z``
+    included) or as a non-collider outside ``Z``, and never re-enters
+    ``X``.  Walked breadth-first (:func:`_least_shortest_path`) it gives
+    the shortest d-connecting path least by node indices: no shortest
+    walk backs up, as a walk that turns back can only climb to a parent
+    from a node of ``An(Z)``, so each node it retraces passes on no more
+    than at its first visit but the node before, and the walk could have
+    left that node then."""
     opened = _closure(pa, z_mask)
-    first = [(x, (pa[x] | ch[x] | und[x]) & ~x_mask) for x in _bits(x_mask)]
+    first = [(x, (pa[x] | ch[x]) & ~x_mask) for x in _bits(x_mask)]
 
     def step(a: int, b: int) -> int:
         onward = pa[b] if pa[b] >> a & 1 and opened >> b & 1 else 0  # a collider
-        if not z_mask >> b & 1:  # definite non-colliders
-            if ch[b] >> a & 1:
-                onward |= pa[b] | h_ch[b] | und[b]
-            else:
-                onward |= ch[b]
-                if und[b] >> a & 1:
-                    onward |= und[b] & ~(pa[a] | h_ch[a] | und[a])
-        return onward & ~x_mask & ~(1 << a)
+        if not z_mask >> b & 1:  # a non-collider
+            onward |= pa[b] | ch[b] if ch[b] >> a & 1 else ch[b]
+        return onward & ~x_mask
 
     return first, step
 
@@ -376,13 +419,13 @@ def check_b_blocking(
     ys: "str | Iterable[str]",
     zs: "str | Iterable[str]" = (),
 ) -> ConditionCheck:
-    """Check the blocking condition with a definite-status walk on ``g``.
+    """Check the blocking condition: d-separation in the proper back-door
+    graph of ``g``'s DAG extension, which decides it for the whole class.
 
     Requires the amenability and forbidden-set hypotheses to hold (the
-    walk is exact under them); violation is a ValueError.  The witness
-    on failure is the least shortest run of the same walk on one DAG
-    extension, which is a d-connecting path in that extension's proper
-    back-door graph (:func:`_blocked_on_g`).
+    search is exact under them); violation is a ValueError.  The witness
+    on failure is the shortest d-connecting path in that graph least by
+    node indices (:func:`_open_walks`).
     """
     verdict = satisfies_b_adjustment(g, xs, ys, zs)
     if not verdict.amenable:
@@ -390,98 +433,6 @@ def check_b_blocking(
     if not verdict.forbidden_ok:
         raise ValueError("blocking check requires zs to avoid the forbidden set")
     return ConditionCheck(verdict.blocking_ok, verdict.witness)
-
-
-def _blocked_on_g(g: PdagGraph, ch: list[int], x_mask: int, y_mask: int, z_mask: int) -> bool:
-    """True iff ``Z`` blocks every proper b-non-causal definite-status
-    path from ``X`` to ``Y`` in the maximal ``g``, on an amenable query
-    whose ``Z`` avoids the forbidden set ``F``.
-
-    Let ``A`` be the nodes outside ``X`` with a b-possibly-causal path
-    into ``Y`` avoiding ``X``.  The edges ``x -> c`` with ``c`` in ``A``
-    are pruned first; ``ch`` holds the rest (:func:`_conditions`).  Then
-    a Bayes-ball search (Shachter 1998) walks (previous, current) states
-    from ``X``, never re-entering ``X`` or backing up (:func:`_open_walks`).
-    A step ``a, b, c`` passes ``b`` when ``a -> b <- c`` and ``b`` has a
-    directed path into ``Z`` in ``g`` (``b`` in ``Z`` included), or when
-    ``b`` is outside ``Z`` and a definite non-collider: ``b -> a``, ``b ->
-    c``, or ``a - b - c`` with ``a`` and ``c`` non-adjacent in ``g``
-    (definite status as in Perkovic, Textor, Kalisch and Maathuis, JMLR
-    2018).  Any other triple stops the walk; reaching ``Y`` means "not
-    blocked".  This is the source paper's blocking condition, decided on
-    ``g`` depth-first with no DAG extension.  A state's successors depend
-    on the state alone, so ``done[a]`` holds the ``b`` whose state ``(a,
-    b)`` was entered, and each state is expanded once.
-
-    Proof sketch.  (1) The pruned edges are exactly the first edges of
-    the proper b-possibly-causal paths, and no open violation starts
-    with one.  Such a first edge is directed, by amenability, and its
-    head is in ``A``.  Conversely, for ``c`` in ``A`` take an unshielded
-    b-possibly-causal path from ``c`` into ``Y`` in ``g`` without ``X``
-    (the source paper's subsequence lemma; an induced subgraph of a
-    maximal PDAG is maximal).  Orienting its first undirected edge
-    forward and closing orients the rest by Meek's first rule, and the
-    result extends to a DAG ``D`` of the class (Meek 1995).  In ``D``,
-    ``x -> c`` before it is a proper causal path, so it has no backward
-    pair in ``g``: ``c`` is on a proper b-possibly-causal path and its
-    b-possible descendants are in ``F``.  An open definite-status path
-    ``x -> c ...`` stays directed up to its first collider, since ``u ->
-    v - w`` is oriented by Meek's first rule or is not definite.  With
-    no collider it is causal; otherwise that collider, and so a node of
-    ``Z``, is a directed descendant of ``c``, which ``F`` excludes; so no
-    directed path into ``Z`` uses a pruned edge.  After pruning, every
-    proper path into ``Y`` is b-non-causal: it starts ``x <- p``, or
-    ``x - s`` (a b-possibly-causal one would break amenability), or ``x
-    -> c`` with ``c`` outside ``A``.  (2) A walk that reaches ``Y`` makes
-    the blocking condition fail.  Take any DAG ``D`` of the class.  Every
-    passing triple passes the d-separation rule in ``D``: a collider
-    and its directed path into ``Z`` stay, an edge out of ``b`` stays,
-    and an unshielded ``a - b - c`` is no collider in ``D``.  ``D``'s
-    proper back-door graph keeps every edge the walk and its colliders'
-    paths use: it drops ``x -> c`` only when a directed path from ``c``
-    avoiding ``X`` reaches ``Y``, which is b-possibly causal in ``g``, so
-    ``c`` is in ``A``, and then ``x -> c`` was pruned, or ``x - c`` breaks
-    amenability.  So the walk is d-connecting there (a Bayes-ball walk
-    holds an open path), and d-separation in that graph decides the
-    condition (module docstring), so it fails.  (3) An open violation is a
-    walk of the search: it is proper, its first edge survives pruning by
-    (1), and each of its triples passes.  The tests sweep the walk
-    against the extension route and the path enumeration.
-
-    A failing check's witness is the same rule on the kept DAG extension
-    ``D``, walked breadth-first in node-index order.  On a DAG the rule
-    is d-connection in its proper back-door graph (:func:`_conditions`):
-    with no undirected edge every triple has definite status, so ``b``
-    passes as a collider with a descendant in ``Z`` or as a non-collider
-    outside ``Z``.  So the walk is that graph's shortest d-connecting
-    path least by node indices, and by (2) it exists whenever the walk
-    on ``g`` reaches ``Y``.  On ``g`` it could differ: ``D`` opens
-    colliders whose path into ``Z`` is undirected in ``g``.  On ``D`` no
-    shortest walk backs up, so the ban on it shapes no witness: a walk
-    that turns back can only climb to a parent from a node of ``An(Z)``,
-    so each node it retraces passes on no more than at its first visit
-    but the node before, and the walk could have left that node then.
-
-    The collider rule asks for a directed descendant in ``Z``.  Asking
-    for a b-possible descendant instead gave the same verdict on all
-    894,083 amenable queries searched (every ``Z`` outside ``F``: 83,880
-    on all maximal PDAGs of four nodes, 810,203 on 1,100 random ones of
-    4-8 nodes), so no test separates the two readings.
-    """
-    stack, step = _open_walks(g, ch, x_mask, z_mask)
-    done = [0] * len(g)
-    while stack:
-        a, allowed = stack.pop()
-        fresh = allowed & ~done[a]
-        if fresh & y_mask:
-            return False
-        done[a] |= fresh
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            b = low.bit_length() - 1
-            stack.append((b, step(a, b)))
-    return True
 
 
 def satisfies_b_adjustment(
@@ -497,7 +448,7 @@ def satisfies_b_adjustment(
     the possible descendants of the treatments).
     """
     x_mask, y_mask, z_mask = _query(g, xs, ys, zs)
-    amenable, sure, ch = _conditions(g, x_mask, y_mask)
+    amenable, sure, cut = _conditions(g, x_mask, y_mask)
     forbidden_ok = blocking_ok = None
     witness = None if amenable else _amenability(g, x_mask, y_mask).witness
     if amenable:
@@ -506,11 +457,11 @@ def satisfies_b_adjustment(
         if blocked_nodes:
             witness = g.nodes[next(_bits(blocked_nodes))]
         else:
-            blocking_ok = _blocked_on_g(g, ch, x_mask, y_mask, z_mask)
-            if not blocking_ok:  # the same walk's least run on the kept extension
-                dag = g._extension or consistent_extension(g)
-                walks = _open_walks(dag, _conditions(dag, x_mask, y_mask)[2], x_mask, z_mask)
-                walk = _least_shortest_path(len(dag), *walks, y_mask, int)
+            pa, ch = _backdoor(g, cut)
+            blocking_ok = _d_separated(pa, ch, x_mask, y_mask, z_mask)
+            if not blocking_ok:
+                walks = _open_walks(pa, ch, x_mask, z_mask)
+                walk = _least_shortest_path(len(g), *walks, y_mask, int)
                 witness = tuple(g.nodes[v] for v in walk)
     return AdjustmentVerdict(
         amenable=amenable,
@@ -537,17 +488,20 @@ def adjust_set(
     return _adjust_core(g, x_mask, y_mask)[1]
 
 
-def _adjust_core(g: PdagGraph, x_mask: int, y_mask: int) -> tuple[bool, Optional[frozenset[str]]]:
+def _adjust_core(
+    g: PdagGraph, x_mask: int, y_mask: int, dag: Optional[PdagGraph] = None
+) -> tuple[bool, Optional[frozenset[str]]]:
     """Whether the query is amenable, and :func:`adjust_set`'s answer,
     from one :func:`_conditions` pass, on the maximal ``g`` and query
     masks its caller checked: :func:`adjust_set`, or a study replicate,
-    which checks its query once for the graphs of all its rows."""
-    amenable, sure, ch = _conditions(g, x_mask, y_mask)
+    which checks its query once for the graphs of all its rows and
+    passes its true DAG, an extension of each of them, as ``dag``."""
+    amenable, sure, cut = _conditions(g, x_mask, y_mask)
     if not amenable:
         return False, None
     taken = x_mask | y_mask | _forward_reach(g, sure, g._ch)
     candidate = _forward_reach(g, x_mask | y_mask, g._pa) & ~taken
-    if _blocked_on_g(g, ch, x_mask, y_mask, candidate):
+    if _d_separated(*_backdoor(g, cut, dag), x_mask, y_mask, candidate):
         return True, g._names(candidate)
     return True, None
 
@@ -586,7 +540,7 @@ def list_adjustment_sets(
     if universe_cap < 0:
         raise ValueError("universe_cap must be non-negative")
     x_mask, y_mask, _ = _query(g, xs, ys)
-    amenable, sure, _ = _conditions(g, x_mask, y_mask)
+    amenable, sure, cut = _conditions(g, x_mask, y_mask)
     if not amenable:
         return []
     taken = x_mask | y_mask | _forward_reach(g, sure, g._ch)
@@ -596,8 +550,7 @@ def list_adjustment_sets(
             f"candidate universe has {len(universe)} nodes, above the cap of "
             f"{universe_cap}"
         )
-    dag = g._extension or consistent_extension(g)
-    pa, ch = dag._pa, _conditions(dag, x_mask, y_mask)[2]
+    pa, ch = _backdoor(g, cut)
     bit = {name: 1 << g._index[name] for name in universe}
     if minimal_only:
         ancestors = _closure(pa, x_mask | y_mask)

@@ -288,11 +288,16 @@ def joint_ida_effects(
     the combination's required edges, one DAG extension is fitted node
     by node, and the effect vector is read from the inverse of
     (I - B) at the treatment rows and outcome column (the sum over
-    directed paths of fitted coefficient products).  The extensions
-    share most nodes' parent sets, so each distinct (node, parent mask)
-    regression is fitted once per query, with the parents in ascending
-    index order, and its coefficients are reused by every extension that
-    has it.  The extensions are taken in blocks of ``_BLOCK``: their B
+    directed paths of fitted coefficient products).  Those paths may run
+    through the other treatments, so each entry is its treatment's
+    single-intervention total effect in that extension, not the joint
+    effect of Nandy, Maathuis and Richardson (2017), which holds the
+    other treatments fixed: on ``X1 -> X2 -> Y`` the entry for ``X1`` is
+    the product of both coefficients, where the joint effect is 0.  The
+    extensions share most nodes' parent sets, so each distinct (node,
+    parent mask) regression is fitted once per query, with the parents in
+    ascending index order, and its coefficients are reused by every
+    extension that has it.  The extensions are taken in blocks of ``_BLOCK``: their B
     fill one stacked array, an extension with a rank-deficient fit gets
     a zeroed slice and a NaN vector, and one ``np.linalg.inv`` call
     inverts the block's I - B.  LAPACK inverts each matrix of a stack as

@@ -142,7 +142,7 @@ class PdagGraph:
         self._ch = ch
         self._und = und
         self._maximal = False  # set by meek on its own outputs and on a graph it checked
-        self._extension = None  # the DAG extension meek's check built, on a graph it passed
+        self._extension = None  # consistent_extension(self), kept once meek or adjustment built it
 
     @classmethod
     def _from_masks(cls, nodes, index, pa, ch, und) -> "PdagGraph":

@@ -192,7 +192,8 @@ def choose_xy(true_dag: PdagGraph, rng: np.random.Generator) -> tuple[str, str]:
         banned = true_dag._pa[v] | 1 << v
         return [nodes[w] for w in _bits(_closure(adjacency, 1 << v) & ~banned)]
 
-    if not any(candidates(v) for v in range(len(nodes))):
+    # An edge u -> w makes w an outcome for u; with none, no node has one.
+    if not any(true_dag._ch):
         raise ValueError("no valid treatment/outcome pair exists in this graph")
     while True:
         v = int(rng.integers(len(nodes)))
@@ -297,7 +298,7 @@ def _replicate_rows(
         count = int(round(fraction * len(requirements)))
         graph = _merge_background(graph, requirements[merged:count])
         merged = count
-        amen, adjustment_set = _adjust_core(graph, x_mask, y_mask)
+        amen, adjustment_set = _adjust_core(graph, x_mask, y_mask, model.dag)
         identifiable = adjustment_set is not None
         effects = _ida_core(graph, x, y, data, col, fits)
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -5,11 +5,13 @@ restart-scan closure re-derives the orientation rules from scratch, the
 parent-set oracle runs one full public merge per sibling subset, the
 DAG-level adjustment oracle evaluates the criterion by brute-force path
 enumeration, the blocking-witness oracle finds its path by iterative
-deepening, the back-door oracle decides blocking by d-separation in
-one DAG extension's proper back-door graph, which it builds from the
-public graph methods, and names its witness by that iterative
+deepening, the back-door oracle decides blocking by separation in the
+moral graph of the ancestral set (not the library's d-separation
+search) in one DAG extension's proper back-door graph, which it builds
+from the public graph methods, and names its witness by that iterative
 deepening, the listing oracle tests
-every candidate subset and then filters the minimal ones, the
+every candidate subset by the same moral-graph test and then filters
+the minimal ones, the
 blocking-enumeration oracle re-classifies
 every path it walks by node names, the forbidden-set oracle walks every
 proper possibly-causal path to its end, the simple-path oracle is the recursive
@@ -377,9 +379,9 @@ def dag_adjustment_criterion(d: PdagGraph, xs, ys, zs) -> bool:
 
 
 def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
-    """Reference adjustment-set listing: one d-separation test in the
-    proper back-door DAG per subset of the candidate universe (the nodes
-    outside xs, ys and the forbidden set), by size and node order; for
+    """Reference adjustment-set listing: one moral-graph separation test
+    in the proper back-door DAG per subset of the candidate universe (the
+    nodes outside xs, ys and the forbidden set), by size and node order; for
     the minimal sets, every valid set with a valid strict subset is then
     dropped."""
     x_mask, y_mask, _ = adjustment._query(g, xs, ys)
@@ -392,7 +394,7 @@ def subset_listing(g: PdagGraph, xs, ys, minimal_only=False) -> list:
     for size in range(len(universe) + 1):
         for combo in combinations(universe, size):
             z_mask = sum(1 << g.node_index(v) for v in combo)
-            if adjustment._d_separated(pruned._pa, pruned._ch, x_mask, y_mask, z_mask):
+            if moral_separated(pruned, x_mask, y_mask, z_mask):
                 valid.append(frozenset(combo))
     if minimal_only:
         valid = [z for z in valid if not any(other < z for other in valid)]
@@ -407,11 +409,11 @@ def forbidden_nodes(g: PdagGraph, x_mask: int, y_mask: int) -> int:
 
 
 def reach_backdoor(h: PdagGraph, x_mask: int, y_mask: int) -> list:
-    """Reference for the child masks of ``adjustment._conditions``, by
-    the reach the library pruned with before that pass: ``h``'s child
-    masks without each edge ``x -> c`` whose ``c`` has a b-possibly-causal
-    path into ``ys`` avoiding ``xs``, found by one possible-ancestor walk
-    from ``ys``."""
+    """Reference for ``h``'s child masks without the cut of
+    ``adjustment._conditions``, by the reach the library pruned with
+    before that pass: ``h``'s child masks without each edge ``x -> c``
+    whose ``c`` has a b-possibly-causal path into ``ys`` avoiding
+    ``xs``, found by one possible-ancestor walk from ``ys``."""
     leads = _forward_reach(h, y_mask, h._pa, x_mask)
     ch = h._ch[:]
     for x in _bits(x_mask):
@@ -480,15 +482,45 @@ def proper_backdoor_dag(g: PdagGraph, x_mask: int, y_mask: int) -> PdagGraph:
 
 
 def extension_blocking(g: PdagGraph, x_mask: int, y_mask: int, z_mask: int):
-    """Reference for the blocking walk on the maximal ``g``: d-separation
-    in the proper back-door graph of one DAG extension, with the
-    iterative-deepening d-connecting path there as the witness."""
+    """Reference for the blocking condition on the maximal ``g``:
+    separation in the proper back-door graph of one DAG extension, by
+    :func:`moral_separated`, with the iterative-deepening d-connecting
+    path there as the witness."""
     pruned = proper_backdoor_dag(g, x_mask, y_mask)
-    if adjustment._d_separated(pruned._pa, pruned._ch, x_mask, y_mask, z_mask):
+    if moral_separated(pruned, x_mask, y_mask, z_mask):
         return adjustment.ConditionCheck(True)
     return adjustment.ConditionCheck(
         False, deepening_connecting_path(pruned, x_mask, y_mask, z_mask)
     )
+
+
+def moral_separated(d: PdagGraph, xs: int, ys: int, zs: int) -> bool:
+    """Reference d-separation of the node masks ``xs`` and ``ys`` by
+    ``zs`` in the DAG ``d``: ``zs`` separates them in the moral graph of
+    the ancestral set of ``xs | ys | zs`` (Lauritzen, Dawid, Larsen and
+    Leimer 1990), where each node and its parents form a clique."""
+    ancestral = frontier = xs | ys | zs
+    while frontier:
+        grown = 0
+        for v in _bits(frontier):
+            grown |= d._pa[v]
+        frontier = grown & ~ancestral
+        ancestral |= frontier
+    near = [0] * len(d)
+    for v in _bits(ancestral):
+        family = d._pa[v] | 1 << v
+        for u in _bits(family):
+            near[u] |= family
+    seen = frontier = xs
+    while frontier:
+        grown = 0
+        for v in _bits(frontier):
+            grown |= near[v]
+        frontier = grown & ~(seen | zs)
+        if frontier & ys:
+            return False
+        seen |= frontier
+    return True
 
 
 def deepening_connecting_path(d: PdagGraph, xs: int, ys: int, zs: int):

@@ -31,6 +31,7 @@ from helpers import (
     enumerated_forbidden_set,
     extension_blocking,
     forbidden_nodes,
+    moral_separated,
     name_adjacency,
     name_b_blocking_by_enumeration,
     proper_backdoor_dag,
@@ -230,6 +231,31 @@ class TestDSeparation:
                         )
                     )
                     assert d_separated(dag, x, y, zs) == blocked_all
+
+    def test_moral_graph_oracle_matches_path_enumeration(self):
+        """The oracle that the blocking sweeps compare the library's one
+        separation search with, against the path enumeration, on random
+        DAGs of up to 6 nodes with one and two treatment and outcome
+        nodes."""
+        rng = np.random.default_rng(38)
+        checks = separated = 0
+        for _ in range(200):
+            _, dag = random_mpdag(rng, 6)
+            nodes = list(dag.nodes)
+            for kx, ky in ((1, 1), (2, 1), (1, 2), (2, 2)):
+                if kx + ky > len(nodes):
+                    continue
+                rng.shuffle(nodes)
+                xs, ys, rest = nodes[:kx], nodes[kx : kx + ky], nodes[kx + ky :]
+                paths = _proper_paths(name_adjacency(dag), frozenset(xs), frozenset(ys))
+                for r in range(len(rest) + 1):
+                    for zs in combinations(rest, r):
+                        want = all(_path_blocked(dag, path, frozenset(zs)) for path in paths)
+                        masks = (sum(1 << dag.node_index(v) for v in vs) for vs in (xs, ys, zs))
+                        assert moral_separated(dag, *masks) == want, (dag, xs, ys, zs)
+                        checks += 1
+                        separated += want
+        assert (checks, separated) == (3181, 580)
 
 
 class TestBlocking:
@@ -447,23 +473,33 @@ class TestReachabilityRoutes:
     def test_conditions_match_the_reaches_they_replaced(self):
         """Entry for entry, the one path-starts pass against the searches
         it replaced: its amenability against the shortest-walk search, its
-        zero-effect flag against the reach from the treatments, and its
-        pruned child masks against the reach from the outcomes, on the
-        graph for an amenable query and on the kept DAG extension for
-        every query."""
+        zero-effect flag against the reach from the treatments, and the
+        graph's child masks without its cut against the reach from the
+        outcomes for an amenable query.  For every query the cut removes
+        every edge that the reach removes from the kept DAG extension,
+        and each further cut edge points into the forbidden set, with
+        every descendant of its head in the extension."""
         amenable = zero = pruned = 0
         for g, xs, ys in self.queries():
             x_mask, y_mask, _ = adjustment._query(g, xs, ys)
-            ok, sure, ch = adjustment._conditions(g, x_mask, y_mask)
+            ok, sure, cut = adjustment._conditions(g, x_mask, y_mask)
             assert ok == adjustment._amenability(g, x_mask, y_mask).ok, (g, xs, ys)
             assert (not sure) == reach_zero_effect(g, x_mask, y_mask), (g, xs, ys)
             if ok:
+                ch = g._ch[:]
+                for x, starts in cut:
+                    ch[x] &= ~starts
                 assert ch == reach_backdoor(g, x_mask, y_mask), (g, xs, ys)
                 amenable += 1
                 pruned += ch != g._ch
             dag = g._extension or consistent_extension(g)
-            want = reach_backdoor(dag, x_mask, y_mask)
-            assert adjustment._conditions(dag, x_mask, y_mask)[2] == want, (g, xs, ys)
+            want, ch = reach_backdoor(dag, x_mask, y_mask), adjustment._backdoor(g, cut, dag)[1]
+            forbidden = forbidden_nodes(g, x_mask, y_mask)
+            for x in adjustment._bits(x_mask):
+                assert ch[x] & ~want[x] == 0, (g, xs, ys)
+                for s in adjustment._bits(want[x] & ~ch[x]):
+                    below = adjustment._closure(dag._ch, 1 << s)
+                    assert below & ~forbidden == 0, (g, xs, ys)
             zero += not sure
         assert (amenable, zero, pruned) == (398, 251, 147)
 
@@ -571,16 +607,18 @@ class TestReachabilityRoutes:
 
 
 class TestBlockingWalk:
-    """The blocking walk on ``g`` against the two routes it must agree
-    with, entry for entry: d-separation in one DAG extension's proper
-    back-door graph, and the path-by-path enumeration."""
+    """The blocking search, d-separation on the kept DAG extension without
+    the cut, against the two routes it must agree with, entry for entry:
+    the moral-graph test in that extension's proper back-door graph, and
+    the path-by-path enumeration on ``g``."""
 
     @staticmethod
     def check(g, xs, ys, z_mask, enumerate_paths=True):
         x_mask, y_mask, _ = adjustment._query(g, xs, ys)
         want = extension_blocking(g, x_mask, y_mask, z_mask)
-        ch = adjustment._conditions(g, x_mask, y_mask)[2]
-        assert adjustment._blocked_on_g(g, ch, x_mask, y_mask, z_mask) == want.ok, (g, xs, ys, z_mask)
+        masks = adjustment._backdoor(g, adjustment._conditions(g, x_mask, y_mask)[2])
+        got = adjustment._d_separated(*masks, x_mask, y_mask, z_mask)
+        assert got == want.ok, (g, xs, ys, z_mask)
         if enumerate_paths:
             assert b_blocking_by_enumeration(g, xs, ys, g._names(z_mask)).ok == want.ok
         return want
@@ -647,6 +685,67 @@ class TestBlockingWalk:
         masks = adjustment._query(g, xs, ys, zs)
         assert verdict.witness == extension_blocking(g, *masks).witness
 
+    def test_cut_drops_an_edge_the_extension_keeps(self):
+        """The cut drops ``V1 -> V4``, as ``V1 -> V4 - V7`` is a proper
+        b-possibly-causal path into ``Y``.  The kept extension orients
+        ``V7 -> V4``, so its proper back-door graph keeps the edge; ``V4``
+        is forbidden, so no ``Z`` opens a path through it, and every
+        ``Z`` outside the forbidden set passes both routes."""
+        edges = [
+            "V1 -> V4", "V1 -> V6", "V1 -> V7", "V2 -> V3", "V2 -> V4", "V2 -> V5",
+            "V2 -> V6", "V2 -> V7", "V3 -> V4", "V3 -> V5", "V3 -> V7", "V4 -> V5",
+            "V4 -> V6", "V4 -- V7", "V5 -> V6",
+        ]  # fmt: skip
+        g = parse_graph("".join(f"node V{i}\n" for i in range(1, 8)) + "\n".join(edges))
+        x_mask, y_mask, _ = adjustment._query(g, "V1", "V7")
+        amenable, _, cut = adjustment._conditions(g, x_mask, y_mask)
+        v1, v4 = g.node_index("V1"), g.node_index("V4")
+        assert amenable and cut == [(v1, 1 << v4 | y_mask)]
+        dag = g._extension
+        assert dag.is_directed("V7", "V4")
+        assert reach_backdoor(dag, x_mask, y_mask)[v1] >> v4 & 1
+        assert not adjustment._backdoor(g, cut)[1][v1] >> v4 & 1
+        taken = x_mask | y_mask | forbidden_nodes(g, x_mask, y_mask)
+        free = [v for v in range(len(g)) if not taken >> v & 1]
+        assert g._names(sum(1 << v for v in free)) == {"V2", "V3"}
+        for k in range(len(free) + 1):
+            for zs in combinations(free, k):
+                z_mask = sum(1 << v for v in zs)
+                assert extension_blocking(g, x_mask, y_mask, z_mask).ok
+                assert satisfies_b_adjustment(g, "V1", "V7", g._names(z_mask)).overall
+
+    def test_a_second_extension_gives_every_verdict(self):
+        """The blocking verdict on the kept extension is the one on the
+        last DAG that ``enumerate_dags`` lists, for every amenable query
+        with one or two treatments and one outcome on random maximal
+        PDAGs of 3-8 nodes, and random candidate sets outside the
+        forbidden set."""
+        rng = np.random.default_rng(2038)
+        verdicts, other = [], 0
+        for _ in range(150):
+            g, _ = random_mpdag(rng, 8, p_min=3)
+            last = list(enumerate_dags(g))[-1]
+            other += last != consistent_extension(g)
+            for kx in (1, 2):
+                for xs in combinations(g.nodes, kx):
+                    for y in g.nodes:
+                        if y in xs:
+                            continue
+                        x_mask, y_mask, _ = adjustment._query(g, xs, y)
+                        amenable, sure, cut = adjustment._conditions(g, x_mask, y_mask)
+                        if not amenable:
+                            continue
+                        taken = x_mask | y_mask | adjustment._forward_reach(g, sure, g._ch)
+                        free = [v for v in range(len(g)) if not taken >> v & 1]
+                        for _ in range(4):
+                            z_mask = sum(1 << v for v in free if rng.random() < 0.5)
+                            kept = satisfies_b_adjustment(g, xs, y, g._names(z_mask))
+                            masks = adjustment._backdoor(g, cut, last)
+                            second = adjustment._d_separated(*masks, x_mask, y_mask, z_mask)
+                            assert kept.blocking_ok == second, (g, xs, y, z_mask)
+                            verdicts.append(second)
+        assert (len(verdicts), verdicts.count(False), other) == (38464, 23881, 45)
+
 
 class TestOnePassPerQuery:
     @pytest.fixture()
@@ -712,7 +811,7 @@ class TestOnePassPerQuery:
         "query, reaches, walks",
         [
             (lambda g: adjust_set(g, "X", "Y"), 3, 0),
-            (lambda g: list_adjustment_sets(g, "X", "Y"), 3, 0),
+            (lambda g: list_adjustment_sets(g, "X", "Y"), 2, 0),
             (lambda g: satisfies_b_adjustment(g, "X", "Y", "A"), 2, 0),
             (lambda g: is_amenable(g, "X", "Y"), 1, 0),
             (lambda g: is_amenable(g, "B", "Y"), 1, 1),

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpdagkit import cli, pdag_core
-from mpdagkit.adjustment import is_amenable
+from mpdagkit.adjustment import (
+    adjust_set,
+    forbidden_set,
+    is_amenable,
+    list_adjustment_sets,
+    satisfies_b_adjustment,
+)
 from mpdagkit.causal_paths import b_possible_ancestors, b_possible_descendants
 from mpdagkit.meek import construct_max_pdag, cpdag_of
 from mpdagkit.pdag_core import GraphParseError, PdagGraph, parse_graph
@@ -358,7 +364,25 @@ class TestOnePeelPerParsedGraph:
             b_possible_descendants(g, "X")
             b_possible_ancestors(g, "Y")
             is_amenable(g, "X", "Y")
+            forbidden_set(g, "X", "Y")
         assert peels == []
+
+    def test_a_merge_output_is_peeled_once_and_keeps_the_peel(self, peels):
+        """Blocking runs on the graph's kept extension: a graph the
+        maximality check never saw is peeled on its first amenable
+        query, and every later query reads the same extension."""
+        cpdag = cpdag_of(parse_graph("A -> X\nA -> Y\nX -> Y\nA -> B\nB -> Y"))
+        merged = construct_max_pdag(cpdag, [("A", "X")]).graph
+        assert merged.undirected_edges() == (("A", "B"),)
+        assert merged._extension is None and peels == []
+        for _ in range(2):
+            assert adjust_set(merged, "X", "Y") == {"A", "B"}
+            verdict = satisfies_b_adjustment(merged, "X", "Y", ())
+            assert (verdict.blocking_ok, verdict.witness) == (False, ("X", "A", "Y"))
+            assert list_adjustment_sets(merged, "X", "Y") == [{"A"}, {"A", "B"}]
+            assert list_adjustment_sets(merged, "X", "Y", minimal_only=True) == [{"A"}]
+        assert peels == [merged]
+        assert merged._extension == pdag_core.consistent_extension(merged)
 
     def test_the_kept_extension_is_a_fresh_peel_and_derived_graphs_have_none(self):
         g = parse_graph(FIG3_G1_TEXT)

@@ -268,6 +268,38 @@ class TestChooseXY:
         with pytest.raises(ValueError, match="no valid"):
             choose_xy(dag, np.random.default_rng(22))
 
+    def test_no_edge_message(self):
+        dag = parse_graph("node A\nnode B\nnode C")
+        message = "no valid treatment/outcome pair exists in this graph"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            choose_xy(dag, np.random.default_rng(23))
+
+    def test_a_pair_exists_exactly_when_an_edge_does(self):
+        """The existence check reads one edge, against the per-node search
+        it replaced: some node has an outcome in its skeleton component
+        that is neither itself nor a parent."""
+
+        def some_outcome(dag):
+            for v in dag.nodes:
+                component, frontier = {v}, [v]
+                while frontier:
+                    u = frontier.pop()
+                    for w in (dag.parents(u) | dag.children(u)) - component:
+                        component.add(w)
+                        frontier.append(w)
+                if component - dag.parents(v) - {v}:
+                    return True
+            return False
+
+        rng = np.random.default_rng(38)
+        with_edge = 0
+        for _ in range(400):
+            p = int(rng.integers(2, 8))
+            dag = random_dag(p, min(p - 1, float(rng.uniform(0.05, 1.5))), rng).dag
+            assert some_outcome(dag) == any(dag._ch), dag
+            with_edge += any(dag._ch)
+        assert with_edge == 313
+
 
 SMOKE_CFG = SimConfig(
     node_counts=(5,),
@@ -422,9 +454,9 @@ class TestStudyRoute:
         seen = []
         adjust_core = sem_sim._adjust_core
 
-        def recording(graph, x_mask, y_mask):
+        def recording(graph, x_mask, y_mask, dag):
             seen.append(graph)
-            return adjust_core(graph, x_mask, y_mask)
+            return adjust_core(graph, x_mask, y_mask, dag)
 
         monkeypatch.setattr(sem_sim, "_adjust_core", recording)
         cfg = SimConfig(
@@ -443,6 +475,33 @@ class TestStudyRoute:
                 cpdag_of(dag), dag, row.fraction, np.random.default_rng([row.seed, 3])
             )
             assert graph == want
+
+    def test_true_dag_answers_as_the_kept_extension(self, monkeypatch):
+        # A replicate passes its true DAG to the canonical-set check; it
+        # extends every fraction's graph, and the check answers as on the
+        # extension that the graph itself keeps, also on the 209 amenable
+        # rows where the two extensions differ.
+        seen = []
+        adjust_core = sem_sim._adjust_core
+
+        def recording(graph, x_mask, y_mask, dag):
+            seen.append((graph, x_mask, y_mask, dag))
+            return adjust_core(graph, x_mask, y_mask, dag)
+
+        monkeypatch.setattr(sem_sim, "_adjust_core", recording)
+        rows = run_simulation(DIGEST_CFG)
+        assert len(rows) == len(seen) == 660
+        found = other = 0
+        for row, (graph, x_mask, y_mask, dag) in zip(rows, seen):
+            assert graph._extension is None and represents(graph, dag)
+            got = adjust_core(graph, x_mask, y_mask, dag)
+            assert got == (row.amenable, got[1]) and (got[1] is not None) == row.identifiable
+            assert adjust_core(graph, x_mask, y_mask) == got
+            # Only an amenable query builds the kept extension.
+            assert (graph._extension is not None) == got[0]
+            found += got[1] is not None
+            other += got[0] and graph._extension != dag
+        assert (found, other) == (505, 209)
 
 
 TABLE_CFG = SimConfig(
